@@ -133,6 +133,8 @@ mod tests {
         assert!(fl.is_free(b));
     }
 
+    // The check is a `debug_assert!`, so release builds do not panic.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "double free")]
     fn double_free_panics_in_debug() {

@@ -26,9 +26,11 @@ use pre_frontend::{BranchPredictorUnit, DelayPipe, UopQueue};
 use pre_mem::{HitLevel, MemoryHierarchy};
 use pre_model::config::SimConfig;
 use pre_model::error::{ConfigError, ProgramError, SimError, WatchdogDiag};
+use pre_model::isa::StaticInst;
 use pre_model::mem::FuncMem;
 use pre_model::program::{fold_store_checksum, ArchSnapshot, Program};
 use pre_model::reg::{ArchReg, PhysReg, RegClass, NUM_ARCH_REGS};
+use pre_model::snapshot::SimSnapshot;
 use pre_model::stats::{SimStats, TerminationKind};
 use pre_runahead::{
     ChainReplayEngine, EntryDecision, EntryPolicy, ExtendedMicroOpQueue, RunaheadBuffer,
@@ -168,7 +170,10 @@ impl From<BuildError> for SimError {
 pub struct OooCore {
     pub(crate) cfg: SimConfig,
     pub(crate) technique: Technique,
-    pub(crate) program: Program,
+    /// The program's instructions (the PC of `insts[i]` is `i`). The core
+    /// never reads the program's initial image after construction, so it
+    /// keeps only these.
+    pub(crate) insts: Box<[StaticInst]>,
 
     // Functional / architectural state.
     pub(crate) mem_hier: MemoryHierarchy,
@@ -231,9 +236,6 @@ pub struct OooCore {
     /// when no tracer was attached. Two stores per commit; covered by the
     /// `compare_sim_speed` gate.
     pub(crate) commit_ring: CommitRing,
-    /// Developer aid: print prefetch/demand-miss addresses when the
-    /// `PRE_TRACE_PREFETCH` environment variable is set.
-    pub(crate) trace_prefetches: bool,
     /// Attached observation hooks (`None` in normal runs: every hook site
     /// pays one untaken branch and nothing else). Tracers observe committed
     /// pipeline decisions and never steer them — the `trace_golden` suite
@@ -249,7 +251,9 @@ pub struct OooCore {
 }
 
 impl OooCore {
-    /// Builds a core simulating `program` under `technique`.
+    /// Builds a core simulating `program` under `technique` from a cold
+    /// start: the program's initial registers and memory image, cold caches
+    /// and an untrained branch predictor.
     ///
     /// # Errors
     ///
@@ -260,28 +264,86 @@ impl OooCore {
         program: &Program,
         technique: Technique,
     ) -> Result<Self, BuildError> {
-        Self::build(cfg, program, technique, || program.build_memory())
+        Self::validate(cfg, program)?;
+        Ok(Self::build(
+            cfg,
+            program,
+            technique,
+            program.build_registers(),
+            program.entry,
+            program.build_memory(),
+            crate::WarmedState::cold(cfg),
+        ))
     }
 
-    /// Shared constructor body: `func_mem` supplies the initial functional
-    /// memory (built from the program image on a cold start, cloned from a
-    /// snapshot on a forked start) and is only invoked after validation.
-    /// Taking it as a closure lets [`from_snapshot`](Self::from_snapshot)
-    /// skip the program-image build entirely — for multi-megabyte images
-    /// that build dominates the per-fork cost of sampled simulation.
+    /// Builds a core resuming from a warm-up snapshot instead of a cold
+    /// start: architectural registers, PC and functional memory come from
+    /// `snap`; caches and branch predictor are cloned from `warmed` (built
+    /// once per memory-hierarchy configuration via
+    /// [`crate::WarmedState::build`] and shared across every core forked
+    /// from the same snapshot).
+    ///
+    /// A fork shares what it only reads: the snapshot's memory pages are
+    /// shared copy-on-write (the core copies a page on its first store to
+    /// it), and of the program only the instructions are kept. The warmed
+    /// hierarchy and predictor, which the core mutates on every access, are
+    /// the only structures cloned wholesale.
+    ///
+    /// The core starts at cycle 0 with empty statistics: a snapshot run
+    /// reports only the work performed after the snapshot point, and two
+    /// cores forked from the same `(snap, warmed)` pair are bit-identical by
+    /// construction — there is no separate "restore" code path that could
+    /// drift from this one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildError`] when the configuration or the program fails
+    /// validation.
+    pub fn from_snapshot(
+        cfg: &SimConfig,
+        program: &Program,
+        technique: Technique,
+        snap: &SimSnapshot,
+        warmed: &crate::WarmedState,
+    ) -> Result<Self, BuildError> {
+        Self::validate(cfg, program)?;
+        // Fetch resumes at the snapshot PC. `fetch_done` starts false even
+        // when warm-up consumed the whole program: the fetch stage discovers
+        // the end itself when no instruction exists at the PC.
+        Ok(Self::build(
+            cfg,
+            program,
+            technique,
+            snap.regs,
+            snap.pc,
+            snap.mem.clone(),
+            warmed.clone(),
+        ))
+    }
+
+    /// Checks the configuration and the program before anything is built
+    /// from them (cache construction assumes a valid geometry).
+    fn validate(cfg: &SimConfig, program: &Program) -> Result<(), BuildError> {
+        cfg.validate()?;
+        program.validate()?;
+        Ok(())
+    }
+
+    /// The one constructor body behind [`new`](Self::new) and
+    /// [`from_snapshot`](Self::from_snapshot). It takes the starting
+    /// architectural state (`arf`, `pc`, `func_mem`) and the cold or warmed
+    /// caches and predictor (`warmed`) by value, so neither caller builds a
+    /// structure only to replace it.
     fn build(
         cfg: &SimConfig,
         program: &Program,
         technique: Technique,
-        func_mem: impl FnOnce() -> FuncMem,
-    ) -> Result<Self, BuildError> {
-        cfg.validate()?;
-        program.validate()?;
+        arf: [u64; NUM_ARCH_REGS],
+        pc: u32,
+        func_mem: FuncMem,
+        warmed: crate::WarmedState,
+    ) -> Self {
         let core_cfg = &cfg.core;
-        let mut arf = [0u64; NUM_ARCH_REGS];
-        for &(reg, value) in &program.initial_regs {
-            arf[reg.flat_index()] = value;
-        }
         let rename = RenameSubsystem::new(
             core_cfg.int_phys_regs,
             core_cfg.fp_phys_regs,
@@ -291,21 +353,21 @@ impl OooCore {
         let entry_policy = technique.entry_policy(&cfg.runahead);
         let mut iq = IssueQueue::new(core_cfg.iq_entries);
         iq.set_reference_mode(core_cfg.reference_scheduler);
-        Ok(OooCore {
-            mem_hier: MemoryHierarchy::new(cfg),
-            func_mem: func_mem(),
+        OooCore {
+            mem_hier: warmed.mem_hier,
+            func_mem,
             arf,
-            predictor: BranchPredictorUnit::new(&cfg.frontend),
+            predictor: warmed.predictor,
             delay_pipe: DelayPipe::new(
                 core_cfg.frontend_depth as u64,
                 core_cfg.fetch_width * (core_cfg.frontend_depth + 1),
             ),
             uop_queue: UopQueue::new(core_cfg.fetch_width * 4),
-            fetch_pc: program.entry,
+            fetch_pc: pc,
             fetch_stall_until: 0,
             fetch_done: false,
             last_fetch_line: None,
-            next_dispatch_pc: program.entry,
+            next_dispatch_pc: pc,
             rename,
             rob: ReorderBuffer::new(core_cfg.rob_entries),
             iq,
@@ -333,7 +395,6 @@ impl OooCore {
             deadlocked: false,
             last_progress_cycle: 0,
             commit_ring: CommitRing::new(COMMIT_RING_CAPACITY),
-            trace_prefetches: std::env::var_os("PRE_TRACE_PREFETCH").is_some(),
             tracer: None,
             issue_retry: Vec::new(),
             ref_candidates: Vec::new(),
@@ -341,52 +402,8 @@ impl OooCore {
             ref_agen_updates: Vec::new(),
             cfg: cfg.clone(),
             technique,
-            program: program.clone(),
-        })
-    }
-
-    /// Builds a core resuming from a warm-up snapshot instead of a cold
-    /// start: architectural registers, PC and functional memory come from
-    /// `snap`; caches and branch predictor are cloned from `warmed` (built
-    /// once per memory-hierarchy configuration via
-    /// [`crate::WarmedState::build`] and shared across every core forked
-    /// from the same snapshot).
-    ///
-    /// The core starts at cycle 0 with empty statistics: a snapshot run
-    /// reports only the work performed after the snapshot point, and two
-    /// cores forked from the same `(snap, warmed)` pair are bit-identical by
-    /// construction — there is no separate "restore" code path that could
-    /// drift from this one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError`] when the configuration or the program fails
-    /// validation.
-    pub fn from_snapshot(
-        cfg: &SimConfig,
-        program: &Program,
-        technique: Technique,
-        snap: &pre_model::snapshot::SimSnapshot,
-        warmed: &crate::WarmedState,
-    ) -> Result<Self, BuildError> {
-        let mut core = OooCore::build(cfg, program, technique, || snap.mem.clone())?;
-        core.arf = snap.regs;
-        // The rename subsystem seeds its initial mappings from the ARF, so
-        // rebuild it over the snapshot's register values.
-        core.rename = RenameSubsystem::new(
-            cfg.core.int_phys_regs,
-            cfg.core.fp_phys_regs,
-            cfg.runahead.prdq_entries,
-            &core.arf,
-        );
-        core.mem_hier = warmed.mem_hier.clone();
-        core.predictor = warmed.predictor.clone();
-        // Resume fetch at the snapshot PC. `fetch_done` stays false even
-        // when warm-up consumed the whole program: the fetch stage discovers
-        // the end itself when no instruction exists at the PC.
-        core.fetch_pc = snap.pc;
-        core.next_dispatch_pc = snap.pc;
-        Ok(core)
+            insts: program.insts.as_slice().into(),
+        }
     }
 
     /// The technique this core is configured with.

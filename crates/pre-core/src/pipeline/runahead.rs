@@ -252,7 +252,7 @@ impl OooCore {
     /// freed registers.
     fn begin_pre_runahead(&mut self, head_pc: u32) -> (usize, usize) {
         self.sst.insert(head_pc);
-        if let Some(inst) = self.program.inst_at(head_pc) {
+        if let Some(inst) = self.insts.get(head_pc as usize) {
             for src in inst.sources() {
                 if let Some(pc) = self.rename.rat().producer_pc(src) {
                     self.sst.insert(pc);

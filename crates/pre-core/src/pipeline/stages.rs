@@ -47,7 +47,7 @@ impl OooCore {
             if self.delay_pipe.is_full() {
                 break;
             }
-            let inst = match self.program.inst_at(self.fetch_pc) {
+            let inst = match self.insts.get(self.fetch_pc as usize) {
                 Some(i) => *i,
                 None => {
                     self.fetch_done = true;
@@ -523,12 +523,6 @@ impl OooCore {
                     let access = self
                         .mem_hier
                         .load_range(addr, len, now, AccessKind::Prefetch);
-                    if self.trace_prefetches {
-                        eprintln!(
-                            "PF cycle={now} pc={} addr={addr:#x} level={:?} new_fill={}",
-                            entry.pc, access.level, access.initiated_dram_fill
-                        );
-                    }
                     mem_level = Some(access.level);
                     self.trace_mem_event(entry.pc, addr, &access, true, now);
                     if access.initiated_dram_fill {
@@ -559,9 +553,6 @@ impl OooCore {
                     crate::lsq::LoadCheck::Proceed => {
                         let raw = self.func_mem.load_bytes(addr, len);
                         let access = self.mem_hier.load_range(addr, len, now, AccessKind::Demand);
-                        if self.trace_prefetches && access.level == HitLevel::Memory {
-                            eprintln!("DM cycle={now} pc={} addr={addr:#x}", entry.pc);
-                        }
                         self.trace_mem_event(entry.pc, addr, &access, false, now);
                         result = Some(load_access.extend(raw));
                         completion = access.completion_cycle;

@@ -32,6 +32,20 @@ pub struct WarmedState {
 }
 
 impl WarmedState {
+    /// Cold caches and an untrained predictor for `cfg`: the starting state
+    /// of a core that did not warm up.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any cache geometry in `cfg` is invalid; validate the
+    /// configuration first (core construction does).
+    pub(crate) fn cold(cfg: &SimConfig) -> Self {
+        WarmedState {
+            mem_hier: MemoryHierarchy::new(cfg),
+            predictor: BranchPredictorUnit::new(&cfg.frontend),
+        }
+    }
+
     /// Replays `trace` against the geometry described by `cfg`.
     ///
     /// # Panics
@@ -39,16 +53,12 @@ impl WarmedState {
     /// Panics if any cache geometry in `cfg` is invalid; validate the
     /// configuration first (core construction does).
     pub fn build(cfg: &SimConfig, trace: &WarmTrace) -> Self {
-        let mut mem_hier = MemoryHierarchy::new(cfg);
-        mem_hier.warm_replay(trace);
-        let mut predictor = BranchPredictorUnit::new(&cfg.frontend);
+        let mut warmed = WarmedState::cold(cfg);
+        warmed.mem_hier.warm_replay(trace);
         for b in &trace.branches {
-            predictor.update(b.pc, b.taken, b.target, false);
+            warmed.predictor.update(b.pc, b.taken, b.target, false);
         }
-        WarmedState {
-            mem_hier,
-            predictor,
-        }
+        warmed
     }
 }
 

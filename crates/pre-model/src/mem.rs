@@ -24,9 +24,16 @@
 //! allocated pages are pre-seeded with their per-byte hash-init values, so
 //! the load path never consults a written-byte bitmap — the bitmap exists
 //! only to account [`FuncMem::written_bytes`].
+//!
+//! Pages are reference-counted and copy-on-write: cloning a [`FuncMem`]
+//! copies only the page index and bumps one refcount per page, and the
+//! first store into a shared page copies that one page. A core forked from
+//! a warm-up snapshot therefore shares the snapshot's multi-megabyte image
+//! and owns only the pages it writes.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 /// Bytes per functional-memory page.
 const PAGE_BYTES: u64 = 4096;
@@ -69,22 +76,27 @@ fn hash_init_bytes(addr: u64, len: usize) -> u64 {
 #[derive(Debug, Clone)]
 struct Page {
     page_no: u64,
-    data: Box<[u8]>,
-    written: Box<[u64]>,
+    data: [u8; PAGE_BYTES as usize],
+    written: [u64; BITMAP_WORDS],
 }
 
 impl Page {
     fn new(page_no: u64) -> Self {
         let base = page_no * PAGE_BYTES;
-        let mut data = vec![0u8; PAGE_BYTES as usize].into_boxed_slice();
-        for (w, chunk) in data.chunks_exact_mut(8).enumerate() {
+        let mut page = Page {
+            page_no,
+            data: [0; PAGE_BYTES as usize],
+            written: [0; BITMAP_WORDS],
+        };
+        for (w, chunk) in page.data.chunks_exact_mut(8).enumerate() {
             chunk.copy_from_slice(&hash_addr(base + w as u64 * 8).to_le_bytes());
         }
-        Page {
-            page_no,
-            data,
-            written: vec![0u64; BITMAP_WORDS].into_boxed_slice(),
-        }
+        page
+    }
+
+    /// Number of bytes marked written.
+    fn written_count(&self) -> u64 {
+        self.written.iter().map(|w| u64::from(w.count_ones())).sum()
     }
 
     /// Marks bytes `offset .. offset + len` written; returns how many were
@@ -132,8 +144,8 @@ pub struct FuncMem {
     /// Page number → index into `pages`.
     page_index: HashMap<u64, u32>,
     /// Page payloads (arena; indices are stable because pages are never
-    /// removed).
-    pages: Vec<Page>,
+    /// removed). Shared copy-on-write with clones of this memory.
+    pages: Vec<Arc<Page>>,
     stored_bytes: u64,
     /// One-entry cache: arena index of the most recently touched page.
     /// Every hit is validated against the page's own number, so a relaxed
@@ -160,8 +172,8 @@ impl Clone for FuncMem {
 }
 
 /// Semantic equality: the same set of pages with the same contents and
-/// written-byte bitmaps. Arena order and the last-page cache are
-/// representation details and do not participate.
+/// written-byte bitmaps. Arena order, page sharing and the last-page cache
+/// are representation details and do not participate.
 impl PartialEq for FuncMem {
     fn eq(&self, other: &Self) -> bool {
         self.stored_bytes == other.stored_bytes
@@ -172,7 +184,7 @@ impl PartialEq for FuncMem {
                 };
                 let a = &self.pages[idx as usize];
                 let b = &other.pages[other_idx as usize];
-                a.data == b.data && a.written == b.written
+                Arc::ptr_eq(a, b) || (a.data == b.data && a.written == b.written)
             })
     }
 }
@@ -208,14 +220,17 @@ impl FuncMem {
     fn ensure_page(&mut self, page: u64) -> u32 {
         match self.lookup_page(page) {
             Some(idx) => idx,
-            None => {
-                let idx = u32::try_from(self.pages.len()).expect("fewer than 2^32 pages");
-                self.pages.push(Page::new(page));
-                self.page_index.insert(page, idx);
-                self.last_page.store(idx, Ordering::Relaxed);
-                idx
-            }
+            None => self.push_page(Arc::new(Page::new(page))),
         }
+    }
+
+    /// Appends a page that is not yet resident to the arena.
+    fn push_page(&mut self, page: Arc<Page>) -> u32 {
+        let idx = u32::try_from(self.pages.len()).expect("fewer than 2^32 pages");
+        self.page_index.insert(page.page_no, idx);
+        self.pages.push(page);
+        self.last_page.store(idx, Ordering::Relaxed);
+        idx
     }
 
     /// Reads `len` (1–8) bytes at `addr`, little-endian, zero-extended into
@@ -252,6 +267,8 @@ impl FuncMem {
     }
 
     /// Writes the low `len` (1–8) bytes of `value` at `addr`, little-endian.
+    /// A page shared with a clone of this memory is copied first, so the
+    /// clone never observes the write.
     ///
     /// # Panics
     ///
@@ -262,7 +279,7 @@ impl FuncMem {
         let (page, offset) = Self::split(addr);
         if offset + len <= PAGE_BYTES as usize {
             let idx = self.ensure_page(page);
-            let page = &mut self.pages[idx as usize];
+            let page = Arc::make_mut(&mut self.pages[idx as usize]);
             page.data[offset..offset + len].copy_from_slice(&value.to_le_bytes()[..len]);
             self.stored_bytes += u64::from(page.mark_written(offset, len));
         } else {
@@ -300,8 +317,8 @@ impl FuncMem {
     /// installed wholesale — fully written, so the hash-init pass and the
     /// per-store bookkeeping are both skipped. Program data segments are
     /// exactly such runs, and multi-megabyte images (the pointer-chase
-    /// tables) are rebuilt once per forked core during sampled simulation,
-    /// so this path is hot. The result is bit-identical to the store loop:
+    /// tables) are rebuilt by every cold core and every interpreter, so
+    /// this path is hot. The result is bit-identical to the store loop:
     /// same payload, same written-bitmap, same written-byte count, same
     /// page-arena order (first touch).
     pub fn init_from<I: IntoIterator<Item = (u64, u64)>>(&mut self, pairs: I) {
@@ -342,18 +359,15 @@ impl FuncMem {
     fn install_fresh_full_page(&mut self, page_no: u64, words: &[u64]) {
         debug_assert_eq!(words.len() * 8, PAGE_BYTES as usize);
         debug_assert!(self.lookup_page(page_no).is_none());
-        let mut data = vec![0u8; PAGE_BYTES as usize].into_boxed_slice();
-        for (chunk, word) in data.chunks_exact_mut(8).zip(words) {
+        let mut page = Page {
+            page_no,
+            data: [0; PAGE_BYTES as usize],
+            written: [u64::MAX; BITMAP_WORDS],
+        };
+        for (chunk, word) in page.data.chunks_exact_mut(8).zip(words) {
             chunk.copy_from_slice(&word.to_le_bytes());
         }
-        let idx = u32::try_from(self.pages.len()).expect("fewer than 2^32 pages");
-        self.pages.push(Page {
-            page_no,
-            data,
-            written: vec![u64::MAX; BITMAP_WORDS].into_boxed_slice(),
-        });
-        self.page_index.insert(page_no, idx);
-        self.last_page.store(idx, Ordering::Relaxed);
+        self.push_page(Arc::new(page));
         self.stored_bytes += PAGE_BYTES;
     }
 
@@ -392,12 +406,24 @@ impl FuncMem {
     pub fn install_page(&mut self, page_no: u64, data: &[u8], written: &[u64]) {
         assert_eq!(data.len(), PAGE_BYTES as usize, "page payload size");
         assert_eq!(written.len(), BITMAP_WORDS, "written-bitmap size");
-        let idx = self.ensure_page(page_no);
-        let page = &mut self.pages[idx as usize];
-        let old_written: u64 = page.written.iter().map(|w| u64::from(w.count_ones())).sum();
+        let mut page = Page {
+            page_no,
+            data: [0; PAGE_BYTES as usize],
+            written: [0; BITMAP_WORDS],
+        };
         page.data.copy_from_slice(data);
         page.written.copy_from_slice(written);
-        let new_written: u64 = written.iter().map(|w| u64::from(w.count_ones())).sum();
+        let new_written = page.written_count();
+        let page = Arc::new(page);
+        let old_written = match self.lookup_page(page_no) {
+            // Replace rather than write through: a clone sharing the old
+            // page keeps it.
+            Some(idx) => std::mem::replace(&mut self.pages[idx as usize], page).written_count(),
+            None => {
+                self.push_page(page);
+                0
+            }
+        };
         self.stored_bytes = self.stored_bytes - old_written + new_written;
     }
 
@@ -588,5 +614,81 @@ mod tests {
         assert_eq!(clone.load_u64(0x0000), 1);
         assert_eq!(clone.load_u64(0x2000), 2);
         assert_eq!(clone.resident_pages(), 2);
+    }
+
+    /// Byte-level reference model: written bytes are in the map, every
+    /// other byte reads its hash-init value.
+    type Reference = std::collections::BTreeMap<u64, u8>;
+
+    fn store_both(mem: &mut FuncMem, model: &mut Reference, addr: u64, len: u64, value: u64) {
+        mem.store_bytes(addr, len, value);
+        for i in 0..len {
+            model.insert(addr + i, (value >> (8 * i)) as u8);
+        }
+    }
+
+    /// Asserts `mem` matches `model` byte for byte over every written byte
+    /// and its neighbourhood, and in its written-byte count.
+    fn assert_matches(mem: &FuncMem, model: &Reference) {
+        assert_eq!(mem.written_bytes(), model.len() as u64);
+        for &addr in model.keys() {
+            for probe in addr.saturating_sub(9)..addr + 9 {
+                let expected = model
+                    .get(&probe)
+                    .copied()
+                    .unwrap_or_else(|| hash_init_byte(probe));
+                assert_eq!(
+                    mem.load_bytes(probe, 1),
+                    u64::from(expected),
+                    "byte {probe:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn stores_into_a_clone_leave_the_original_untouched() {
+        let mut original = FuncMem::new();
+        let mut original_model = Reference::new();
+        store_both(
+            &mut original,
+            &mut original_model,
+            0x1000,
+            8,
+            0x1111_2222_3333_4444,
+        );
+        store_both(&mut original, &mut original_model, 0x2ffe, 4, 0xAABB_CCDD);
+        store_both(&mut original, &mut original_model, 0x5010, 1, 0x5A);
+        let before = original.written_bytes();
+
+        let mut clone = original.clone();
+        let mut clone_model = original_model.clone();
+        assert_eq!(clone, original);
+        // Overwrite a shared page, cross a page boundary, and touch a page
+        // only the clone has.
+        store_both(&mut clone, &mut clone_model, 0x1004, 2, 0xFFFF);
+        store_both(
+            &mut clone,
+            &mut clone_model,
+            0x2ffc,
+            8,
+            0x0102_0304_0506_0708,
+        );
+        store_both(&mut clone, &mut clone_model, 0x9000, 8, 7);
+        // Install a page image over a page the original also holds.
+        let mut donor = FuncMem::new();
+        donor.store_bytes(0x5020, 4, 0xCAFE_F00D);
+        let (page_no, data, written) = donor.page_images().next().expect("one page");
+        clone.install_page(page_no, data, written);
+        clone_model.retain(|&addr, _| addr / PAGE_BYTES != page_no);
+        for i in 0..4 {
+            clone_model.insert(0x5020 + i, (0xCAFE_F00Du64 >> (8 * i)) as u8);
+        }
+
+        assert_eq!(original.written_bytes(), before);
+        assert_eq!(original.resident_pages(), 4);
+        assert_matches(&original, &original_model);
+        assert_matches(&clone, &clone_model);
+        assert_ne!(clone, original);
     }
 }

@@ -56,6 +56,46 @@ pub struct WarmBranch {
     pub target: u32,
 }
 
+/// Lowercase hex digits by nibble value: the page-payload encoding.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Nibble value of each ASCII byte (either case), `INVALID_HEX` for
+/// anything that is not a hex digit.
+const HEX_VALUES: [u8; 256] = {
+    let mut table = [INVALID_HEX; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[HEX_DIGITS[i] as usize] = i as u8;
+        table[HEX_DIGITS[i].to_ascii_uppercase() as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+const INVALID_HEX: u8 = 0xFF;
+
+/// Appends two lowercase hex digits per byte of `bytes`.
+fn push_hex(out: &mut String, bytes: &[u8]) {
+    out.reserve(bytes.len() * 2);
+    for &b in bytes {
+        out.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
+        out.push(char::from(HEX_DIGITS[usize::from(b & 0xF)]));
+    }
+}
+
+/// Decodes `hex` (two digits per byte) into `out`; `None` on any non-hex
+/// digit. The caller checks `hex.len() == 2 * out.len()`.
+fn decode_hex(hex: &[u8], out: &mut [u8]) -> Option<()> {
+    for (byte, pair) in out.iter_mut().zip(hex.chunks_exact(2)) {
+        let hi = HEX_VALUES[usize::from(pair[0])];
+        let lo = HEX_VALUES[usize::from(pair[1])];
+        if hi == INVALID_HEX || lo == INVALID_HEX {
+            return None;
+        }
+        *byte = (hi << 4) | lo;
+    }
+    Some(())
+}
+
 /// Instruction-fetch line size assumed by the trace's ifetch deduplication.
 /// This mirrors the pipeline's fetch stage: PCs are program indices scaled
 /// by 4 bytes and fetched in 64-byte lines.
@@ -202,9 +242,7 @@ impl SimSnapshot {
         out.push('\n');
         for (page_no, data, written) in self.mem.page_images() {
             let _ = write!(out, "page {page_no} ");
-            for b in data {
-                let _ = write!(out, "{b:02x}");
-            }
+            push_hex(&mut out, data);
             for w in written {
                 let _ = write!(out, " {w:x}");
             }
@@ -275,10 +313,8 @@ impl SimSnapshot {
                         return Err(format!("page {page_no}: bad payload length"));
                     }
                     let mut data = vec![0u8; FuncMem::PAGE_BYTES];
-                    for (i, byte) in data.iter_mut().enumerate() {
-                        *byte = u8::from_str_radix(&hex[i * 2..i * 2 + 2], 16)
-                            .map_err(|_| format!("page {page_no}: bad payload hex"))?;
-                    }
+                    decode_hex(hex.as_bytes(), &mut data)
+                        .ok_or_else(|| format!("page {page_no}: bad payload hex"))?;
                     let written: Vec<u64> = parts
                         .map(|w| u64::from_str_radix(w, 16))
                         .collect::<Result<_, _>>()
@@ -414,5 +450,67 @@ mod tests {
         assert!(SimSnapshot::from_text("nope").is_err());
         assert!(SimSnapshot::from_text("pre-snapshot v1\n").is_err());
         assert!(SimSnapshot::from_text("pre-snapshot v1\nwat 3\nend\n").is_err());
+        // A payload of the right byte length with a non-hex (and non-ASCII)
+        // digit is an error, not a panic.
+        let payload = format!("{}é", "0".repeat(FuncMem::PAGE_BYTES * 2 - 2));
+        let text = format!(
+            "pre-snapshot v1\npage 0 {payload}{}\nend\n",
+            " 0".repeat(64)
+        );
+        let err = SimSnapshot::from_text(&text).expect_err("bad hex rejected");
+        assert!(err.contains("bad payload hex"), "{err}");
+    }
+
+    /// Pins the exact text of a tiny snapshot: two pages, a register file,
+    /// one event of each kind and a branch. Persisted snapshots must keep
+    /// decoding, so the format may not drift.
+    #[test]
+    fn text_format_is_pinned() {
+        let mut mem = FuncMem::new();
+        let ramp: Vec<u8> = (0..FuncMem::PAGE_BYTES).map(|i| i as u8).collect();
+        let mut written = [0u64; 64];
+        written[0] = 0xff;
+        written[63] = 1 << 63;
+        mem.install_page(2, &ramp, &written);
+        let zeros = vec![0u8; FuncMem::PAGE_BYTES];
+        mem.install_page(7, &zeros, &[0; 64]);
+        let mut regs = [0u64; NUM_ARCH_REGS];
+        regs[1] = 42;
+        regs[NUM_ARCH_REGS - 1] = u64::MAX;
+        let mut trace = WarmTrace::new();
+        trace.record_ifetch(3);
+        trace.record_load(0x2010);
+        trace.record_store(0x7000);
+        trace.record_branch(5, true, 1);
+        let snap = SimSnapshot {
+            warmup_uops: 100,
+            executed: 99,
+            halted: true,
+            regs,
+            pc: 6,
+            mem,
+            trace,
+        };
+
+        let mut expected =
+            String::from("pre-snapshot v1\nwarmup_uops 100\nexecuted 99\nhalted 1\npc 6\nregs");
+        for r in &regs {
+            expected.push_str(&format!(" {r}"));
+        }
+        let ramp_hex: String = (0..=255u8).map(|b| format!("{b:02x}")).collect();
+        expected.push_str(&format!(
+            "\npage 2 {} ff{} 8000000000000000\n",
+            ramp_hex.repeat(16),
+            " 0".repeat(62)
+        ));
+        expected.push_str(&format!(
+            "page 7 {}{}\n",
+            "00".repeat(4096),
+            " 0".repeat(64)
+        ));
+        expected.push_str("I 0\nL 8208\nS 28672\nB 5 1 1\nend\n");
+        let text = snap.to_text();
+        assert_eq!(text, expected);
+        assert_eq!(SimSnapshot::from_text(&text).expect("parses"), snap);
     }
 }

@@ -94,6 +94,51 @@ fn serialized_snapshot_restores_bit_identically() {
     }
 }
 
+/// Forks share the snapshot's memory pages copy-on-write. Five cores — one
+/// per technique, on concurrent threads — fork one shared snapshot of a
+/// storing kernel and run; their stores must land in private page copies,
+/// leaving the snapshot equal to a fresh capture, and each run must match a
+/// run forked from an unshared (deserialized) copy.
+#[test]
+fn concurrent_forks_leave_the_shared_snapshot_untouched() {
+    let params = WorkloadParams::short(500);
+    let blur: Workload = "asm-box-blur".parse().expect("known workload");
+    let program = blur.build(&params);
+    let config = SimConfig::haswell_like();
+    let shared = std::sync::Arc::new(SimSnapshot::capture(&program, WARMUP));
+    let warmed = WarmedState::build(&config, &shared.trace);
+    let run = |snap: &SimSnapshot, technique: Technique| {
+        let mut core = OooCore::from_snapshot(&config, &program, technique, snap, &warmed)
+            .expect("valid configuration");
+        core.run(BUDGET, 1_000_000);
+        core.stats().clone()
+    };
+    let forked: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = Technique::ALL
+            .into_iter()
+            .map(|technique| {
+                let snap = std::sync::Arc::clone(&shared);
+                let run = &run;
+                scope.spawn(move || (technique, run(&snap, technique)))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("fork ran"))
+            .collect()
+    });
+    assert_eq!(*shared, SimSnapshot::capture(&program, WARMUP));
+    let unshared = SimSnapshot::from_text(&shared.to_text()).expect("roundtrips");
+    for (technique, stats) in forked {
+        assert!(stats.committed_stores > 0, "{technique:?}: no stores");
+        assert_eq!(
+            stats.to_kv(),
+            run(&unshared, technique).to_kv(),
+            "{technique:?}"
+        );
+    }
+}
+
 #[test]
 fn cache_hit_is_byte_identical_to_the_miss_that_filled_it() {
     // Distinct params keep this test's cache keys disjoint from the other

@@ -6,10 +6,15 @@ use pre_model::reg::PhysReg;
 ///
 /// The first `NUM_*_ARCH_REGS` physical registers are initially mapped to the
 /// architectural registers; the remainder start out free.
+///
+/// The allocation order lives in a stack; a membership bitmap beside it,
+/// kept in step by every operation, makes [`FreeList::is_free`] (and the
+/// double-free check in [`FreeList::free`]) a single indexed load.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FreeList {
     capacity: usize,
     free: Vec<PhysReg>,
+    is_free: Vec<bool>,
 }
 
 impl FreeList {
@@ -25,32 +30,38 @@ impl FreeList {
             reserved <= capacity,
             "cannot reserve {reserved} registers out of {capacity}"
         );
+        let mut is_free = vec![false; capacity];
+        is_free[reserved..].fill(true);
         FreeList {
             capacity,
             free: (reserved..capacity)
                 .rev()
                 .map(|i| PhysReg(i as u16))
                 .collect(),
+            is_free,
         }
     }
 
     /// Allocates a free physical register, if any remain.
     pub fn allocate(&mut self) -> Option<PhysReg> {
-        self.free.pop()
+        let reg = self.free.pop()?;
+        self.is_free[reg.index()] = false;
+        Some(reg)
     }
 
     /// Returns a register to the free list.
     ///
     /// # Panics
     ///
-    /// Panics (in debug builds) if the register is already free — a
-    /// double-free indicates a renaming bug.
+    /// Panics if the register is out of range or already free — a double
+    /// free indicates a renaming bug, so release builds refuse it too.
     pub fn free(&mut self, reg: PhysReg) {
-        debug_assert!(
-            !self.free.contains(&reg),
+        assert!(reg.index() < self.capacity, "register {reg} out of range");
+        assert!(
+            !self.is_free[reg.index()],
             "double free of physical register {reg}"
         );
-        debug_assert!((reg.index()) < self.capacity, "register {reg} out of range");
+        self.is_free[reg.index()] = true;
         self.free.push(reg);
     }
 
@@ -71,7 +82,7 @@ impl FreeList {
 
     /// `true` when `reg` is currently on the free list.
     pub fn is_free(&self, reg: PhysReg) -> bool {
-        self.free.contains(&reg)
+        self.is_free[reg.index()]
     }
 
     /// Snapshot of the free list (used by PRE to checkpoint rename state at
@@ -82,6 +93,10 @@ impl FreeList {
 
     /// Restores a previously captured snapshot.
     pub fn restore(&mut self, snapshot: Vec<PhysReg>) {
+        self.is_free.fill(false);
+        for reg in &snapshot {
+            self.is_free[reg.index()] = true;
+        }
         self.free = snapshot;
     }
 }
@@ -127,17 +142,31 @@ mod tests {
         let a = fl.allocate().unwrap();
         let b = fl.allocate().unwrap();
         assert_eq!(fl.num_free(), 6);
+        assert!(!fl.is_free(a));
         fl.restore(snap);
         assert_eq!(fl.num_free(), 8);
         assert!(fl.is_free(a));
         assert!(fl.is_free(b));
     }
 
-    // The check is a `debug_assert!`, so release builds do not panic.
-    #[cfg(debug_assertions)]
+    #[test]
+    fn membership_tracks_allocate_and_free() {
+        let mut fl = FreeList::new(40, 32);
+        assert!(!fl.is_free(PhysReg(3)), "reserved registers start mapped");
+        let r = fl.allocate().unwrap();
+        assert!(!fl.is_free(r));
+        fl.free(r);
+        assert!(fl.is_free(r));
+        let snap = fl.snapshot();
+        let all: Vec<_> = std::iter::from_fn(|| fl.allocate()).collect();
+        assert!(all.iter().all(|&r| !fl.is_free(r)));
+        fl.restore(snap);
+        assert!(all.iter().all(|&r| fl.is_free(r)));
+    }
+
     #[test]
     #[should_panic(expected = "double free")]
-    fn double_free_panics_in_debug() {
+    fn double_free_panics() {
         let mut fl = FreeList::new(40, 32);
         let r = fl.allocate().unwrap();
         fl.free(r);

@@ -222,6 +222,11 @@ pub struct IssueQueue {
     /// Bit `c` set ⇔ `ready[c]` is non-empty. Select iterates set bits
     /// instead of probing all `OpClass::COUNT` queues per issue slot.
     ready_mask: u16,
+    /// `readers[class][phys reg]`: source-operand occurrences of the
+    /// register among the waiting entries (both scheduler modes). Lets the
+    /// eager drain ask "does a waiting micro-op still read this register?"
+    /// without walking the queue. Grown on demand like `wakeup`.
+    readers: [Vec<u16>; 2],
 }
 
 impl IssueQueue {
@@ -245,6 +250,7 @@ impl IssueQueue {
             agen: VecDeque::new(),
             stale_ready_keys: 0,
             ready_mask: 0,
+            readers: [Vec::new(), Vec::new()],
         }
     }
 
@@ -308,6 +314,13 @@ impl IssueQueue {
         self.writes += 1;
         let slot_idx = self.free.pop().expect("fullness checked above") as usize;
         let gen = self.slots[slot_idx].gen;
+        for &(class, reg) in entry.srcs.iter() {
+            let counts = &mut self.readers[class_idx(class)];
+            if reg.index() >= counts.len() {
+                counts.resize(reg.index() + 1, 0);
+            }
+            counts[reg.index()] += 1;
+        }
         let mut unready = 0u8;
         if !self.reference {
             for (i, &(class, reg)) in entry.srcs.as_slice().iter().enumerate() {
@@ -592,10 +605,22 @@ impl IssueQueue {
         self.slots.iter_mut().filter_map(|s| s.entry.as_mut())
     }
 
+    /// How many source operands of waiting micro-ops read `reg` (an entry
+    /// naming it twice counts twice). Zero means no waiting micro-op reads
+    /// it.
+    pub fn readers(&self, class: RegClass, reg: PhysReg) -> usize {
+        self.readers[class_idx(class)]
+            .get(reg.index())
+            .map_or(0, |&n| n as usize)
+    }
+
     /// Frees one slot (the entry issued or was squashed).
     fn free_slot(&mut self, slot_idx: usize) -> IqEntry {
         let slot = &mut self.slots[slot_idx];
         let entry = slot.entry.take().expect("freeing an empty slot");
+        for &(class, reg) in entry.srcs.iter() {
+            self.readers[class_idx(class)][reg.index()] -= 1;
+        }
         slot.gen = slot.gen.wrapping_add(1);
         slot.unready = 0;
         if slot.ready_queued {
@@ -881,6 +906,33 @@ mod tests {
         assert_eq!(e.id, 7);
         iq.mark_store_addr_ready(slot);
         assert!(!iq.select_idle() || iq.pop_ready(&NOP_PORTS).is_none());
+    }
+
+    #[test]
+    fn reader_counts_follow_insert_and_every_removal_path() {
+        let r = PhysReg(4);
+        let other = PhysReg(5);
+        let mut iq = IssueQueue::new(8);
+        assert_eq!(iq.readers(RegClass::Int, r), 0, "never-seen register");
+        let mut twice = entry(1, false);
+        twice.srcs = SrcList::from_slice(&[(RegClass::Int, r), (RegClass::Int, r)]);
+        let mut once = entry(2, true);
+        once.srcs = SrcList::from_slice(&[(RegClass::Int, r), (RegClass::Fp, other)]);
+        iq.insert(twice, all_ready);
+        iq.insert(once, all_ready);
+        assert_eq!(iq.readers(RegClass::Int, r), 3);
+        assert_eq!(iq.readers(RegClass::Fp, other), 1);
+        assert_eq!(iq.readers(RegClass::Int, other), 0, "classes are separate");
+        let (key, e) = iq.pop_ready(&NOP_PORTS).unwrap();
+        assert_eq!(e.id, 1);
+        iq.remove_slot(key.slot());
+        assert_eq!(iq.readers(RegClass::Int, r), 1);
+        iq.remove_where(|e| e.is_runahead);
+        assert_eq!(iq.readers(RegClass::Int, r), 0);
+        assert_eq!(iq.readers(RegClass::Fp, other), 0);
+        iq.insert(twice, all_ready);
+        iq.clear();
+        assert_eq!(iq.readers(RegClass::Int, r), 0);
     }
 
     #[test]

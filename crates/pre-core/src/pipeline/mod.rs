@@ -220,9 +220,10 @@ pub struct OooCore {
     pub(crate) last_stall_head_id: Option<u64>,
     pub(crate) runahead_done_for: Option<u64>,
     /// Set when an event that can create new eager-drain candidates occurred
-    /// this interval (a normal micro-op issued or completed): the candidate
-    /// set only changes at those boundaries, so the per-cycle
-    /// [`RenameSubsystem::seed_eager`] scan is skipped while this is clear.
+    /// this interval (a normal micro-op issued or completed), and kept set
+    /// while a seed pass is cut short by a full PRDQ: the candidate set only
+    /// changes at those boundaries, so the runahead cycle hook runs a
+    /// [`RenameSubsystem::seed_eager`] pass only while this is set.
     pub(crate) pre_eager_rescan: bool,
 
     // Time, statistics and run control.
@@ -678,9 +679,12 @@ impl OooCore {
                 t.uop_completed(head.id, head.completion);
             }
             if self.mode == Mode::RunaheadPre {
-                // A window producer completed: previous mappings whose last
-                // consumer already issued may now be eager-drain candidates.
+                // A window producer completed: the previous mapping it wrote
+                // may now be an eager-drain candidate.
                 self.pre_eager_rescan = true;
+                if let Some((class, reg)) = head.dest {
+                    self.rename.recheck_eager(class, reg, &self.iq);
+                }
             }
             self.stats.executed_uops += 1;
             self.stats.iq_wakeups += 1;
@@ -1125,7 +1129,7 @@ impl OooCore {
     ///
     /// * the issue stage idle (select and store address generation);
     /// * the eager-drain machinery settled — the rescan flag clear (the
-    ///   per-cycle seed scan is skipped) and the PRDQ head not drainable,
+    ///   hook runs no seed pass) and the PRDQ head not drainable,
     ///   which the cycle hook that just ran guarantees until the next
     ///   completion event;
     /// * the PRE decode filter blocked: the micro-op queue empty, or the EMQ
@@ -1144,7 +1148,7 @@ impl OooCore {
         debug_assert!(self.pending_recovery.is_none());
         debug_assert!(!self.dispatch_blocked);
         if self.pre_eager_rescan {
-            // The hook re-runs the eager-drain scan every cycle until it
+            // The hook runs an eager-drain seed pass every cycle until one
             // completes with PRDQ room; its effects cannot be bulk-replayed.
             return;
         }

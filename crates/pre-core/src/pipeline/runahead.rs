@@ -260,9 +260,9 @@ impl OooCore {
             }
         }
         self.mode = Mode::RunaheadPre;
-        // Eager drain: seed the PRDQ with the window's dead previous
-        // mappings and reclaim them immediately (the PRDQ is empty at
-        // entry, so everything drained here is an eager free). Leave the
+        // Eager drain: walk the window once, seed the PRDQ with its dead
+        // previous mappings and reclaim them immediately (the PRDQ is empty
+        // at entry, so everything drained here is an eager free). Leave the
         // rescan flag set: a seed pass cut short by a full PRDQ retries on
         // the next cycle.
         self.rename.seed_eager(&self.rob, &self.iq);
@@ -302,10 +302,11 @@ impl OooCore {
                 // Window mappings whose last consumer issued (or whose
                 // producer completed) this cycle are now dead: seed them so
                 // the drain below frees them at that boundary instead of
-                // waiting for a commit. The candidate set only changes at
-                // those events, so the scan is skipped on quiet cycles; a
-                // full PRDQ keeps the flag set so unseeded candidates are
-                // retried once the drain makes room.
+                // waiting for a commit. Those events recorded the new
+                // candidates as they happened, so the pass only seeds them
+                // (and extends the window walk past a branch that issued);
+                // quiet cycles skip it. A full PRDQ keeps the flag set so
+                // unseeded candidates are retried once the drain makes room.
                 if self.pre_eager_rescan {
                     self.rename.seed_eager(&self.rob, &self.iq);
                     self.pre_eager_rescan = self.rename.prdq().is_full();

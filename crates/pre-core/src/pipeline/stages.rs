@@ -296,6 +296,7 @@ impl OooCore {
                         // A waiting consumer left the issue queue: its
                         // sources may now be eager-drain candidates.
                         self.pre_eager_rescan = true;
+                        self.recheck_eager_sources(&entry);
                     }
                     self.count_issue_class(entry.class);
                     if self.pending_recovery.is_some() {
@@ -361,10 +362,26 @@ impl OooCore {
             }
         }
         for id in issued.drain(..) {
-            self.iq.remove(id);
+            let Some(entry) = self.iq.remove(id) else {
+                continue;
+            };
+            if self.mode == Mode::RunaheadPre && !entry.is_runahead {
+                self.recheck_eager_sources(&entry);
+            }
         }
         self.ref_candidates = candidates;
         self.ref_issued = issued;
+    }
+
+    /// An issued normal micro-op left the issue queue during precise
+    /// runahead: a source it was the last waiting reader of may now be a
+    /// dead previous mapping.
+    fn recheck_eager_sources(&mut self, entry: &IqEntry) {
+        for &(class, reg) in entry.srcs.iter() {
+            if self.iq.readers(class, reg) == 0 {
+                self.rename.recheck_eager(class, reg, &self.iq);
+            }
+        }
     }
 
     fn count_issue_class(&mut self, class: OpClass) {
@@ -710,14 +727,24 @@ impl OooCore {
         if self.mode == Mode::RunaheadPre {
             self.exit_pre(now, true);
         }
-        let squashed = self.rob.squash_younger_than(branch_id);
-        for entry in &squashed {
-            self.rename.rollback_squashed(entry.old_dest, entry.dest);
-        }
-        self.stats.squashed_uops += squashed.len() as u64;
-        let ids: Vec<u64> = squashed.iter().map(|e| e.id).collect();
-        self.iq
-            .remove_where(|e| !e.is_runahead && ids.contains(&e.id));
+        // Roll the rename state back from the ROB tail, youngest first. The
+        // squashed ids are collected only for an attached tracer.
+        let rename = &mut self.rename;
+        let mut traced_ids = self.tracer.is_some().then(Vec::new);
+        let mut unissued = 0usize;
+        let squashed = self.rob.squash_younger_than(branch_id, |entry| {
+            rename.rollback_squashed(entry.old_dest, entry.dest);
+            unissued += usize::from(!entry.issued);
+            if let Some(ids) = traced_ids.as_mut() {
+                ids.push(entry.id);
+            }
+        });
+        self.stats.squashed_uops += squashed as u64;
+        // Every waiting normal micro-op has a ROB entry, so the ones younger
+        // than the branch are exactly the squashed entries that had not
+        // issued.
+        let removed = self.iq.remove_where(|e| !e.is_runahead && e.id > branch_id);
+        debug_assert_eq!(removed, unissued, "issue queue out of step with the ROB");
         self.lsq.squash_younger_than(branch_id);
 
         self.stats.squashed_uops +=
@@ -726,7 +753,7 @@ impl OooCore {
         self.delay_pipe.flush();
         self.emq.clear();
         if let Some(t) = self.tracer.as_deref_mut() {
-            for &id in &ids {
+            for id in traced_ids.into_iter().flatten() {
                 t.uop_squashed(id, now);
             }
             t.frontend_flushed(now);

@@ -10,7 +10,9 @@
 //! The RAT is checkpointed on runahead entry and restored at exit, and is
 //! rolled back incrementally (youngest-first) on branch mispredictions.
 
-use pre_model::reg::{ArchReg, PhysReg, NUM_ARCH_REGS, NUM_FP_ARCH_REGS, NUM_INT_ARCH_REGS};
+use pre_model::reg::{
+    ArchReg, PhysReg, RegClass, NUM_ARCH_REGS, NUM_FP_ARCH_REGS, NUM_INT_ARCH_REGS,
+};
 
 /// A full copy of the RAT used for runahead checkpoints.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,6 +66,16 @@ impl RegisterAliasTable {
     /// Looks up the current mapping without counting a port access.
     pub fn peek(&self, reg: ArchReg) -> PhysReg {
         self.map[reg.flat_index()]
+    }
+
+    /// `true` when some architectural register of `class` currently maps to
+    /// the physical register `reg`.
+    pub(crate) fn maps(&self, class: RegClass, reg: PhysReg) -> bool {
+        let (int, fp) = self.map.split_at(NUM_INT_ARCH_REGS);
+        match class {
+            RegClass::Int => int.contains(&reg),
+            RegClass::Fp => fp.contains(&reg),
+        }
     }
 
     /// The PC of the instruction that last renamed `reg`, if any.
@@ -153,7 +165,6 @@ pub const FP_ARCH_REGS: usize = NUM_FP_ARCH_REGS;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pre_model::reg::RegClass;
 
     #[test]
     fn initial_mapping_is_identity_per_class() {
@@ -220,6 +231,17 @@ mod tests {
     fn extension_storage_matches_paper() {
         let rat = RegisterAliasTable::new();
         assert_eq!(rat.extension_storage_bytes(), 256);
+    }
+
+    #[test]
+    fn maps_checks_the_class_of_the_mapping() {
+        let mut rat = RegisterAliasTable::new();
+        assert!(rat.maps(RegClass::Int, PhysReg(7)));
+        rat.rename(ArchReg::int(7), PhysReg(70), 1);
+        assert!(!rat.maps(RegClass::Int, PhysReg(7)), "mapped out");
+        assert!(rat.maps(RegClass::Int, PhysReg(70)));
+        assert!(!rat.maps(RegClass::Fp, PhysReg(70)), "classes are separate");
+        assert!(rat.maps(RegClass::Fp, PhysReg(7)));
     }
 
     #[test]

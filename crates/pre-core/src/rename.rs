@@ -47,6 +47,21 @@
 //! Commit itself never observes an eager free: commits do not happen in
 //! runahead mode, and the free-list snapshot is restored before normal mode
 //! resumes, so the same register is freed exactly once on each path.
+//!
+//! # Finding candidates by events
+//!
+//! The window is frozen during an interval and each condition above can only
+//! turn from false to true, so the candidates are tracked rather than
+//! rescanned. The interval's first seed pass walks the window once (up to
+//! the oldest unissued conditional branch), recording which entry holds each
+//! previous mapping. After that an entry is re-checked only when its old
+//! register becomes ready, when the last waiting reader of that register
+//! issues ([`RenameSubsystem::recheck_eager`]), or when the branch that
+//! stopped the walk issues and the walk moves on. Every check is a lookup:
+//! the issue queue counts the waiting readers of each register, the free
+//! list keeps a membership bitmap, and seeded entries carry a per-interval
+//! mark. Debug builds compare the tracked candidates with a full scan after
+//! every seed pass.
 
 use crate::freelist::FreeList;
 use crate::iq::{IssueQueue, SrcList};
@@ -59,12 +74,9 @@ use pre_runahead::PreciseRegisterDeallocationQueue;
 
 /// Per-class membership flags over physical-register indices.
 ///
-/// The eager drain runs on every stalled normal-mode cycle (the entry gate)
-/// and on every precise-runahead rescan cycle, so its membership sets sit on
-/// the simulator's hottest path; SipHash-backed `HashSet`s here dominated
-/// whole-run profiles. Physical registers are densely numbered below the
-/// per-class file capacity, so a flat flag vector makes membership a single
-/// indexed load and `clear` a pair of short memsets.
+/// Physical registers are densely numbered below the per-class file
+/// capacity, so a flat flag vector makes membership a single indexed load
+/// and `clear` a pair of short memsets.
 #[derive(Debug)]
 struct PhysFlagSet {
     int: Vec<bool>,
@@ -111,6 +123,122 @@ impl PhysFlagSet {
     }
 }
 
+fn class_idx(class: RegClass) -> usize {
+    match class {
+        RegClass::Int => 0,
+        RegClass::Fp => 1,
+    }
+}
+
+/// A set of ROB positions (logical, oldest-first indices) as a bitmap, so
+/// members come out in program order.
+#[derive(Debug, Default)]
+struct PosSet {
+    words: Vec<u64>,
+}
+
+impl PosSet {
+    /// Makes room for positions below `capacity`.
+    fn fit(&mut self, capacity: usize) {
+        let words = capacity.div_ceil(64);
+        if self.words.len() < words {
+            self.words.resize(words, 0);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    fn contains(&self, pos: usize) -> bool {
+        self.words
+            .get(pos / 64)
+            .is_some_and(|w| w >> (pos % 64) & 1 != 0)
+    }
+
+    fn insert(&mut self, pos: usize) {
+        self.words[pos / 64] |= 1 << (pos % 64);
+    }
+
+    fn remove(&mut self, pos: usize) {
+        self.words[pos / 64] &= !(1 << (pos % 64));
+    }
+
+    /// The smallest member at or above `from`.
+    fn next_from(&self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut bits = self.words.get(w)? & (!0u64 << (from % 64));
+        loop {
+            if bits != 0 {
+                return Some(w * 64 + bits.trailing_zeros() as usize);
+            }
+            w += 1;
+            bits = *self.words.get(w)?;
+        }
+    }
+
+    /// Members in ascending order.
+    #[cfg(debug_assertions)]
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(self.next_from(0), |&pos| self.next_from(pos + 1))
+    }
+}
+
+/// Event-driven bookkeeping of the eager drain within one precise-runahead
+/// interval (see [`RenameSubsystem::seed_eager`]).
+///
+/// The window is frozen during an interval — no dispatch, no commit — so a
+/// ROB position names the same entry throughout, and each eagerness
+/// condition of an entry can only turn from false to true. The tracker
+/// therefore re-checks an entry only when one of its conditions may have
+/// changed, and keeps the entries found eligible in `pending`.
+#[derive(Debug)]
+struct EagerTracker {
+    /// Stamp of the current interval; `owner` records with another stamp
+    /// are stale.
+    epoch: u32,
+    /// `owner[class][phys reg] = (epoch, ROB position)` of the walked window
+    /// entry whose previous mapping is that register.
+    owner: [Vec<(u32, u32)>; 2],
+    /// ROB positions whose previous mapping was seeded this interval.
+    seeded: PosSet,
+    /// ROB positions whose previous mapping is dead but not yet seeded.
+    pending: PosSet,
+    /// Number of ROB entries (from the head) the walk has visited.
+    walked: usize,
+    /// The walk stopped at the unissued conditional branch at `walked - 1`:
+    /// younger entries may still be squashed.
+    blocked: bool,
+}
+
+impl EagerTracker {
+    fn new(int_capacity: usize, fp_capacity: usize) -> Self {
+        EagerTracker {
+            epoch: 0,
+            owner: [vec![(0, 0); int_capacity], vec![(0, 0); fp_capacity]],
+            seeded: PosSet::default(),
+            pending: PosSet::default(),
+            walked: 0,
+            blocked: false,
+        }
+    }
+
+    /// Forgets the previous interval.
+    fn reset(&mut self) {
+        self.epoch += 1;
+        self.seeded.clear();
+        self.pending.clear();
+        self.walked = 0;
+        self.blocked = false;
+    }
+
+    /// The walked ROB position whose previous mapping is `reg`, if any.
+    fn owner(&self, class: RegClass, reg: PhysReg) -> Option<usize> {
+        let (epoch, pos) = self.owner[class_idx(class)][reg.index()];
+        (epoch == self.epoch).then_some(pos as usize)
+    }
+}
+
 /// A joint snapshot of the RAT and both free lists, captured at runahead
 /// entry and restored at exit. Restoring the free lists subsumes undoing
 /// both runahead allocations and eager frees.
@@ -145,18 +273,14 @@ pub struct RenameSubsystem {
     /// Registers allocated by runahead renaming in the current interval;
     /// only these may be reclaimed through regular PRDQ deallocation.
     runahead_allocated: PhysFlagSet,
-    /// ROB entry ids whose previous mapping the eager drain already seeded
-    /// in the current interval. Kept sorted for binary search; bounded by
-    /// the ROB capacity because the window is frozen during an interval.
-    eager_seeded: Vec<u64>,
+    /// The eager drain's per-interval candidate tracking.
+    eager: EagerTracker,
     int_capacity: usize,
     fp_capacity: usize,
-    /// Reusable scratch for [`RenameSubsystem::collect_eager_candidates`]:
-    /// registers pinned by a waiting consumer or a live RAT mapping. Reused
-    /// across calls so the per-runahead-cycle rescan allocates nothing in
-    /// steady state.
-    scratch_pinned: PhysFlagSet,
-    scratch_candidates: Vec<(u64, RegClass, PhysReg)>,
+    /// Reusable output of [`RenameSubsystem::collect_eager_candidates`]
+    /// (`(ROB position, class, old register)`), so the full scan allocates
+    /// nothing in steady state.
+    scratch_candidates: Vec<(usize, RegClass, PhysReg)>,
 }
 
 impl RenameSubsystem {
@@ -177,10 +301,9 @@ impl RenameSubsystem {
             fp_prf: PhysRegFile::new(fp_phys, pre_model::reg::NUM_FP_ARCH_REGS),
             prdq: PreciseRegisterDeallocationQueue::new(prdq_entries),
             runahead_allocated: PhysFlagSet::new(int_phys, fp_phys),
-            eager_seeded: Vec::new(),
+            eager: EagerTracker::new(int_phys, fp_phys),
             int_capacity: int_phys,
             fp_capacity: fp_phys,
-            scratch_pinned: PhysFlagSet::new(int_phys, fp_phys),
             scratch_candidates: Vec::new(),
         };
         subsystem.seed_arch_values(arch_values);
@@ -347,43 +470,120 @@ impl RenameSubsystem {
     /// Drains executed PRDQ entries in order and returns their registers to
     /// the free lists. Returns `(int, fp)` counts of registers freed.
     pub fn drain_prdq(&mut self) -> (usize, usize) {
-        let freed = self.prdq.drain_completed();
         let mut counts = (0usize, 0usize);
-        for (class, reg) in freed {
-            self.free_list_mut(class).free(reg);
-            self.runahead_allocated.remove(class, reg);
+        let (int_free, fp_free) = (&mut self.int_free, &mut self.fp_free);
+        let runahead_allocated = &mut self.runahead_allocated;
+        self.prdq.drain_completed(|(class, reg)| {
             match class {
-                RegClass::Int => counts.0 += 1,
-                RegClass::Fp => counts.1 += 1,
+                RegClass::Int => {
+                    int_free.free(reg);
+                    counts.0 += 1;
+                }
+                RegClass::Fp => {
+                    fp_free.free(reg);
+                    counts.1 += 1;
+                }
             }
-        }
+            runahead_allocated.remove(class, reg);
+        });
         counts
     }
 
     /// The eager drain: seeds the PRDQ with dead previous mappings of the
     /// stalled window (see the module documentation for the safety
-    /// argument) and returns how many entries were seeded. Call
-    /// [`RenameSubsystem::drain_prdq`] afterwards to realize the frees.
+    /// argument), oldest first until the PRDQ is full, and returns how many
+    /// entries were seeded. Call [`RenameSubsystem::drain_prdq`] afterwards
+    /// to realize the frees.
     ///
-    /// Invoked at precise-runahead entry and once per runahead cycle, so
-    /// mappings whose last consumer issues *during* the interval are freed
-    /// at that issue boundary.
+    /// The first pass of an interval (at precise-runahead entry) walks the
+    /// window up to the oldest unissued conditional branch. Later passes —
+    /// on runahead cycles after a normal micro-op issued or completed — do
+    /// not rescan: the candidates found since then were recorded by
+    /// [`RenameSubsystem::recheck_eager`] as the events happened, and the
+    /// walk only resumes past a branch that has since issued. So mappings
+    /// whose last consumer issues *during* the interval are freed at that
+    /// issue boundary, at a cost proportional to the events.
     pub fn seed_eager(&mut self, rob: &ReorderBuffer, iq: &IssueQueue) -> usize {
-        self.collect_eager_candidates(rob, iq);
-        let mut candidates = std::mem::take(&mut self.scratch_candidates);
+        self.eager.seeded.fit(rob.capacity());
+        self.eager.pending.fit(rob.capacity());
+        self.advance_eager_walk(rob, iq);
         let mut seeded = 0;
-        for &(id, class, old) in &candidates {
-            if !self.prdq.seed_executed(id, (class, old)) {
+        let mut next = self.eager.pending.next_from(0);
+        while let Some(pos) = next {
+            next = self.eager.pending.next_from(pos + 1);
+            let entry = rob.get(pos).expect("pending entries stay in the window");
+            let (arch, old, _) = entry.old_dest.expect("pending entries have an old mapping");
+            let class = arch.class();
+            // Defensive: `old_dest` registers are mapped out by
+            // construction, but a live RAT mapping is never dead.
+            if self.rat.maps(class, old) {
+                continue;
+            }
+            if !self.prdq.seed_executed(entry.id, (class, old)) {
                 break;
             }
-            if let Err(pos) = self.eager_seeded.binary_search(&id) {
-                self.eager_seeded.insert(pos, id);
-            }
+            self.eager.pending.remove(pos);
+            self.eager.seeded.insert(pos);
             seeded += 1;
         }
-        candidates.clear();
-        self.scratch_candidates = candidates;
+        #[cfg(debug_assertions)]
+        self.check_eager_tracker(rob, iq);
         seeded
+    }
+
+    /// Re-checks, after an event, the window entry whose previous mapping is
+    /// `reg`: call it during a precise-runahead interval when `reg`'s
+    /// producer completes or when a waiting reader of `reg` issues. An entry
+    /// found dead is seeded by the next [`RenameSubsystem::seed_eager`].
+    pub fn recheck_eager(&mut self, class: RegClass, reg: PhysReg, iq: &IssueQueue) {
+        if let Some(pos) = self.eager.owner(class, reg) {
+            if self.eager_dead(pos, class, reg, iq) {
+                self.eager.pending.insert(pos);
+            }
+        }
+    }
+
+    /// Extends the interval's window walk: from the entry after the last one
+    /// visited up to (and including) the oldest unissued conditional
+    /// branch, recording which entry holds each previous mapping and
+    /// queueing the dead ones. A walk stopped at a branch resumes once that
+    /// branch has issued.
+    fn advance_eager_walk(&mut self, rob: &ReorderBuffer, iq: &IssueQueue) {
+        if self.eager.blocked {
+            let branch = self.eager.walked - 1;
+            if !rob.get(branch).is_some_and(|e| e.issued) {
+                return;
+            }
+            self.eager.blocked = false;
+        }
+        while let Some(entry) = rob.get(self.eager.walked) {
+            let pos = self.eager.walked;
+            self.eager.walked += 1;
+            if let Some((arch, old, _)) = entry.old_dest {
+                let class = arch.class();
+                self.eager.owner[class_idx(class)][old.index()] = (self.eager.epoch, pos as u32);
+                if self.eager_dead(pos, class, old, iq) {
+                    self.eager.pending.insert(pos);
+                }
+            }
+            // Entries younger than an unresolved conditional branch may be
+            // squashed, which would roll the RAT back to their previous
+            // mappings — stop here. (Branches resolve at issue.)
+            if entry.is_cond_branch && !entry.issued {
+                self.eager.blocked = true;
+                break;
+            }
+        }
+    }
+
+    /// The eagerness test for the entry at ROB position `pos` whose previous
+    /// mapping is `old`: not yet seeded, its producer completed, no waiting
+    /// reader, and not already free. Every check is a single lookup.
+    fn eager_dead(&self, pos: usize, class: RegClass, old: PhysReg, iq: &IssueQueue) -> bool {
+        !self.eager.seeded.contains(pos)
+            && self.prf(class).is_ready(old)
+            && iq.readers(class, old) == 0
+            && !self.free_list(class).is_free(old)
     }
 
     /// Counts the registers per class that [`RenameSubsystem::seed_eager`]
@@ -397,7 +597,10 @@ impl RenameSubsystem {
     ) -> (usize, usize) {
         self.collect_eager_candidates(rob, iq);
         let mut counts = (0usize, 0usize);
-        for (_, class, _) in &self.scratch_candidates {
+        for &(_, class, old) in &self.scratch_candidates {
+            if self.rat.maps(class, old) {
+                continue;
+            }
             match class {
                 RegClass::Int => counts.0 += 1,
                 RegClass::Fp => counts.1 += 1,
@@ -406,43 +609,36 @@ impl RenameSubsystem {
         counts
     }
 
-    /// Collects `(rob_id, class, old_reg)` for every previous mapping in the
-    /// window that is provably dead, oldest first, into
-    /// `self.scratch_candidates` (reused across calls; no steady-state
+    /// The full scan: collects `(ROB position, class, old_reg)` for every
+    /// previous mapping in the window that is provably dead, oldest first,
+    /// into `self.scratch_candidates` (reused across calls; no steady-state
     /// allocation).
     fn collect_eager_candidates(&mut self, rob: &ReorderBuffer, iq: &IssueQueue) {
-        // A register is pinned if a waiting (un-issued) micro-op still reads
-        // it, or if it is a live RAT mapping (defensive: `old_dest` registers
-        // are mapped out by construction). Both conditions feed the same
-        // `!pinned` check, so one flag set covers them.
-        self.scratch_pinned.clear();
-        for entry in iq.iter() {
-            for &(class, reg) in entry.srcs.iter() {
-                self.scratch_pinned.insert(class, reg);
-            }
-        }
-        for (arch, phys) in self.rat.iter() {
-            self.scratch_pinned.insert(arch.class(), phys);
-        }
         self.scratch_candidates.clear();
-        for entry in rob.iter() {
+        for (pos, entry) in rob.iter().enumerate() {
             if let Some((arch, old, _)) = entry.old_dest {
                 let class = arch.class();
-                let dead = self.eager_seeded.binary_search(&entry.id).is_err()
-                    && self.prf(class).is_ready(old)
-                    && !self.scratch_pinned.contains(class, old)
-                    && !self.free_list(class).is_free(old);
-                if dead {
-                    self.scratch_candidates.push((entry.id, class, old));
+                if self.eager_dead(pos, class, old, iq) {
+                    self.scratch_candidates.push((pos, class, old));
                 }
             }
-            // Entries younger than an unresolved conditional branch may be
-            // squashed, which would roll the RAT back to their previous
-            // mappings — stop here. (Branches resolve at issue.)
             if entry.is_cond_branch && !entry.issued {
                 break;
             }
         }
+    }
+
+    /// Debug-build oracle: the event-tracked pending set must equal what the
+    /// full scan finds.
+    #[cfg(debug_assertions)]
+    fn check_eager_tracker(&mut self, rob: &ReorderBuffer, iq: &IssueQueue) {
+        self.collect_eager_candidates(rob, iq);
+        let scanned: Vec<usize> = self.scratch_candidates.iter().map(|c| c.0).collect();
+        let pending: Vec<usize> = self.eager.pending.iter().collect();
+        assert_eq!(
+            pending, scanned,
+            "eager-drain tracker diverged from the full window scan"
+        );
     }
 
     // -----------------------------------------------------------------
@@ -461,7 +657,7 @@ impl RenameSubsystem {
     /// Starts a precise-runahead interval: clears the per-interval eager
     /// bookkeeping and returns the checkpoint to restore at exit.
     pub fn begin_runahead_interval(&mut self) -> RenameCheckpoint {
-        self.eager_seeded.clear();
+        self.eager.reset();
         self.checkpoint()
     }
 
@@ -473,7 +669,7 @@ impl RenameSubsystem {
     pub fn end_runahead_interval(&mut self, checkpoint: RenameCheckpoint) {
         self.prdq.clear();
         self.runahead_allocated.clear();
-        self.eager_seeded.clear();
+        self.eager.reset();
         self.rat.restore(&checkpoint.rat);
         self.int_free.restore(checkpoint.int_free);
         self.fp_free.restore(checkpoint.fp_free);

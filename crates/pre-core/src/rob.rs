@@ -454,6 +454,11 @@ impl ReorderBuffer {
         self.find_logical(id).is_some()
     }
 
+    /// The hot state of the `logical`-th oldest entry, if resident.
+    pub(crate) fn get(&self, logical: usize) -> Option<&RobHotEntry> {
+        (logical < self.len).then(|| &self.hot[self.phys(logical)])
+    }
+
     /// Iterates over the hot state from oldest to youngest.
     pub fn iter(&self) -> impl Iterator<Item = &RobHotEntry> + '_ {
         (0..self.len).map(move |i| &self.hot[self.phys(i)])
@@ -473,20 +478,26 @@ impl ReorderBuffer {
         (0..self.len).map(move |i| &self.cold[self.phys(i)].uop)
     }
 
-    /// Removes every entry strictly younger than `id` and returns them
-    /// youngest-first (the order needed to roll back the RAT).
-    pub fn squash_younger_than(&mut self, id: u64) -> Vec<RobEntry> {
-        let mut squashed = Vec::new();
+    /// Removes every entry strictly younger than `id`, handing the hot state
+    /// of each to `squashed` youngest-first (the order needed to roll back
+    /// the RAT), and returns how many were removed.
+    pub fn squash_younger_than(
+        &mut self,
+        id: u64,
+        mut squashed: impl FnMut(&RobHotEntry),
+    ) -> usize {
+        let mut removed = 0;
         while self.len > 0 {
             let tail = self.phys(self.len - 1);
             if self.hot[tail].id <= id {
                 break;
             }
-            squashed.push(assemble(self.hot[tail], self.cold[tail]));
+            squashed(&self.hot[tail]);
             self.hot[tail].id = 0;
             self.len -= 1;
+            removed += 1;
         }
-        squashed
+        removed
     }
 
     /// Removes all entries (flush-style runahead discards the window) and
@@ -575,8 +586,8 @@ mod tests {
         for id in 1..=5 {
             rob.push(entry(id));
         }
-        let squashed = rob.squash_younger_than(3);
-        let ids: Vec<_> = squashed.iter().map(|e| e.id).collect();
+        let mut ids = Vec::new();
+        assert_eq!(rob.squash_younger_than(3, |e| ids.push(e.id)), 2);
         assert_eq!(ids, vec![5, 4]);
         assert_eq!(rob.len(), 3);
         assert!(rob.contains(3));

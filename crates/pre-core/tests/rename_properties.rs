@@ -158,9 +158,14 @@ fn rob_squash_preserves_order() {
                 DynUop::sequential(id as u32, StaticInst::nop(), 0),
             ));
         }
-        let squashed = rob.squash_younger_than(cut);
-        for e in &squashed {
-            assert!(e.id > cut);
+        let mut squashed = Vec::new();
+        let removed = rob.squash_younger_than(cut, |e| squashed.push(e.id));
+        assert_eq!(removed, squashed.len());
+        for w in squashed.windows(2) {
+            assert!(w[0] > w[1], "squash must run youngest-first");
+        }
+        for &id in &squashed {
+            assert!(id > cut);
         }
         let remaining: Vec<u64> = rob.iter().map(|e| e.id).collect();
         for w in remaining.windows(2) {

@@ -7,11 +7,11 @@
 //!
 //! Driven by the workspace's deterministic [`pre_model::rng::SmallRng`];
 //! every case derives from a fixed seed, so failures reproduce exactly.
-//! (Double frees additionally trip the free list's debug assertion.)
+//! (Double frees additionally trip the free list's assertion.)
 
 use pre_core::iq::{IqEntry, IssueQueue, SrcList};
 use pre_core::rename::RenameSubsystem;
-use pre_core::rob::{ReorderBuffer, RobEntry};
+use pre_core::rob::{ReorderBuffer, RobEntry, Writeback};
 use pre_core::uop::DynUop;
 use pre_model::isa::{AluOp, BranchCond, OpClass, StaticInst};
 use pre_model::reg::{ArchReg, PhysReg, RegClass, NUM_ARCH_REGS, NUM_INT_ARCH_REGS};
@@ -102,13 +102,15 @@ fn normal_rename_commit_squash_conserves_registers() {
 
 /// Builds a random stalled window: a ROB of renamed instructions (some
 /// executed, some waiting in the issue queue, the odd unresolved branch)
-/// exactly as the pipeline would leave it at a full-window stall.
+/// exactly as the pipeline would leave it at a full-window stall. Returns
+/// the `(id, ROB slot)` of every entry, oldest first.
 fn build_window(
     rng: &mut SmallRng,
     r: &mut RenameSubsystem,
     rob: &mut ReorderBuffer,
     iq: &mut IssueQueue,
-) {
+) -> Vec<(u64, u32)> {
+    let mut slots = Vec::new();
     let mut id = 0u64;
     for _ in 0..rng.gen_range_usize(1..24) {
         id += 1;
@@ -117,7 +119,7 @@ fn build_window(
             let inst = StaticInst::branch(BranchCond::Lt, ArchReg::int(1), ArchReg::int(2), 0);
             let mut entry = RobEntry::new(id, DynUop::sequential(id as u32, inst, 0));
             entry.issued = false;
-            rob.push(entry);
+            slots.push((id, rob.push(entry)));
             continue;
         }
         let arch = ArchReg::int(rng.gen_range_usize(0..NUM_INT_ARCH_REGS) as u8);
@@ -136,11 +138,13 @@ fn build_window(
             entry.executed = true;
             r.prf_mut(RegClass::Int).set_ready(rename.new, true);
         }
+        let rob_slot = rob.push(entry);
+        slots.push((id, rob_slot));
         if !issued && !iq.is_full() {
             iq.insert(
                 IqEntry {
                     id,
-                    rob_slot: pre_core::rob::INVALID_SLOT,
+                    rob_slot,
                     pc: id as u32,
                     inst,
                     srcs: SrcList::from_slice(&[(RegClass::Int, src_phys)]),
@@ -153,8 +157,25 @@ fn build_window(
                 |_, _| true,
             );
         }
-        rob.push(entry);
     }
+    slots
+}
+
+/// Marks ROB entry `id` in `slot` issued, as the execute stage would.
+fn issue_in_rob(rob: &mut ReorderBuffer, slot: u32, id: u64) {
+    rob.writeback(
+        slot,
+        id,
+        Writeback {
+            completion_cycle: 0,
+            result: None,
+            mem_addr: None,
+            mem_level: None,
+            store_value: None,
+            mispredicted: false,
+            actual_next_pc: None,
+        },
+    );
 }
 
 /// A full precise-runahead interval over a random window: runahead renames,
@@ -231,6 +252,104 @@ fn runahead_interval_drains_safely_and_restores_exactly() {
         assert_eq!(rat_before, rat_after, "RAT not restored exactly");
         assert!(r.prdq().is_empty(), "PRDQ not cleared at exit");
     }
+}
+
+/// The eager drain tracks its candidates by events rather than rescanning:
+/// during a random interval, in-flight window producers complete, waiting
+/// readers issue and unresolved branches resolve, each reported to the
+/// tracker the way the pipeline reports it. Every seed pass checks (in
+/// debug builds) that the tracked candidates equal a full scan of the
+/// window; here every pass must also leave the registers safe, and a final
+/// pass with the PRDQ emptied must leave no dead mapping unseeded.
+#[test]
+fn eager_tracker_follows_random_window_events() {
+    let mut rng = SmallRng::seed_from_u64(0x5EED_0004);
+    let mut seeds = 0;
+    for _case in 0..96 {
+        let mut r = subsystem();
+        let mut rob = ReorderBuffer::new(32);
+        let mut iq = IssueQueue::new(32);
+        let slots = build_window(&mut rng, &mut r, &mut rob, &mut iq);
+        let checkpoint = r.begin_runahead_interval();
+        seeds += r.seed_eager(&rob, &iq);
+        let mut next_id = 1000u64;
+        for _ in 0..rng.gen_range_usize(1..80) {
+            match rng.gen_below(5) {
+                0 => {
+                    // An issued window producer completes.
+                    let in_flight: Vec<_> = rob
+                        .iter_slots()
+                        .filter(|(_, e)| e.issued && !e.executed)
+                        .filter_map(|(slot, e)| Some((slot, e.dest?)))
+                        .collect();
+                    if !in_flight.is_empty() {
+                        let (slot, (class, reg)) =
+                            in_flight[rng.gen_range_usize(0..in_flight.len())];
+                        rob.set_executed(slot);
+                        r.prf_mut(class).set_ready(reg, true);
+                        r.recheck_eager(class, reg, &iq);
+                    }
+                }
+                1 => {
+                    // A waiting reader whose sources are ready issues.
+                    let ready: Vec<_> = iq
+                        .iter()
+                        .filter(|e| e.srcs.iter().all(|&(c, p)| r.prf(c).is_ready(p)))
+                        .map(|e| (e.id, e.rob_slot))
+                        .collect();
+                    if !ready.is_empty() {
+                        let (id, slot) = ready[rng.gen_range_usize(0..ready.len())];
+                        let entry = iq.remove(id).expect("picked from the queue");
+                        issue_in_rob(&mut rob, slot, id);
+                        for &(class, reg) in entry.srcs.iter() {
+                            if iq.readers(class, reg) == 0 {
+                                r.recheck_eager(class, reg, &iq);
+                            }
+                        }
+                    }
+                }
+                2 => {
+                    // The oldest unresolved branch resolves correctly.
+                    let branch = rob
+                        .iter()
+                        .find(|e| e.is_cond_branch && !e.issued)
+                        .map(|e| e.id);
+                    if let Some(id) = branch {
+                        let &(_, slot) = slots.iter().find(|s| s.0 == id).expect("pushed");
+                        issue_in_rob(&mut rob, slot, id);
+                    }
+                }
+                3 => {
+                    // A runahead micro-op renames on a free register.
+                    let arch = ArchReg::int(rng.gen_range_usize(0..NUM_INT_ARCH_REGS) as u8);
+                    if !r.prdq().is_full() && r.num_free(RegClass::Int) > 0 {
+                        next_id += 1;
+                        r.runahead_rename(&StaticInst::load_imm(arch, 7), next_id as u32, next_id);
+                        r.mark_runahead_executed(next_id);
+                    }
+                }
+                _ => {
+                    seeds += r.seed_eager(&rob, &iq);
+                    r.drain_prdq();
+                }
+            }
+            assert_no_free_while_mapped(&r);
+            assert_no_free_while_referenced(&r, &iq);
+        }
+        r.drain_prdq();
+        seeds += r.seed_eager(&rob, &iq);
+        assert!(
+            !r.prdq().is_full(),
+            "a drained PRDQ has room for every seed"
+        );
+        assert_eq!(
+            r.count_eager_reclaimable(&rob, &iq),
+            (0, 0),
+            "a pass with PRDQ room seeds every dead mapping"
+        );
+        r.end_runahead_interval(checkpoint);
+    }
+    assert!(seeds > 100, "the cases must exercise real seeds ({seeds})");
 }
 
 /// Checkpoint/restore round-trips under random branch-recovery

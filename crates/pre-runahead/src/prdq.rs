@@ -21,6 +21,7 @@
 //! preserving the normal-mode state that PRE explicitly does not discard.
 
 use pre_model::reg::{PhysReg, RegClass};
+use std::collections::VecDeque;
 
 /// One PRDQ entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,9 +48,18 @@ pub struct PrdqEntry {
 }
 
 /// The PRDQ: a bounded FIFO of [`PrdqEntry`].
+///
+/// The queue is a ring holding an *eager prefix* (entries seeded by
+/// [`PreciseRegisterDeallocationQueue::seed_executed`]) followed by the
+/// runahead-allocated tail, whose micro-op ids ascend because runahead
+/// renaming allocates in program order. Seeding inserts at the prefix
+/// boundary, completion marking binary-searches the tail, and draining pops
+/// the head — none of them shifts or scans the whole queue.
 #[derive(Debug, Clone)]
 pub struct PreciseRegisterDeallocationQueue {
-    entries: Vec<PrdqEntry>,
+    entries: VecDeque<PrdqEntry>,
+    /// Length of the eager prefix at the head.
+    eager_len: usize,
     capacity: usize,
     allocations: u64,
     reclaims: u64,
@@ -66,7 +76,8 @@ impl PreciseRegisterDeallocationQueue {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "PRDQ capacity must be non-zero");
         PreciseRegisterDeallocationQueue {
-            entries: Vec::with_capacity(capacity),
+            entries: VecDeque::with_capacity(capacity),
+            eager_len: 0,
             capacity,
             allocations: 0,
             reclaims: 0,
@@ -116,7 +127,8 @@ impl PreciseRegisterDeallocationQueue {
         self.eager_reclaims
     }
 
-    /// Allocates an entry at the tail, in program order.
+    /// Allocates an entry at the tail, in program order (`uop_id` must be
+    /// younger than every runahead entry already queued).
     ///
     /// Returns `false` (and allocates nothing) when the queue is full; the
     /// caller should stall runahead renaming for this cycle.
@@ -129,7 +141,12 @@ impl PreciseRegisterDeallocationQueue {
         if self.is_full() {
             return false;
         }
-        self.entries.push(PrdqEntry {
+        debug_assert!(
+            self.entries.len() == self.eager_len
+                || self.entries.back().is_some_and(|e| e.uop_id < uop_id),
+            "runahead PRDQ entries must be allocated in program order"
+        );
+        self.entries.push_back(PrdqEntry {
             uop_id,
             old_reg,
             reclaimable,
@@ -154,9 +171,8 @@ impl PreciseRegisterDeallocationQueue {
         if self.is_full() {
             return false;
         }
-        let insert_at = self.entries.iter().take_while(|e| e.eager).count();
         self.entries.insert(
-            insert_at,
+            self.eager_len,
             PrdqEntry {
                 uop_id,
                 old_reg: Some(old_reg),
@@ -165,34 +181,41 @@ impl PreciseRegisterDeallocationQueue {
                 eager: true,
             },
         );
+        self.eager_len += 1;
         self.eager_seeds += 1;
         true
     }
 
-    /// Marks the entry allocated by `uop_id` as executed (instructions may
-    /// execute out of order). Returns `true` if an entry was found.
+    /// Marks the runahead entry allocated by `uop_id` as executed
+    /// (instructions may execute out of order). Returns `true` if an entry
+    /// was found.
     pub fn mark_executed(&mut self, uop_id: u64) -> bool {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.uop_id == uop_id) {
-            e.executed = true;
-            true
-        } else {
-            false
+        // The eager prefix sorts before every runahead entry and the tail
+        // ascends by id, so one binary search finds the entry.
+        let at = self
+            .entries
+            .partition_point(|e| e.eager || e.uop_id < uop_id);
+        match self.entries.get_mut(at) {
+            Some(e) if e.uop_id == uop_id => {
+                e.executed = true;
+                true
+            }
+            _ => false,
         }
     }
 
-    /// Deallocates executed entries from the head, in order, and returns the
-    /// physical registers to free. Stops at the first entry that has not yet
-    /// executed.
-    pub fn drain_completed(&mut self) -> Vec<(RegClass, PhysReg)> {
-        let mut freed = Vec::new();
-        while let Some(head) = self.entries.first() {
-            if !head.executed {
-                break;
+    /// Deallocates executed entries from the head, in order, handing each
+    /// physical register to free to `free` (oldest first). Stops at the
+    /// first entry that has not yet executed.
+    pub fn drain_completed(&mut self, mut free: impl FnMut((RegClass, PhysReg))) {
+        while self.entries.front().is_some_and(|head| head.executed) {
+            let head = self.entries.pop_front().expect("head checked above");
+            if head.eager {
+                self.eager_len -= 1;
             }
-            let head = self.entries.remove(0);
             if head.reclaimable {
                 if let Some(reg) = head.old_reg {
-                    freed.push(reg);
+                    free(reg);
                     self.reclaims += 1;
                     if head.eager {
                         self.eager_reclaims += 1;
@@ -200,7 +223,6 @@ impl PreciseRegisterDeallocationQueue {
                 }
             }
         }
-        freed
     }
 
     /// Discards every entry (runahead exit). The registers referenced by the
@@ -210,6 +232,7 @@ impl PreciseRegisterDeallocationQueue {
     pub fn clear(&mut self) -> usize {
         let n = self.entries.len();
         self.entries.clear();
+        self.eager_len = 0;
         n
     }
 
@@ -234,6 +257,12 @@ mod tests {
         Some((RegClass::Int, PhysReg(i)))
     }
 
+    fn drain(q: &mut PreciseRegisterDeallocationQueue) -> Vec<(RegClass, PhysReg)> {
+        let mut freed = Vec::new();
+        q.drain_completed(|reg| freed.push(reg));
+        freed
+    }
+
     #[test]
     fn in_order_deallocation_waits_for_head() {
         let mut q = PreciseRegisterDeallocationQueue::new(4);
@@ -242,10 +271,10 @@ mod tests {
         assert!(q.allocate(3, reg(12), true));
         // Only uop 2 executed: nothing can drain because uop 1 is the head.
         q.mark_executed(2);
-        assert!(q.drain_completed().is_empty());
+        assert!(drain(&mut q).is_empty());
         // Once the head executes, both 1 and 2 drain in order.
         q.mark_executed(1);
-        let freed = q.drain_completed();
+        let freed = drain(&mut q);
         assert_eq!(
             freed,
             vec![(RegClass::Int, PhysReg(10)), (RegClass::Int, PhysReg(11))]
@@ -259,7 +288,7 @@ mod tests {
         let mut q = PreciseRegisterDeallocationQueue::new(4);
         q.allocate(1, reg(5), false);
         q.mark_executed(1);
-        assert!(q.drain_completed().is_empty());
+        assert!(drain(&mut q).is_empty());
         assert_eq!(q.reclaims(), 0);
         assert!(q.is_empty());
     }
@@ -299,7 +328,7 @@ mod tests {
         // Window mappings seeded in program order drain ahead of it.
         assert!(q.seed_executed(1, (RegClass::Int, PhysReg(10))));
         assert!(q.seed_executed(2, (RegClass::Int, PhysReg(11))));
-        let freed = q.drain_completed();
+        let freed = drain(&mut q);
         assert_eq!(
             freed,
             vec![(RegClass::Int, PhysReg(10)), (RegClass::Int, PhysReg(11))]
@@ -310,9 +339,40 @@ mod tests {
         assert_eq!(q.reclaims(), 2);
         // The runahead entry still reclaims normally.
         q.mark_executed(100);
-        assert_eq!(q.drain_completed(), vec![(RegClass::Int, PhysReg(40))]);
+        assert_eq!(drain(&mut q), vec![(RegClass::Int, PhysReg(40))]);
         assert_eq!(q.eager_reclaims(), 2, "runahead reclaims are not eager");
         assert_eq!(q.reclaims(), 3);
+    }
+
+    #[test]
+    fn later_seed_passes_extend_the_eager_prefix() {
+        let mut q = PreciseRegisterDeallocationQueue::new(8);
+        assert!(q.allocate(100, reg(40), true));
+        assert!(q.allocate(101, reg(41), true));
+        assert!(q.seed_executed(7, (RegClass::Int, PhysReg(10))));
+        // A later pass seeds another window mapping before the prefix
+        // drained: it joins the prefix, still ahead of every runahead entry.
+        assert!(q.seed_executed(3, (RegClass::Int, PhysReg(11))));
+        let order: Vec<u64> = q.iter().map(|e| e.uop_id).collect();
+        assert_eq!(order, vec![7, 3, 100, 101]);
+        // Completion marking finds runahead entries behind the prefix.
+        assert!(q.mark_executed(101));
+        assert!(!q.mark_executed(102), "not queued");
+        assert_eq!(
+            drain(&mut q),
+            vec![(RegClass::Int, PhysReg(10)), (RegClass::Int, PhysReg(11))]
+        );
+        assert!(q.mark_executed(100));
+        assert_eq!(
+            drain(&mut q),
+            vec![(RegClass::Int, PhysReg(40)), (RegClass::Int, PhysReg(41))]
+        );
+        assert_eq!(q.eager_reclaims(), 2);
+        // The prefix is gone: a new seed goes to the (empty) head.
+        assert!(q.allocate(102, reg(42), true));
+        assert!(q.seed_executed(9, (RegClass::Int, PhysReg(12))));
+        let order: Vec<u64> = q.iter().map(|e| e.uop_id).collect();
+        assert_eq!(order, vec![9, 102]);
     }
 
     #[test]
@@ -351,10 +411,10 @@ mod tests {
             let mut freed = Vec::new();
             for id in exec_order {
                 q.mark_executed(id);
-                freed.extend(q.drain_completed());
+                freed.extend(drain(&mut q));
                 assert!(q.len() <= q.capacity());
             }
-            freed.extend(q.drain_completed());
+            freed.extend(drain(&mut q));
             assert_eq!(freed.len(), 20, "every register freed exactly once");
             for (i, (_, p)) in freed.iter().enumerate() {
                 assert_eq!(p.0 as usize, i, "freed in allocation order");

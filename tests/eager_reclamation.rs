@@ -5,8 +5,9 @@
 //! overhead. With the eager drain, PRE must inject on the integer-only
 //! kernels and never lose to the out-of-order baseline on the asm matrix.
 
-use precise_runahead::core::OooCore;
+use precise_runahead::core::{OooCore, WarmedState};
 use precise_runahead::model::config::SimConfig;
+use precise_runahead::model::snapshot::SimSnapshot;
 use precise_runahead::model::stats::SimStats;
 use precise_runahead::runahead::Technique;
 use precise_runahead::trace::collect::IntervalLog;
@@ -119,6 +120,37 @@ fn pre_matches_or_beats_the_baseline_across_the_asm_matrix() {
             pre.ipc(),
             base.ipc()
         );
+    }
+}
+
+/// The eager drain tracks its candidates by events; debug builds check the
+/// tracked set against a full scan of the window after every seed pass.
+/// Run both PRE flavours in the shape of a forked sweep point (a warm-up
+/// snapshot, then a short detailed run) and require real eager seeds, so
+/// that check is known to have compared actual candidates.
+#[test]
+fn forked_pre_points_seed_the_eager_drain() {
+    let cfg = SimConfig::haswell_like();
+    for workload in [Workload::ASM_SUITE[3], Workload::ASM_SUITE[6]] {
+        let program = workload.build(&WorkloadParams::default());
+        let snap = SimSnapshot::capture(&program, 200_000);
+        assert!(!snap.halted, "{workload} must outlast the warm-up");
+        let warmed = WarmedState::build(&cfg, &snap.trace);
+        for technique in [Technique::Pre, Technique::PreEmq] {
+            let mut core = OooCore::from_snapshot(&cfg, &program, technique, &snap, &warmed)
+                .expect("fork builds");
+            core.run(4_000, 50_000_000);
+            assert!(
+                !core.deadlocked(),
+                "{workload} under {technique} deadlocked"
+            );
+            let stats = core.stats();
+            assert!(
+                stats.prdq_eager_seeds > 0,
+                "{workload} under {technique} must seed the eager drain"
+            );
+            assert!(stats.prdq_eager_reclaims > 0);
+        }
     }
 }
 

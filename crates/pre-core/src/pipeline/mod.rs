@@ -234,8 +234,8 @@ pub struct OooCore {
     pub(crate) last_progress_cycle: u64,
     /// Always-on ring of the last few committed `(cycle, pc)` pairs, so a
     /// watchdog abort can report where the machine last made progress even
-    /// when no tracer was attached. Two stores per commit; covered by the
-    /// `compare_sim_speed` gate.
+    /// when no tracer was attached. Two stores per commit; their cost is
+    /// inside the benchmark's `ns_per_cycle`.
     pub(crate) commit_ring: CommitRing,
     /// Attached observation hooks (`None` in normal runs: every hook site
     /// pays one untaken branch and nothing else). Tracers observe committed

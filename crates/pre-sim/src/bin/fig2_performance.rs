@@ -3,11 +3,14 @@
 //! selected suite plus the geometric mean.
 //!
 //! Usage: `fig2_performance [--suite synthetic|asm|mixed]
-//! [--reference-scheduler] [max_uops_per_run]` (defaults: the synthetic
-//! memory-intensive suite, 300 000 uops, event-driven scheduler).
+//! [--reference-scheduler] [--warmup <uops>] [--trace <spec>]
+//! [--sample [n=K,interval=N]] [max_uops_per_run]` (defaults: the synthetic
+//! memory-intensive suite, 300 000 uops, event-driven scheduler). The flags
+//! mean what they mean for `full_eval`; sampled cells are marked `~`.
 
 use pre_sim::experiments::{
-    cli_from_args, fig2_summary, fig2_table, run_suite_matrix_with, Suite, DEFAULT_EVAL_UOPS,
+    cli_from_args, fig2_summary, fig2_table, run_suite_matrix_cli_isolated, Suite,
+    DEFAULT_EVAL_UOPS,
 };
 
 fn main() {
@@ -16,15 +19,17 @@ fn main() {
         "running the Figure 2 evaluation matrix over the {} suite ({} committed uops per run)...",
         cli.suite, cli.budget
     );
-    let matrix = run_suite_matrix_with(cli.suite, &cli.config(), cli.budget, |r| {
+    let matrix = run_suite_matrix_cli_isolated(&cli, |r| {
         eprintln!(
-            "  {:<18} {:<10} ipc {:.3}  runahead entries {}",
+            "  {:<18} {:<10} ipc {}{:.3}  runahead entries {}",
             r.workload.name(),
             r.technique.label(),
+            if r.sample.is_some() { "~" } else { "" },
             r.ipc(),
             r.stats.runahead_entries
         );
     })
+    .into_result()
     .expect("evaluation matrix");
     let table = fig2_table(&matrix);
     println!("{}", table.render());

@@ -2,11 +2,14 @@
 //! and PRE+EMQ relative to the out-of-order baseline.
 //!
 //! Usage: `fig3_energy [--suite synthetic|asm|mixed] [--reference-scheduler]
+//! [--warmup <uops>] [--trace <spec>] [--sample [n=K,interval=N]]
 //! [max_uops_per_run]` (defaults: the synthetic memory-intensive suite,
-//! 300 000 uops, event-driven scheduler).
+//! 300 000 uops, event-driven scheduler). The flags mean what they mean for
+//! `full_eval`; sampled cells are marked `~`.
 
 use pre_sim::experiments::{
-    cli_from_args, fig3_summary, fig3_table, run_suite_matrix_with, Suite, DEFAULT_EVAL_UOPS,
+    cli_from_args, fig3_summary, fig3_table, run_suite_matrix_cli_isolated, Suite,
+    DEFAULT_EVAL_UOPS,
 };
 
 fn main() {
@@ -15,14 +18,16 @@ fn main() {
         "running the Figure 3 evaluation matrix over the {} suite ({} committed uops per run)...",
         cli.suite, cli.budget
     );
-    let matrix = run_suite_matrix_with(cli.suite, &cli.config(), cli.budget, |r| {
+    let matrix = run_suite_matrix_cli_isolated(&cli, |r| {
         eprintln!(
-            "  {:<18} {:<10} energy {:.3} mJ",
+            "  {:<18} {:<10} energy {}{:.3} mJ",
             r.workload.name(),
             r.technique.label(),
+            if r.sample.is_some() { "~" } else { "" },
             r.energy_mj()
         );
     })
+    .into_result()
     .expect("evaluation matrix");
     let table = fig3_table(&matrix);
     println!("{}", table.render());

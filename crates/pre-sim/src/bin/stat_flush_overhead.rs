@@ -9,7 +9,6 @@ use pre_sim::experiments::{budget_from_args, stat_flush_overhead, DEFAULT_EVAL_U
 
 fn main() {
     let budget = budget_from_args(DEFAULT_EVAL_UOPS / 2);
-    let _ = DEFAULT_EVAL_UOPS;
     let table = stat_flush_overhead(budget).expect("stat A runs");
     println!("{}", table.render());
     println!("paper: approximately 56 cycles per invocation for a 192-entry ROB");

@@ -10,11 +10,20 @@ use pre_sim::experiments::{cli_from_args, stat_free_resources_with, DEFAULT_EVAL
 
 fn main() {
     let cli = cli_from_args(DEFAULT_EVAL_UOPS / 2);
+    if cli.warmup != 0 || cli.trace.is_some() || cli.sample.is_some() {
+        eprintln!("stat_free_resources takes no --warmup, --trace or --sample");
+        eprintln!(
+            "usage: stat_free_resources [--suite synthetic|asm|mixed] \
+             [--reference-scheduler] [max_uops]"
+        );
+        std::process::exit(2);
+    }
     let table =
         stat_free_resources_with(cli.suite, &cli.config(), cli.budget).expect("stat C runs");
     println!("{}", table.render());
     println!("paper: ~37 % IQ, ~51 % integer registers, ~59 % FP registers free at entry");
-    println!("note: see EXPERIMENTS.md — our synthetic integer kernels are denser in");
-    println!("destination-writing micro-ops than SPEC x86 code, so the integer-register");
-    println!("headroom is smaller for the integer workloads.");
+    println!("note: see the README, \"Register reclamation and the PRDQ\" — our");
+    println!("synthetic integer kernels are denser in destination-writing micro-ops");
+    println!("than SPEC x86 code, so the integer-register headroom is smaller for the");
+    println!("integer workloads.");
 }

@@ -1,5 +1,5 @@
 //! Experiment definitions: one function per figure/table/statistic of the
-//! paper, shared by the `pre-sim` binaries and the Criterion benches.
+//! paper, shared by the `pre-sim` binaries.
 
 use crate::matrix::{EvaluationMatrix, MatrixRun};
 use crate::report::{pct, pct_improvement, Table};
@@ -10,7 +10,7 @@ use pre_model::config::SimConfig;
 use pre_model::error::SimError;
 use pre_runahead::Technique;
 use pre_trace::TraceSpec;
-use pre_workloads::{Workload, WorkloadParams};
+use pre_workloads::Workload;
 use std::fmt;
 use std::str::FromStr;
 
@@ -21,10 +21,6 @@ use std::str::FromStr;
 /// runahead intervals per run. Override with the first command-line argument
 /// of each binary.
 pub const DEFAULT_EVAL_UOPS: u64 = 300_000;
-
-/// Reduced budget used by the Criterion benches (they re-run experiments
-/// several times).
-pub const BENCH_EVAL_UOPS: u64 = 60_000;
 
 /// Which workload set an experiment binary runs over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -299,98 +295,53 @@ pub fn cli_from_args(default_budget: u64) -> CliArgs {
     }
 }
 
-/// Parses an optional per-run micro-op budget from the command line
-/// (`<binary> [max_uops]`), falling back to `default`. `--suite` flags are
-/// tolerated and ignored (use [`cli_from_args`] to honour them).
+/// Parses the `[max_uops]` command line of the binaries that take nothing
+/// but a per-run micro-op budget, falling back to `default` when it is
+/// absent.
+///
+/// # Errors
+///
+/// Returns a message suitable for printing for any other argument — a flag
+/// or a second value — so a flag is never misread as the budget.
+pub fn parse_budget<I: IntoIterator<Item = String>>(args: I, default: u64) -> Result<u64, String> {
+    let mut args = args.into_iter();
+    let budget = match args.next() {
+        None => default,
+        Some(arg) => arg
+            .parse()
+            .map_err(|_| format!("unrecognized argument `{arg}`"))?,
+    };
+    match args.next() {
+        None => Ok(budget),
+        Some(extra) => Err(format!("unexpected argument `{extra}`")),
+    }
+}
+
+/// Parses the process command line (`[max_uops]`) with [`parse_budget`],
+/// exiting with a usage message on anything else.
 pub fn budget_from_args(default: u64) -> u64 {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--suite" {
-            let _ = args.next(); // skip the flag's value
-            continue;
-        }
-        if arg.starts_with("--") {
-            continue;
-        }
-        if let Ok(budget) = arg.parse() {
-            return budget;
+    match parse_budget(std::env::args().skip(1), default) {
+        Ok(budget) => budget,
+        Err(msg) => {
+            eprintln!("{msg}");
+            eprintln!("usage: <binary> [max_uops]");
+            std::process::exit(2);
         }
     }
-    default
-}
-
-/// Runs the full Figure 2 / Figure 3 evaluation matrix: every
-/// memory-intensive workload under every technique.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-pub fn run_evaluation_matrix(
-    max_uops: u64,
-    progress: impl FnMut(&RunResult) + Send,
-) -> Result<EvaluationMatrix, SimError> {
-    run_suite_matrix(Suite::Synthetic, max_uops, progress)
-}
-
-/// Runs the evaluation matrix over the given [`Suite`]: every workload in
-/// the suite under every technique.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-pub fn run_suite_matrix(
-    suite: Suite,
-    max_uops: u64,
-    progress: impl FnMut(&RunResult) + Send,
-) -> Result<EvaluationMatrix, SimError> {
-    run_suite_matrix_with(suite, &SimConfig::haswell_like(), max_uops, progress)
-}
-
-/// Runs the evaluation matrix over the given [`Suite`] with an explicit
-/// configuration (e.g. the `--reference-scheduler` escape hatch).
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-pub fn run_suite_matrix_with(
-    suite: Suite,
-    config: &SimConfig,
-    max_uops: u64,
-    progress: impl FnMut(&RunResult) + Send,
-) -> Result<EvaluationMatrix, SimError> {
-    EvaluationMatrix::run(
-        &suite.workloads(),
-        &Technique::ALL,
-        config,
-        &WorkloadParams::default(),
-        max_uops,
-        progress,
-    )
 }
 
 /// Runs the evaluation matrix described by parsed [`CliArgs`], honouring
-/// `--suite`, `--reference-scheduler`, `--warmup` and `--trace` (the trace
+/// `--suite`, `--reference-scheduler`, `--warmup`, `--trace` (the trace
 /// spec, when present, is applied to every cell; each cell writes its own
-/// files named after [`crate::runner::cell_name`]). Cells consult the result
-/// cache, so a repeated invocation (with `PRE_CACHE_DIR` set, or within one
-/// process) answers unchanged cells without simulating; traced cells always
-/// simulate.
+/// files named after [`crate::runner::cell_name`]) and `--sample`. Cells
+/// consult the result cache, so a repeated invocation (with `PRE_CACHE_DIR`
+/// set, or within one process) answers unchanged cells without simulating;
+/// traced cells always simulate.
 ///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator, including trace-file I/O
-/// failures.
-pub fn run_suite_matrix_cli(
-    cli: &CliArgs,
-    progress: impl FnMut(&RunResult) + Send,
-) -> Result<EvaluationMatrix, SimError> {
-    EvaluationMatrix::run_specs(&suite_matrix_specs(cli), progress)
-}
-
-/// The failure-isolated sibling of [`run_suite_matrix_cli`]: a cell that
-/// errors or panics is reported in [`MatrixRun::failures`] while every other
-/// cell still contributes its result, so one broken cell degrades the report
-/// instead of aborting the evaluation.
+/// Failure-isolated: a cell that errors or panics is reported in
+/// [`MatrixRun::failures`] while every other cell still contributes its
+/// result, so one broken cell degrades the report instead of aborting the
+/// evaluation. [`MatrixRun::into_result`] recovers all-or-nothing behaviour.
 pub fn run_suite_matrix_cli_isolated(
     cli: &CliArgs,
     progress: impl FnMut(&RunResult) + Send,
@@ -398,7 +349,8 @@ pub fn run_suite_matrix_cli_isolated(
     EvaluationMatrix::run_specs_isolated(&suite_matrix_specs(cli), progress)
 }
 
-/// The per-cell specs behind [`run_suite_matrix_cli`], in matrix order.
+/// The per-cell specs behind [`run_suite_matrix_cli_isolated`], in matrix
+/// order.
 fn suite_matrix_specs(cli: &CliArgs) -> Vec<RunSpec> {
     let config = cli.config();
     cli.suite
@@ -715,13 +667,8 @@ pub fn stat_intervals(max_uops: u64) -> Result<Table, SimError> {
 /// (the paper reports ≈37 % of IQ entries, 51 % of integer and 59 % of
 /// floating-point registers free), plus the per-class free-register
 /// occupancy histograms at full-window stalls and the eager-drain volume —
-/// the counters behind the `asm-box-blur` reproduction finding.
-pub fn stat_free_resources(suite: Suite, max_uops: u64) -> Result<Table, SimError> {
-    stat_free_resources_with(suite, &SimConfig::haswell_like(), max_uops)
-}
-
-/// [`stat_free_resources`] with an explicit configuration (e.g. the
-/// `--reference-scheduler` escape hatch).
+/// the counters behind the `asm-box-blur` reproduction finding. `config`
+/// carries e.g. the `--reference-scheduler` escape hatch.
 ///
 /// # Errors
 ///
@@ -742,9 +689,9 @@ pub fn stat_free_resources_with(
             "eager frees",
         ],
     );
-    // Walk the canonical `Suite::cells` matrix (shared with `quick_check`
-    // and the benches) restricted to the PRE column, so cell orderings
-    // agree across binaries.
+    // Walk the canonical `Suite::cells` matrix (shared with `quick_check`)
+    // restricted to the PRE column, so cell orderings agree across
+    // binaries.
     for (workload, technique) in suite.cells().filter(|&(_, t)| t == Technique::Pre) {
         let result = run_one(
             &RunSpec::new(workload, technique)
@@ -881,8 +828,14 @@ mod tests {
     }
 
     #[test]
-    fn budget_default_is_used_without_args() {
-        assert_eq!(budget_from_args(1234).max(1), budget_from_args(1234));
+    fn budget_parser_accepts_only_a_budget() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(parse_budget(args(&[]), 1234), Ok(1234));
+        assert_eq!(parse_budget(args(&["7000"]), 1234), Ok(7000));
+        // A flag's value is never misread as the budget.
+        assert!(parse_budget(args(&["--warmup", "5000"]), 1234).is_err());
+        assert!(parse_budget(args(&["--suite", "asm"]), 1234).is_err());
+        assert!(parse_budget(args(&["7000", "8000"]), 1234).is_err());
     }
 
     #[test]

@@ -489,9 +489,7 @@ fn json_escape(s: &str) -> String {
 
 /// Renders sweep results as JSON, including the failed points (with their
 /// errors and attempt counts) so a partially-failed sweep is still
-/// machine-readable. Top-level keys deliberately avoid the `cells` key used
-/// by the bench aggregate format, so tooling that scans for it is
-/// unaffected.
+/// machine-readable.
 pub fn sweep_json(
     sweep: &Sweep,
     points: &[SweepPoint],

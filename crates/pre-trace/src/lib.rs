@@ -4,8 +4,8 @@
 //! pipeline's already-existing decision points. Every hook has a no-op
 //! default and the core guards each call site with a single
 //! `Option::is_some` branch, so a run without a tracer attached pays one
-//! untaken branch per hook and nothing else — the `compare_sim_speed` gate in
-//! CI holds the disabled path to the committed throughput baseline.
+//! untaken branch per hook and nothing else — the repository benchmark's
+//! untraced `ns_per_cycle` holds the disabled path to the parent commit's.
 //!
 //! Four observation streams are implemented on top of the trait:
 //!

@@ -346,15 +346,20 @@ pub fn run_suite_matrix_cli_isolated(
     cli: &CliArgs,
     progress: impl FnMut(&RunResult) + Send,
 ) -> MatrixRun {
-    EvaluationMatrix::run_specs_isolated(&suite_matrix_specs(cli), progress)
+    EvaluationMatrix::run_specs_isolated(&suite_matrix_specs(cli, cli.suite.cells()), progress)
 }
 
-/// The per-cell specs behind [`run_suite_matrix_cli_isolated`], in matrix
-/// order.
-fn suite_matrix_specs(cli: &CliArgs) -> Vec<RunSpec> {
+/// One result-cached spec per (workload, technique) cell, in the given
+/// order, with the budget, configuration, warm-up, trace and sampling
+/// options of `cli`. The matrix binaries pass [`Suite::cells`];
+/// `quick_check` passes [`Suite::quick_cells`].
+pub fn suite_matrix_specs(
+    cli: &CliArgs,
+    cells: impl IntoIterator<Item = (Workload, Technique)>,
+) -> Vec<RunSpec> {
     let config = cli.config();
-    cli.suite
-        .cells()
+    cells
+        .into_iter()
         .map(|(workload, technique)| {
             let mut spec = RunSpec::new(workload, technique)
                 .with_budget(cli.budget)
@@ -752,7 +757,7 @@ fn capacity_sweep(
         values: sizes.iter().map(|&s| s as u64).collect(),
     });
     sweep.budget = max_uops;
-    let points = sweep.run(|_| {})?;
+    let points = sweep.run_isolated(|_| {}).into_result()?;
     Ok((points, baseline.ipc()))
 }
 

@@ -5,9 +5,12 @@
 //! prove each failure-containment path end-to-end instead of hoping the
 //! code would have worked:
 //!
-//! * `panic:cell=<N>` — the N-th matrix/sweep cell (0-based, grid order)
-//!   panics at the start of its run, exercising the supervised pool and
-//!   partial-failure reporting;
+//! * `panic:cell=<N>` — the N-th cell of a matrix, sweep or `quick_check`
+//!   run (0-based, grid order) panics at the start of each attempt,
+//!   exercising the batch executor ([`crate::runner::run_batch`], the only
+//!   injection point) and partial-failure reporting. The representative
+//!   slices of a sampled cell are parts of that cell, not cells, and are
+//!   never injection points;
 //! * `corrupt-cache:key=<16-hex>` (or `corrupt-cache:key=*`) — result-cache
 //!   files for that key (or every key) are corrupted right after being
 //!   written, exercising checksum verification, quarantine and the
@@ -121,7 +124,8 @@ pub fn active_faults() -> Vec<Fault> {
     }
 }
 
-/// Injection point at the start of matrix/sweep cell `index`: panics when a
+/// Injection point at the start of each attempt at batch cell `index`
+/// (called only by [`crate::runner::run_batch`]): panics when a
 /// `panic:cell=<index>` fault is armed.
 pub fn panic_if_cell_faulted(index: usize) {
     for fault in active_faults() {

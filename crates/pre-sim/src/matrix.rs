@@ -1,16 +1,15 @@
 //! The workload × technique evaluation matrix behind Figures 2 and 3.
 
-use crate::runner::{cell_name, run_one, RunResult, RunSpec};
+use crate::runner::{cell_name, run_batch, run_one, RunResult, RunSpec};
 use pre_model::config::SimConfig;
 use pre_model::error::SimError;
 use pre_runahead::Technique;
 use pre_workloads::{Workload, WorkloadParams};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Mutex, PoisonError};
 
-/// One failed matrix cell: which cell, and the [`SimError`] (a panic caught
-/// by the supervised pool surfaces as [`SimError::Panic`]).
+/// One failed matrix cell: which cell, and the [`SimError`] (a caught panic
+/// surfaces as [`SimError::Panic`]).
 #[derive(Debug)]
 pub struct CellFailure {
     /// Index of the cell in spec (matrix) order.
@@ -84,93 +83,29 @@ impl EvaluationMatrix {
         EvaluationMatrix::default()
     }
 
-    /// Runs `workloads` × `techniques` with the given configuration and
-    /// per-run micro-op budget, invoking `progress` after every completed
-    /// run (for incremental console output).
-    ///
-    /// Cells are independent simulations, so they are fanned out over a
-    /// [`pre_par`] worker pool (one worker per core, override with
-    /// `PRE_THREADS`). Each cell is fully deterministic, and results are
-    /// collected back in matrix order, so the returned matrix is
-    /// bit-identical to [`EvaluationMatrix::run_serial`] for the same
-    /// arguments. `progress` fires as cells complete, which under parallel
-    /// execution is not necessarily matrix order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`SimError`] in matrix order. Unlike the serial
-    /// path, later cells may already have run by then; use
-    /// [`EvaluationMatrix::run_specs_isolated`] to keep their results.
-    pub fn run(
-        workloads: &[Workload],
-        techniques: &[Technique],
-        config: &SimConfig,
-        params: &WorkloadParams,
-        max_uops: u64,
-        progress: impl FnMut(&RunResult) + Send,
-    ) -> Result<Self, SimError> {
-        let specs = Self::specs(workloads, techniques, config, params, max_uops);
-        Self::run_specs(&specs, progress)
-    }
-
-    /// Runs an explicit list of cells (in the given order) over the worker
-    /// pool. This is the all-or-nothing wrapper around
-    /// [`EvaluationMatrix::run_specs_isolated`]; use it when a partial
-    /// matrix is useless to the caller.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`SimError`] in spec order (a caught cell panic
-    /// included, as [`SimError::Panic`]).
-    pub fn run_specs(
-        specs: &[RunSpec],
-        progress: impl FnMut(&RunResult) + Send,
-    ) -> Result<Self, SimError> {
-        Self::run_specs_isolated(specs, progress).into_result()
-    }
-
-    /// Runs an explicit list of cells over the supervised worker pool,
-    /// isolating failures: a cell that returns an error *or panics* is
-    /// recorded in [`MatrixRun::failures`] while every other cell still
-    /// produces its (bit-identical) result. Surviving-cell determinism is
-    /// asserted by the fault-injection suite.
+    /// Runs an explicit list of cells (in the given order) through
+    /// [`run_batch`], isolating failures: a cell that returns an error *or
+    /// panics* is recorded in [`MatrixRun::failures`] while every other cell
+    /// still produces its (bit-identical) result. `progress` fires as cells
+    /// complete, which under parallel execution is not necessarily matrix
+    /// order. [`MatrixRun::into_result`] gives all-or-nothing behaviour.
     pub fn run_specs_isolated(
         specs: &[RunSpec],
-        progress: impl FnMut(&RunResult) + Send,
+        mut progress: impl FnMut(&RunResult) + Send,
     ) -> MatrixRun {
-        let progress = Mutex::new(progress);
-        let indices: Vec<usize> = (0..specs.len()).collect();
-        let outcomes = pre_par::try_par_map(&indices, |&i| {
-            crate::fault::panic_if_cell_faulted(i);
-            let outcome = run_one(&specs[i]);
-            if let Ok(result) = &outcome {
-                // Recovering a poisoned progress lock is safe: the callback
-                // only renders console output.
-                let mut report = progress.lock().unwrap_or_else(PoisonError::into_inner);
-                (*report)(result);
-            }
-            outcome
-        });
         let mut matrix = EvaluationMatrix::new();
         let mut failures = Vec::new();
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            let spec = &specs[i];
-            let error = match outcome {
-                Ok(Ok(result)) => {
-                    matrix.push(result);
-                    continue;
-                }
-                Ok(Err(error)) => error,
-                Err(job) => SimError::Panic {
-                    detail: job.payload,
-                },
-            };
-            failures.push(CellFailure {
-                index: i,
-                workload: spec.workload,
-                technique: spec.technique,
-                error,
-            });
+        let outcomes = run_batch(specs, false, 0, |_, result| progress(result));
+        for (index, ((outcome, _), spec)) in outcomes.into_iter().zip(specs).enumerate() {
+            match outcome {
+                Ok(result) => matrix.push(result),
+                Err(error) => failures.push(CellFailure {
+                    index,
+                    workload: spec.workload,
+                    technique: spec.technique,
+                    error,
+                }),
+            }
         }
         MatrixRun {
             matrix,
@@ -179,24 +114,20 @@ impl EvaluationMatrix {
         }
     }
 
-    /// Runs the matrix one cell at a time on the calling thread, in matrix
-    /// order. Reference implementation for [`EvaluationMatrix::run`]; the
+    /// Runs `specs` one at a time on the calling thread, in order. Reference
+    /// implementation for [`EvaluationMatrix::run_specs_isolated`]; the
     /// parallel path must produce bit-identical statistics.
     ///
     /// # Errors
     ///
     /// Returns the first [`SimError`] encountered; later cells do not run.
     pub fn run_serial(
-        workloads: &[Workload],
-        techniques: &[Technique],
-        config: &SimConfig,
-        params: &WorkloadParams,
-        max_uops: u64,
+        specs: &[RunSpec],
         mut progress: impl FnMut(&RunResult),
     ) -> Result<Self, SimError> {
         let mut matrix = EvaluationMatrix::new();
-        for spec in Self::specs(workloads, techniques, config, params, max_uops) {
-            let result = run_one(&spec)?;
+        for spec in specs {
+            let result = run_one(spec)?;
             progress(&result);
             matrix.push(result);
         }
@@ -205,7 +136,7 @@ impl EvaluationMatrix {
 
     /// The run specifications for every (workload, technique) cell, in
     /// matrix order (workload-major, matching the paper's figures).
-    fn specs(
+    pub fn specs(
         workloads: &[Workload],
         techniques: &[Technique],
         config: &SimConfig,

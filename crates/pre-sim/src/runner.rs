@@ -1,4 +1,5 @@
-//! Running a single (workload, technique) simulation.
+//! Running simulations: one (workload, technique) spec with [`run_one`], or
+//! a batch of independent specs with [`run_batch`].
 
 use crate::sample::{SampleMeta, SampleSpec};
 use pre_core::OooCore;
@@ -9,6 +10,9 @@ use pre_model::stats::{SimStats, TerminationKind};
 use pre_runahead::Technique;
 use pre_trace::{TraceSession, TraceSpec, Tracer};
 use pre_workloads::{Workload, WorkloadParams};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Specification of one simulation run.
 #[derive(Debug, Clone)]
@@ -204,18 +208,38 @@ impl RunResult {
     }
 }
 
-/// Runs one simulation.
+/// Runs one simulation: answered from the result cache when the spec opts
+/// in (traced runs always simulate), otherwise simulated in full or, with
+/// [`RunSpec::sample`], estimated by interval sampling.
 ///
 /// # Errors
 ///
 /// Returns [`SimError`] if the configuration or the generated program is
 /// invalid, or if trace output cannot be written.
 pub fn run_one(spec: &RunSpec) -> Result<RunResult, SimError> {
+    if !spec.use_result_cache || spec.trace.is_some() {
+        return run_uncached(spec);
+    }
+    let program = crate::stores::program_for(spec.workload, &spec.params);
+    let (key, desc) = crate::stores::result_key(spec, &program);
+    let disk = crate::stores::env_cache_dir();
+    if let Some(hit) = crate::stores::result_lookup(key, &desc, disk.as_deref()) {
+        return Ok(hit);
+    }
+    let result = run_uncached(spec)?;
+    crate::stores::result_store(key, &desc, &result, disk.as_deref());
+    Ok(result)
+}
+
+fn run_uncached(spec: &RunSpec) -> Result<RunResult, SimError> {
     if spec.sample.is_some() {
         return crate::sample::run_sampled(spec);
     }
     let Some(ts) = &spec.trace else {
-        return run_one_plain(spec);
+        let program = crate::stores::program_for(spec.workload, &spec.params);
+        let mut core = build_core(spec, &program)?;
+        core.run(spec.max_uops, spec.max_cycles);
+        return Ok(run_result(spec, &core));
     };
     let session =
         TraceSession::create(ts, &spec.cell_name()).map_err(|e| SimError::Trace(e.to_string()))?;
@@ -248,22 +272,7 @@ pub fn run_one_traced(
     let tracer = core
         .take_tracer()
         .ok_or_else(|| SimError::Trace("core lost the attached tracer".to_string()))?;
-    let stats = core.stats().clone();
-    let energy = EnergyModel::default().evaluate(&stats, &spec.config);
-    let watchdog = core.watchdog_diag().map(Box::new);
-    Ok((
-        RunResult {
-            workload: spec.workload,
-            technique: spec.technique,
-            stats,
-            energy,
-            deadlocked: core.deadlocked(),
-            cache_hit: false,
-            watchdog,
-            sample: None,
-        },
-        tracer,
-    ))
+    Ok((run_result(spec, &core), tracer))
 }
 
 /// Builds the core for `spec`: cold when `warmup_uops` is 0, otherwise from
@@ -283,37 +292,74 @@ fn build_core(spec: &RunSpec, program: &pre_model::Program) -> Result<OooCore, S
         .map_err(SimError::from)
 }
 
-fn simulate(spec: &RunSpec, program: &pre_model::Program) -> Result<RunResult, SimError> {
-    let mut core = build_core(spec, program)?;
-    core.run(spec.max_uops, spec.max_cycles);
+/// The [`RunResult`] of `spec` once `core` has finished running it.
+fn run_result(spec: &RunSpec, core: &OooCore) -> RunResult {
     let stats = core.stats().clone();
-    let energy = EnergyModel::default().evaluate(&stats, &spec.config);
-    let watchdog = core.watchdog_diag().map(Box::new);
-    Ok(RunResult {
+    RunResult {
         workload: spec.workload,
         technique: spec.technique,
+        energy: EnergyModel::default().evaluate(&stats, &spec.config),
         stats,
-        energy,
         deadlocked: core.deadlocked(),
         cache_hit: false,
-        watchdog,
+        watchdog: core.watchdog_diag().map(Box::new),
         sample: None,
-    })
+    }
 }
 
-fn run_one_plain(spec: &RunSpec) -> Result<RunResult, SimError> {
-    let program = crate::stores::program_for(spec.workload, &spec.params);
-    if !spec.use_result_cache {
-        return simulate(spec, &program);
-    }
-    let (key, desc) = crate::stores::result_key(spec, &program);
-    let disk = crate::stores::env_cache_dir();
-    if let Some(hit) = crate::stores::result_lookup(key, &desc, disk.as_deref()) {
-        return Ok(hit);
-    }
-    let result = simulate(spec, &program)?;
-    crate::stores::result_store(key, &desc, &result, disk.as_deref());
-    Ok(result)
+/// Runs independent specs over the [`pre_par`] worker pool: the one
+/// executor behind evaluation matrices, sweeps and `quick_check`.
+///
+/// Every attempt at spec `i` runs under `catch_unwind` (a panic becomes
+/// [`SimError::Panic`]) after the `PRE_FAULT` cell hook
+/// [`crate::fault::panic_if_cell_faulted`] for index `i`. A failed spec is retried
+/// up to `max_retries` times. With `fail_fast`, specs not yet started once
+/// any spec has failed for good are skipped as [`SimError::Skipped`] with
+/// zero attempts; which ones is scheduling-dependent (deterministic under
+/// `PRE_THREADS=1`). `progress(i, result)` fires as specs succeed, in
+/// completion order.
+///
+/// Returns one `(outcome, attempts)` pair per spec, in spec order. Each
+/// spec is deterministic and independent of its siblings, so a successful
+/// result is bit-identical to a serial [`run_one`] of the same spec.
+pub fn run_batch(
+    specs: &[RunSpec],
+    fail_fast: bool,
+    max_retries: u32,
+    progress: impl FnMut(usize, &RunResult) + Send,
+) -> Vec<(Result<RunResult, SimError>, u32)> {
+    let progress = Mutex::new(progress);
+    let abort = AtomicBool::new(false);
+    let attempts = max_retries.saturating_add(1);
+    let indices: Vec<usize> = (0..specs.len()).collect();
+    pre_par::par_map(&indices, |&i| {
+        if fail_fast && abort.load(Ordering::Relaxed) {
+            return (Err(SimError::Skipped), 0);
+        }
+        let mut error = SimError::Skipped;
+        for attempt in 1..=attempts {
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                crate::fault::panic_if_cell_faulted(i);
+                run_one(&specs[i])
+            }));
+            match outcome {
+                Ok(Ok(result)) => {
+                    // The callback only renders progress output, so a
+                    // poisoned lock is safe to recover.
+                    (*progress.lock().unwrap_or_else(PoisonError::into_inner))(i, &result);
+                    return (Ok(result), attempt);
+                }
+                Ok(Err(e)) => error = e,
+                Err(payload) => {
+                    error = SimError::Panic {
+                        detail: pre_par::panic_message(payload.as_ref()),
+                    }
+                }
+            }
+        }
+        abort.store(true, Ordering::Relaxed);
+        (Err(error), attempts)
+    })
 }
 
 #[cfg(test)]

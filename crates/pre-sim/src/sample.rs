@@ -22,6 +22,8 @@
 //! Representatives fan out over `pre_par::try_par_map`, inheriting the
 //! supervised pool's failure isolation: a panic in one slice surfaces as
 //! [`SimError::Panic`] for the sampled run instead of tearing anything down.
+//! The sampled run is one cell of its batch; its slices are not `PRE_FAULT`
+//! cell injection points.
 //!
 //! Every extrapolated result carries a [`SampleMeta`] so downstream
 //! reporting can mark estimates (`~`) and show K / coverage / weights;
@@ -33,17 +35,16 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::runner::{run_one, RunResult, RunSpec};
+use crate::stores::{key_of, Memo};
 use pre_energy::EnergyModel;
 use pre_model::error::SimError;
-use pre_model::hash::StableHasher;
 use pre_model::profile::{cluster_intervals, profile_intervals, Clustering, IntervalProfile};
 use pre_model::program::{Interpreter, Program};
 use pre_model::snapshot::{SimSnapshot, WarmTrace};
 use pre_model::stats::SimStats;
-use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::Arc;
 
 /// Sampling parameters: how many clusters (representative slices) and how
 /// long each interval is.
@@ -204,58 +205,21 @@ impl SampleMeta {
     }
 }
 
-// The default SampleSpec is what `Default for SampleMeta` needs; both derive.
-
 /// The memoized profile + clustering for one (program, sampling, budget)
 /// tuple, shared by all techniques of an evaluation cell.
 #[derive(Debug)]
-struct SamplePlan {
+pub(crate) struct SamplePlan {
     profile: IntervalProfile,
     clustering: Clustering,
 }
 
-/// Plan memo entry: the full key description (collision safety) plus the
-/// shared plan.
-type PlanEntry = (String, Arc<SamplePlan>);
-
-static PLANS: OnceLock<Mutex<HashMap<u64, PlanEntry>>> = OnceLock::new();
-
-fn plans() -> &'static Mutex<HashMap<u64, PlanEntry>> {
-    PLANS.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn lock_plans() -> MutexGuard<'static, HashMap<u64, PlanEntry>> {
-    plans().lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Empties the in-process plan memo (profiles, clusterings). Benches call
-/// this through [`crate::stores::clear_stores`] to measure cold paths.
-pub fn clear_plans() {
-    lock_plans().clear();
-}
+/// The plan memo; [`crate::stores::clear_stores`] empties it.
+pub(crate) static PLANS: Memo<Arc<SamplePlan>> = Memo::new();
 
 /// Fixed seed component for the clustering rng; combined with the program
 /// content hash so different programs explore different centroid seeds while
 /// every run of the same program clusters identically.
 const CLUSTER_SEED: u64 = 0x5a3c_9d11_7e24_c0de;
-
-fn plan_key(
-    program: &Program,
-    sample: &SampleSpec,
-    max_uops: u64,
-    skip_uops: u64,
-) -> (u64, String) {
-    let desc = format!(
-        "plan v1 program={:016x} sample={} budget={} skip={}",
-        program.content_hash(),
-        sample.label(),
-        max_uops,
-        skip_uops
-    );
-    let mut h = StableHasher::new();
-    h.write_str(&desc);
-    (h.finish(), desc)
-}
 
 /// The profile + clustering for a sampled run, computed once per (program,
 /// sampling parameters, budget) and shared across techniques. On first
@@ -267,33 +231,26 @@ fn plan_for(
     max_uops: u64,
     skip_uops: u64,
 ) -> Arc<SamplePlan> {
-    let (key, desc) = plan_key(program, sample, max_uops, skip_uops);
-    if let Some((stored_desc, plan)) = lock_plans().get(&key) {
-        if *stored_desc == desc {
-            return Arc::clone(plan);
-        }
-    }
-    let profile = profile_intervals(program, sample.interval_uops, max_uops, skip_uops);
-    let clustering = cluster_intervals(
-        &profile,
-        sample.clusters,
-        program.content_hash() ^ CLUSTER_SEED,
-    );
-    capture_representative_snapshots(program, &profile, &clustering, sample.interval_uops);
-    let plan = Arc::new(SamplePlan {
-        profile,
-        clustering,
-    });
-    let mut map = lock_plans();
-    let entry = map
-        .entry(key)
-        .or_insert_with(|| (desc.clone(), Arc::clone(&plan)));
-    if entry.0 == desc {
-        Arc::clone(&entry.1)
-    } else {
-        // 64-bit collision between two live plans: serve ours uncached.
-        plan
-    }
+    let (key, desc) = key_of(format!(
+        "plan v1 program={:016x} sample={} budget={} skip={}",
+        program.content_hash(),
+        sample.label(),
+        max_uops,
+        skip_uops
+    ));
+    PLANS.get_or_insert_with(key, &desc, || {
+        let profile = profile_intervals(program, sample.interval_uops, max_uops, skip_uops);
+        let clustering = cluster_intervals(
+            &profile,
+            sample.clusters,
+            program.content_hash() ^ CLUSTER_SEED,
+        );
+        capture_representative_snapshots(program, &profile, &clustering, sample.interval_uops);
+        Arc::new(SamplePlan {
+            profile,
+            clustering,
+        })
+    })
 }
 
 /// Captures every representative's windowed snapshot in **one** functional
@@ -350,6 +307,7 @@ fn capture_representative_snapshots(
 /// functional execution into intervals, clusters them, simulates one
 /// representative per cluster in detail (fanned out over the supervised
 /// pool) and extrapolates a full-run [`RunResult`] carrying [`SampleMeta`].
+/// The result cache is consulted by [`run_one`], which wraps this.
 ///
 /// # Errors
 ///
@@ -369,14 +327,6 @@ pub fn run_sampled(spec: &RunSpec) -> Result<RunResult, SimError> {
         ));
     }
     let program = crate::stores::program_for(spec.workload, &spec.params);
-    let disk = crate::stores::env_cache_dir();
-    let (key, desc) = crate::stores::result_key(spec, &program);
-    if spec.use_result_cache {
-        if let Some(hit) = crate::stores::result_lookup(key, &desc, disk.as_deref()) {
-            return Ok(hit);
-        }
-    }
-
     let plan = plan_for(&program, &sample, spec.max_uops, spec.warmup_uops);
     if plan.clustering.representatives.is_empty() {
         // Nothing to profile (zero budget or the program halts before the
@@ -389,9 +339,6 @@ pub fn run_sampled(spec: &RunSpec) -> Result<RunResult, SimError> {
             spec: sample,
             ..SampleMeta::default()
         });
-        if spec.use_result_cache {
-            crate::stores::result_store(key, &desc, &result, disk.as_deref());
-        }
         return Ok(result);
     }
 
@@ -412,24 +359,18 @@ pub fn run_sampled(spec: &RunSpec) -> Result<RunResult, SimError> {
             s
         })
         .collect();
-
-    let indices: Vec<usize> = (0..rep_specs.len()).collect();
-    let outcomes = pre_par::try_par_map(&indices, |&i| {
-        crate::fault::panic_if_cell_faulted(i);
-        run_one(&rep_specs[i])
-    });
-    let mut slices = Vec::with_capacity(outcomes.len());
-    for outcome in outcomes {
-        match outcome {
-            Ok(Ok(result)) => slices.push(result),
-            Ok(Err(error)) => return Err(error),
-            Err(job) => {
-                return Err(SimError::Panic {
+    // Slices are parts of one cell, not cells: a panic in any of them fails
+    // the sampled run (first error in slice order wins).
+    let slices = pre_par::try_par_map(&rep_specs, run_one)
+        .into_iter()
+        .map(|outcome| {
+            outcome.unwrap_or_else(|job| {
+                Err(SimError::Panic {
                     detail: job.payload,
                 })
-            }
-        }
-    }
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
 
     // Weighted extrapolation: integer counters are exact functions of the
     // per-slice stats and weights.
@@ -459,7 +400,7 @@ pub fn run_sampled(spec: &RunSpec) -> Result<RunResult, SimError> {
             })
             .collect(),
     };
-    let result = RunResult {
+    Ok(RunResult {
         workload: spec.workload,
         technique: spec.technique,
         stats,
@@ -468,11 +409,7 @@ pub fn run_sampled(spec: &RunSpec) -> Result<RunResult, SimError> {
         cache_hit: slices.iter().all(|s| s.cache_hit),
         watchdog: slices.iter().find_map(|s| s.watchdog.clone()),
         sample: Some(meta),
-    };
-    if spec.use_result_cache {
-        crate::stores::result_store(key, &desc, &result, disk.as_deref());
-    }
-    Ok(result)
+    })
 }
 
 #[cfg(test)]
@@ -576,8 +513,8 @@ mod tests {
             .with_budget(12_000)
             .sampled(SampleSpec::new(2, 3_000))
             .with_result_cache(true);
-        let a = run_sampled(&spec).expect("first run");
-        let b = run_sampled(&spec).expect("second run");
+        let a = run_one(&spec).expect("first run");
+        let b = run_one(&spec).expect("second run");
         assert!(!a.cache_hit);
         assert!(b.cache_hit, "second sampled run is a cache hit");
         assert_eq!(a.stats, b.stats);

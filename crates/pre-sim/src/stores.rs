@@ -1,19 +1,23 @@
 //! Global snapshot stores and the content-addressed result cache.
 //!
-//! Three stores, all keyed by stable FNV-1a hashes
-//! ([`pre_model::hash::StableHasher`]) so keys survive across processes:
+//! Every process-global memo in this crate is one `Memo`, keyed by stable
+//! FNV-1a hashes ([`pre_model::hash::StableHasher`]) so keys survive across
+//! processes:
 //!
-//! 1. **Snapshot store** — configuration-*independent* warm-up snapshots
+//! 1. **Program store** — built workload programs, one `Arc` per
+//!    (workload, params), so every store key below hashes a program once.
+//! 2. **Snapshot store** — configuration-*independent* warm-up snapshots
 //!    ([`SimSnapshot`]), keyed by (program content hash, warm-up budget).
 //!    Captured once per workload and shared by every sweep point; persisted
 //!    under the cache directory so repeated invocations skip warm-up too.
-//! 2. **Warmed-state store** — configuration-*dependent* warmed caches and
+//! 3. **Warmed-state store** — configuration-*dependent* warmed caches and
 //!    predictor ([`WarmedState`]), keyed additionally by the memory-hierarchy
 //!    and frontend configuration. A ROB/IQ/EMQ/SST sweep shares one entry.
-//! 3. **Result cache** — finished [`RunResult`]s keyed by the full run
+//! 4. **Result cache** — finished [`RunResult`]s keyed by the full run
 //!    specification (config + technique + program + budget + warm-up),
 //!    in-memory always, and persisted as text files under a directory
 //!    (`PRE_CACHE_DIR`) when one is configured.
+//! 5. **Sampling plans** — profiles and clusterings (`crate::sample`).
 //!
 //! Every entry stores its full human-readable key description alongside the
 //! 64-bit hash and verifies it on lookup, so a hash collision degrades to a
@@ -23,11 +27,12 @@
 //!
 //! # Disk integrity
 //!
-//! Every on-disk entry is framed by a magic/version header carrying the body
-//! length and an FNV-1a checksum, and is written atomically (unique temp
-//! file in the same directory + `rename`), so concurrent sweeps sharing one
-//! `PRE_CACHE_DIR` never observe a half-written entry. A file that fails the
-//! header, checksum, length or parse check is **quarantined** — renamed to
+//! Snapshots and results share one disk tier (`Tier`). Every on-disk entry
+//! is framed by a magic/version header carrying the body length and an
+//! FNV-1a checksum, and is written atomically (unique temp file in the same
+//! directory + `rename`), so concurrent sweeps sharing one `PRE_CACHE_DIR`
+//! never observe a half-written entry. A file that fails the header,
+//! checksum, length or parse check is **quarantined** — renamed to
 //! `<name>.corrupt` with a warning — and treated as a cache miss, so a
 //! corrupt or truncated entry (including pre-header `v1` files) degrades to
 //! recomputation, never to a wrong answer or an abort. Quarantined snapshot
@@ -50,6 +55,7 @@ use pre_model::snapshot::SimSnapshot;
 use pre_model::stats::SimStats;
 use pre_runahead::Technique;
 use pre_workloads::{Workload, WorkloadParams};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -57,83 +63,98 @@ use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// A stored value plus the full key description it was stored under.
-#[derive(Debug, Clone)]
-struct Keyed<T> {
-    desc: String,
-    value: T,
-}
+/// A process-global memo: 64-bit key → (full key description, value slot).
+/// Lookups verify the description, so a hash collision is a miss, never a
+/// wrong answer. Values are built outside the map lock, once per key: a
+/// thread asking for a key whose value another thread is building waits for
+/// that build instead of repeating it, so how much work a batch does never
+/// depends on how its requests interleave. A build that panics leaves the
+/// slot empty, and the next request (or a waiter) builds it afresh.
+#[derive(Debug)]
+pub(crate) struct Memo<V>(OnceLock<Mutex<HashMap<u64, Keyed<V>>>>);
 
-type Store<T> = OnceLock<Mutex<HashMap<u64, Keyed<T>>>>;
+/// One memo entry: its key description and its value slot, filled by
+/// whichever request builds it first.
+type Keyed<V> = (String, Arc<OnceLock<V>>);
 
-static SNAPSHOTS: Store<Arc<SimSnapshot>> = OnceLock::new();
-static WARMED: Store<Arc<WarmedState>> = OnceLock::new();
-static RESULTS: Store<RunResult> = OnceLock::new();
-static PROGRAMS: Store<Arc<Program>> = OnceLock::new();
+impl<V: Clone> Memo<V> {
+    /// An empty memo, usable as a `static`.
+    pub(crate) const fn new() -> Self {
+        Memo(OnceLock::new())
+    }
 
-fn store<T>(cell: &Store<T>) -> &Mutex<HashMap<u64, Keyed<T>>> {
-    cell.get_or_init(|| Mutex::new(HashMap::new()))
-}
+    /// Locks the map, recovering from poisoning. The supervised pool catches
+    /// cell panics, so a worker that died while holding the lock must not
+    /// cascade its failure into every surviving cell; entries are only ever
+    /// inserted whole, so the map is consistent even after a poisoned unlock.
+    fn map(&self) -> MutexGuard<'_, HashMap<u64, Keyed<V>>> {
+        self.0
+            .get_or_init(Default::default)
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
 
-/// Locks a store mutex, recovering from poisoning. The supervised pool
-/// catches cell panics, so a worker that died while holding a store lock
-/// must not cascade its failure into every surviving cell; store values are
-/// only ever inserted whole (no partial mutation mid-lock), so the map is
-/// consistent even after a poisoned unlock.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn lookup<T: Clone>(cell: &Store<T>, key: u64, desc: &str) -> Option<T> {
-    let map = lock_recover(store(cell));
-    let entry = map.get(&key)?;
-    // Collision safety: the description must match, not just the hash.
-    (entry.desc == desc).then(|| entry.value.clone())
-}
-
-fn insert_or_get<T: Clone>(cell: &Store<T>, key: u64, desc: &str, value: T) -> T {
-    use std::collections::hash_map::Entry;
-    let mut map = lock_recover(store(cell));
-    match map.entry(key) {
-        Entry::Occupied(entry) => {
-            if entry.get().desc == desc {
-                // A concurrent builder got here first; both values are
-                // deterministic, so serve the incumbent (sharing the Arc).
-                entry.get().value.clone()
-            } else {
-                // A 64-bit collision between two live keys: keep the
-                // incumbent, serve the caller its own value. Safe, merely
-                // uncached.
-                value
-            }
+    /// The slot of `key`, created empty if the key is new; `None` on a 64-bit
+    /// collision with another live description (the incumbent stays).
+    fn slot(&self, key: u64, desc: &str) -> Option<Arc<OnceLock<V>>> {
+        match self.map().entry(key) {
+            Entry::Occupied(entry) if entry.get().0 == desc => Some(Arc::clone(&entry.get().1)),
+            Entry::Occupied(_) => None,
+            Entry::Vacant(entry) => Some(Arc::clone(
+                &entry.insert((desc.to_string(), Arc::default())).1,
+            )),
         }
-        Entry::Vacant(slot) => {
-            slot.insert(Keyed {
-                desc: desc.to_string(),
-                value: value.clone(),
-            });
-            value
+    }
+
+    /// The value stored under `key`, if it was stored under `desc` and its
+    /// build has finished.
+    pub(crate) fn get(&self, key: u64, desc: &str) -> Option<V> {
+        let map = self.map();
+        let (stored, slot) = map.get(&key)?;
+        if stored != desc {
+            return None;
         }
+        slot.get().cloned()
+    }
+
+    /// The value stored under `key`, or else `build` (outside the map lock)
+    /// and store it. Concurrent requests for one key run one `build`. On a
+    /// collision the caller gets its own value back (uncached).
+    pub(crate) fn get_or_insert_with(&self, key: u64, desc: &str, build: impl FnOnce() -> V) -> V {
+        match self.slot(key, desc) {
+            Some(slot) => slot.get_or_init(build).clone(),
+            None => build(),
+        }
+    }
+
+    /// Drops every entry.
+    pub(crate) fn clear(&self) {
+        self.map().clear();
     }
 }
 
-/// Empties every in-process store, including the sampling-plan memo
-/// ([`crate::sample::clear_plans`]). Benches and golden tests call this to
-/// force cold paths; the on-disk result cache is untouched.
+/// Hashes a key description into the `(key, description)` pair every memo
+/// and disk entry is addressed by.
+pub(crate) fn key_of(desc: String) -> (u64, String) {
+    let mut h = StableHasher::new();
+    h.write_str(&desc);
+    (h.finish(), desc)
+}
+
+static PROGRAMS: Memo<Arc<Program>> = Memo::new();
+static SNAPSHOTS: Memo<Arc<SimSnapshot>> = Memo::new();
+static WARMED: Memo<Arc<WarmedState>> = Memo::new();
+static RESULTS: Memo<RunResult> = Memo::new();
+
+/// Empties every in-process memo (programs, snapshots, warmed state,
+/// results, sampling plans). Benches and golden tests call this to force
+/// cold paths; the on-disk cache is untouched.
 pub fn clear_stores() {
-    if let Some(m) = PROGRAMS.get() {
-        lock_recover(m).clear();
-    }
-    if let Some(m) = SNAPSHOTS.get() {
-        lock_recover(m).clear();
-    }
-    if let Some(m) = WARMED.get() {
-        lock_recover(m).clear();
-    }
-    if let Some(m) = RESULTS.get() {
-        lock_recover(m).clear();
-    }
-    crate::sample::clear_plans();
+    PROGRAMS.clear();
+    SNAPSHOTS.clear();
+    WARMED.clear();
+    RESULTS.clear();
+    crate::sample::PLANS.clear();
 }
 
 /// The built program for `(workload, params)`, shared process-wide.
@@ -146,15 +167,8 @@ pub fn clear_stores() {
 /// build *and* a single memoized [`Program::content_hash`], which every
 /// downstream store key (snapshots, warmed state, results) asks for.
 pub fn program_for(workload: Workload, params: &WorkloadParams) -> Arc<Program> {
-    let desc = format!("program v1 workload={workload} params={params:?}");
-    let mut h = StableHasher::new();
-    h.write_str(&desc);
-    let key = h.finish();
-    if let Some(hit) = lookup(&PROGRAMS, key, &desc) {
-        return hit;
-    }
-    let program = Arc::new(workload.build(params));
-    insert_or_get(&PROGRAMS, key, &desc, program)
+    let (key, desc) = key_of(format!("program v1 workload={workload} params={params:?}"));
+    PROGRAMS.get_or_insert_with(key, &desc, || Arc::new(workload.build(params)))
 }
 
 // ---------------------------------------------------------------------------
@@ -260,8 +274,7 @@ fn quarantine(path: &Path, detail: &str) {
     let mut target = path.as_os_str().to_owned();
     target.push(".corrupt");
     let target = PathBuf::from(target);
-    let renamed = std::fs::rename(path, &target);
-    match renamed {
+    match std::fs::rename(path, &target) {
         Ok(()) => eprintln!(
             "warning: quarantined corrupt cache entry {} -> {}: {detail}",
             path.display(),
@@ -274,29 +287,98 @@ fn quarantine(path: &Path, detail: &str) {
     }
 }
 
-/// Reads and integrity-checks one framed cache file. Missing file → `None`;
-/// any other failure (I/O, framing, checksum) → quarantine + `None`, so
-/// callers uniformly see a miss.
-fn read_framed(path: &Path, kind: &str) -> Option<String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
-        Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-            // Not UTF-8: bit rot, not a transient I/O failure.
-            quarantine(path, "cache entry is not valid UTF-8");
-            return None;
+/// The framed disk tier: one file per entry, `<kind>_<key:016x>.txt`, whose
+/// body starts with the entry's key description.
+#[derive(Debug, Clone, Copy)]
+enum Tier {
+    Snapshot,
+    Result,
+}
+
+impl Tier {
+    fn kind(self) -> &'static str {
+        match self {
+            Tier::Snapshot => "snapshot",
+            Tier::Result => "result",
         }
-        Err(e) => {
-            eprintln!("warning: cannot read cache entry {}: {e}", path.display());
-            return None;
+    }
+
+    fn path(self, dir: &Path, key: u64) -> PathBuf {
+        dir.join(format!("{}_{key:016x}.txt", self.kind()))
+    }
+
+    /// Reads entry `key` and parses its body into `(stored description,
+    /// value)`. A missing file, or one stored under another description (a
+    /// hash collision), is a miss; an I/O failure is a warning and a miss;
+    /// anything failing the framing, checksum or parse is quarantined and a
+    /// miss.
+    fn read<V>(
+        self,
+        dir: &Path,
+        key: u64,
+        desc: &str,
+        parse: impl FnOnce(&str) -> Result<(String, V), String>,
+    ) -> Option<V> {
+        let path = self.path(dir, key);
+        let text = match std::fs::read_to_string(&path) {
+            Ok(text) => text,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                // Not UTF-8: bit rot, not a transient I/O failure.
+                quarantine(&path, "cache entry is not valid UTF-8");
+                return None;
+            }
+            Err(e) => {
+                eprintln!("warning: cannot read cache entry {}: {e}", path.display());
+                return None;
+            }
+        };
+        match decode_cache_file(self.kind(), &text).and_then(parse) {
+            Ok((stored, value)) => (stored == desc).then_some(value),
+            Err(detail) => {
+                quarantine(&path, &detail);
+                None
+            }
         }
-    };
-    match decode_cache_file(kind, &text) {
-        Ok(body) => Some(body.to_string()),
-        Err(detail) => {
-            quarantine(path, &detail);
-            None
+    }
+
+    /// Writes entry `key` (framed, atomic), then applies this tier's armed
+    /// `PRE_FAULT` damage, if any.
+    fn write(self, dir: &Path, key: u64, body: &str) -> Result<(), SimError> {
+        let path = self.path(dir, key);
+        write_atomic(&path, &encode_cache_file(self.kind(), body)).map_err(|detail| {
+            SimError::Cache {
+                path: path.display().to_string(),
+                detail,
+            }
+        })?;
+        match self {
+            Tier::Snapshot if crate::fault::should_truncate_snapshot() => inject_truncation(&path),
+            Tier::Result if crate::fault::should_corrupt_cache(key) => inject_corruption(&path),
+            _ => {}
         }
+        Ok(())
+    }
+}
+
+/// `corrupt-cache` fault: overwrites a span in the middle of the file so the
+/// checksum no longer matches (deliberately not atomic — it models a torn or
+/// bit-rotted entry).
+fn inject_corruption(path: &Path) {
+    if let Ok(mut bytes) = std::fs::read(path) {
+        let mid = bytes.len() / 2;
+        for b in bytes.iter_mut().skip(mid).take(16) {
+            *b = b'X';
+        }
+        let _ = std::fs::write(path, bytes);
+    }
+}
+
+/// `truncate-snapshot` fault: cuts the file in half, modelling a writer that
+/// died mid-write without the atomic-rename protection.
+fn inject_truncation(path: &Path) {
+    if let Ok(bytes) = std::fs::read(path) {
+        let _ = std::fs::write(path, &bytes[..bytes.len() / 2]);
     }
 }
 
@@ -309,19 +391,21 @@ fn snapshot_key(program: &Program, warmup_uops: u64, window: u64) -> (u64, Strin
     // offset W with a one-interval window must never collide with the plain
     // warm-up-budget snapshot at the same W (full window), or forked runs
     // would warm from the wrong trace span.
-    let desc = format!(
+    key_of(format!(
         "snapshot v2 program={:016x} warmup={} window={}",
         program.content_hash(),
         warmup_uops,
         window
-    );
-    let mut h = StableHasher::new();
-    h.write_str(&desc);
-    (h.finish(), desc)
+    ))
 }
 
-fn snapshot_disk_path(dir: &Path, key: u64) -> PathBuf {
-    dir.join(format!("snapshot_{key:016x}.txt"))
+/// Parses a snapshot entry body: a `keydesc` line, then the snapshot text.
+fn parse_snapshot(body: &str) -> Result<(String, SimSnapshot), String> {
+    let (first, text) = body.split_once('\n').ok_or("empty snapshot body")?;
+    let desc = first
+        .strip_prefix("keydesc ")
+        .ok_or("missing keydesc line")?;
+    Ok((desc.to_string(), SimSnapshot::from_text(text)?))
 }
 
 /// The warm-up snapshot for (`program`, `warmup_uops`) with a full warm
@@ -329,12 +413,7 @@ fn snapshot_disk_path(dir: &Path, key: u64) -> PathBuf {
 /// Consults the on-disk cache (`PRE_CACHE_DIR`) before capturing; see
 /// [`snapshot_for_with_dir`].
 pub fn snapshot_for(program: &Program, warmup_uops: u64) -> Arc<SimSnapshot> {
-    snapshot_for_with_dir(
-        program,
-        warmup_uops,
-        warmup_uops,
-        env_cache_dir().as_deref(),
-    )
+    snapshot_for_windowed(program, warmup_uops, warmup_uops)
 }
 
 /// [`snapshot_for`] with a bounded warm-trace window: the snapshot's warm
@@ -378,12 +457,11 @@ pub fn snapshot_lookup(
     disk_dir: Option<&Path>,
 ) -> Option<Arc<SimSnapshot>> {
     let (key, desc) = snapshot_key(program, warmup_uops, window);
-    if let Some(snap) = lookup(&SNAPSHOTS, key, &desc) {
+    if let Some(snap) = SNAPSHOTS.get(key, &desc) {
         return Some(snap);
     }
-    let dir = disk_dir?;
-    let snap = snapshot_from_disk(dir, key, &desc)?;
-    Some(insert_or_get(&SNAPSHOTS, key, &desc, Arc::new(snap)))
+    let snap = Tier::Snapshot.read(disk_dir?, key, &desc, parse_snapshot)?;
+    Some(SNAPSHOTS.get_or_insert_with(key, &desc, || Arc::new(snap)))
 }
 
 /// Inserts an externally-captured snapshot into the store (and, best-effort,
@@ -399,57 +477,13 @@ pub fn snapshot_publish(
     disk_dir: Option<&Path>,
 ) -> Arc<SimSnapshot> {
     let (key, desc) = snapshot_key(program, warmup_uops, window);
-    let snap = Arc::new(snap);
     if let Some(dir) = disk_dir {
-        if let Err(e) = snapshot_to_disk(dir, key, &desc, &snap) {
+        let body = format!("keydesc {desc}\n{}", snap.to_text());
+        if let Err(e) = Tier::Snapshot.write(dir, key, &body) {
             eprintln!("warning: cannot persist snapshot: {e}");
         }
     }
-    insert_or_get(&SNAPSHOTS, key, &desc, snap)
-}
-
-fn snapshot_from_disk(dir: &Path, key: u64, desc: &str) -> Option<SimSnapshot> {
-    let path = snapshot_disk_path(dir, key);
-    let body = read_framed(&path, "snapshot")?;
-    let (stored_desc, snap_text) = match body.split_once('\n') {
-        Some((first, rest)) => match first.strip_prefix("keydesc ") {
-            Some(d) => (d, rest),
-            None => {
-                quarantine(&path, "missing keydesc line");
-                return None;
-            }
-        },
-        None => {
-            quarantine(&path, "empty snapshot body");
-            return None;
-        }
-    };
-    if stored_desc != desc {
-        // A hash collision with another live key: miss, not corruption.
-        return None;
-    }
-    match SimSnapshot::from_text(snap_text) {
-        Ok(snap) => Some(snap),
-        Err(detail) => {
-            quarantine(&path, &detail);
-            None
-        }
-    }
-}
-
-fn snapshot_to_disk(dir: &Path, key: u64, desc: &str, snap: &SimSnapshot) -> Result<(), SimError> {
-    let path = snapshot_disk_path(dir, key);
-    let body = format!("keydesc {desc}\n{}", snap.to_text());
-    write_atomic(&path, &encode_cache_file("snapshot", &body)).map_err(|detail| {
-        SimError::Cache {
-            path: path.display().to_string(),
-            detail,
-        }
-    })?;
-    if crate::fault::should_truncate_snapshot() {
-        inject_truncation(&path);
-    }
-    Ok(())
+    SNAPSHOTS.get_or_insert_with(key, &desc, || Arc::new(snap))
 }
 
 fn warmed_key(cfg: &SimConfig, program: &Program, warmup_uops: u64, window: u64) -> (u64, String) {
@@ -460,7 +494,7 @@ fn warmed_key(cfg: &SimConfig, program: &Program, warmup_uops: u64, window: u64)
     // runahead sizing parameters are deliberately absent so a ROB/IQ/EMQ/SST
     // sweep shares one warmed state. The warm-trace window is present: a
     // windowed trace warms different state than a full one.
-    let desc = format!(
+    key_of(format!(
         "warmed v2 program={:016x} warmup={} window={} mem={:016x} freq={:016x} fill_l1={} frontend={:016x}",
         program.content_hash(),
         warmup_uops,
@@ -469,10 +503,7 @@ fn warmed_key(cfg: &SimConfig, program: &Program, warmup_uops: u64, window: u64)
         cfg.core.freq_ghz.to_bits(),
         cfg.runahead.prefetch_fill_l1,
         stable_hash_of_debug(&cfg.frontend),
-    );
-    let mut h = StableHasher::new();
-    h.write_str(&desc);
-    (h.finish(), desc)
+    ))
 }
 
 /// The warmed caches + predictor for `cfg`'s memory hierarchy and frontend,
@@ -487,11 +518,9 @@ pub fn warmed_for(
     snap: &SimSnapshot,
 ) -> Arc<WarmedState> {
     let (key, desc) = warmed_key(cfg, program, warmup_uops, window);
-    if let Some(warmed) = lookup(&WARMED, key, &desc) {
-        return warmed;
-    }
-    let warmed = Arc::new(WarmedState::build(cfg, &snap.trace));
-    insert_or_get(&WARMED, key, &desc, warmed)
+    WARMED.get_or_insert_with(key, &desc, || {
+        Arc::new(WarmedState::build(cfg, &snap.trace))
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -523,9 +552,7 @@ pub fn result_key(spec: &RunSpec, program: &Program) -> (u64, String) {
     if let Some(sample) = &spec.sample {
         let _ = write!(desc, " sample={}", sample.label());
     }
-    let mut h = StableHasher::new();
-    h.write_str(&desc);
-    (h.finish(), desc)
+    key_of(desc)
 }
 
 /// The on-disk cache directory, if the `PRE_CACHE_DIR` environment variable
@@ -534,35 +561,20 @@ pub fn env_cache_dir() -> Option<PathBuf> {
     std::env::var_os("PRE_CACHE_DIR").map(PathBuf::from)
 }
 
-fn disk_path(dir: &Path, key: u64) -> PathBuf {
-    dir.join(format!("result_{key:016x}.txt"))
-}
-
 /// Looks up a finished result, consulting the in-memory store first and then
 /// `disk_dir` (if given). Disk hits are promoted into the in-memory store;
 /// disk entries that fail the integrity checks are quarantined and reported
 /// as a miss. The returned result has `cache_hit` set.
 pub fn result_lookup(key: u64, desc: &str, disk_dir: Option<&Path>) -> Option<RunResult> {
-    if let Some(mut hit) = lookup(&RESULTS, key, desc) {
-        hit.cache_hit = true;
-        return Some(hit);
-    }
-    let dir = disk_dir?;
-    let path = disk_path(dir, key);
-    let body = read_framed(&path, "result")?;
-    let (stored_desc, result) = match result_from_text(&body) {
-        Ok(parsed) => parsed,
-        Err(detail) => {
-            quarantine(&path, &detail);
-            return None;
+    let mut hit = match RESULTS.get(key, desc) {
+        Some(hit) => hit,
+        None => {
+            let stored = Tier::Result.read(disk_dir?, key, desc, result_from_text)?;
+            RESULTS.get_or_insert_with(key, desc, || stored)
         }
     };
-    if stored_desc != desc {
-        return None;
-    }
-    let mut promoted = insert_or_get(&RESULTS, key, desc, result);
-    promoted.cache_hit = true;
-    Some(promoted)
+    hit.cache_hit = true;
+    Some(hit)
 }
 
 /// Stores a finished result in the in-memory store and, when `disk_dir` is
@@ -572,7 +584,7 @@ pub fn result_lookup(key: u64, desc: &str, disk_dir: Option<&Path>) -> Option<Ru
 pub fn result_store(key: u64, desc: &str, result: &RunResult, disk_dir: Option<&Path>) {
     let mut stored = result.clone();
     stored.cache_hit = false;
-    insert_or_get(&RESULTS, key, desc, stored);
+    RESULTS.get_or_insert_with(key, desc, || stored);
     if let Some(dir) = disk_dir {
         if let Err(e) = try_result_store_disk(dir, key, desc, result) {
             eprintln!("warning: cannot persist result: {e}");
@@ -592,37 +604,7 @@ pub fn try_result_store_disk(
     desc: &str,
     result: &RunResult,
 ) -> Result<(), SimError> {
-    let path = disk_path(dir, key);
-    let body = result_to_text(desc, result);
-    write_atomic(&path, &encode_cache_file("result", &body)).map_err(|detail| SimError::Cache {
-        path: path.display().to_string(),
-        detail,
-    })?;
-    if crate::fault::should_corrupt_cache(key) {
-        inject_corruption(&path);
-    }
-    Ok(())
-}
-
-/// `corrupt-cache` fault: overwrites a span in the middle of the file so the
-/// checksum no longer matches (deliberately not atomic — it models a torn or
-/// bit-rotted entry).
-fn inject_corruption(path: &Path) {
-    if let Ok(mut bytes) = std::fs::read(path) {
-        let mid = bytes.len() / 2;
-        for b in bytes.iter_mut().skip(mid).take(16) {
-            *b = b'X';
-        }
-        let _ = std::fs::write(path, bytes);
-    }
-}
-
-/// `truncate-snapshot` fault: cuts the file in half, modelling a writer that
-/// died mid-write without the atomic-rename protection.
-fn inject_truncation(path: &Path) {
-    if let Ok(bytes) = std::fs::read(path) {
-        let _ = std::fs::write(path, &bytes[..bytes.len() / 2]);
-    }
+    Tier::Result.write(dir, key, &result_to_text(desc, result))
 }
 
 fn energy_field_names() -> [&'static str; 6] {
@@ -919,7 +901,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         clear_stores();
         let cold = snapshot_for_with_dir(&program, 300, 300, Some(&dir));
-        let path = snapshot_disk_path(&dir, key);
+        let path = Tier::Snapshot.path(&dir, key);
         assert!(path.exists(), "snapshot persisted");
         // A fresh process (cleared stores) answers from disk, identically.
         clear_stores();
@@ -1067,5 +1049,49 @@ mod tests {
             !Arc::ptr_eq(&a, &c),
             "cache geometry forks the warmed state"
         );
+    }
+
+    #[test]
+    fn memo_builds_each_key_once_under_concurrent_requests() {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::Barrier;
+        let memo: Memo<u64> = Memo::new();
+        let builds = AtomicUsize::new(0);
+        let start = Barrier::new(4);
+        let values: Vec<u64> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        memo.get_or_insert_with(7, "seven", || {
+                            builds.fetch_add(1, Ordering::Relaxed);
+                            std::thread::sleep(std::time::Duration::from_millis(20));
+                            49
+                        })
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(values, vec![49; 4]);
+        assert_eq!(builds.load(Ordering::Relaxed), 1, "one build per key");
+        assert_eq!(memo.get(7, "seven"), Some(49));
+        assert_eq!(memo.get(7, "other"), None, "collision is a miss");
+        assert_eq!(memo.get_or_insert_with(7, "other", || 1), 1);
+    }
+
+    #[test]
+    fn memo_rebuilds_after_a_panicking_build() {
+        let memo: Memo<u64> = Memo::new();
+        let failed = std::thread::scope(|scope| {
+            scope
+                .spawn(|| memo.get_or_insert_with(3, "three", || panic!("build fails")))
+                .join()
+                .is_err()
+        });
+        assert!(failed);
+        assert_eq!(memo.get(3, "three"), None, "a failed build stores nothing");
+        assert_eq!(memo.get_or_insert_with(3, "three", || 9), 9);
+        assert_eq!(memo.get(3, "three"), Some(9));
     }
 }

@@ -23,18 +23,16 @@
 // unwinding.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::runner::{run_one, RunResult, RunSpec};
+use crate::runner::{run_batch, RunResult, RunSpec};
 use crate::sample::SampleSpec;
 use pre_model::config::SimConfig;
 use pre_model::error::SimError;
 use pre_runahead::Technique;
+use pre_trace::chrome::json_escape_into;
 use pre_workloads::{Workload, WorkloadParams};
 use std::fmt;
 use std::fmt::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, PoisonError};
 
 /// One sweepable configuration parameter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -301,8 +299,8 @@ pub struct Sweep {
     /// scheduling-dependent (deterministic under `PRE_THREADS=1`).
     pub fail_fast: bool,
     /// Re-run a failed point up to this many extra times before recording
-    /// the failure. Retries cover panics too (each attempt runs under
-    /// `catch_unwind`); a deterministic failure simply fails every attempt.
+    /// the failure. Retries cover panics too (see [`run_batch`]); a
+    /// deterministic failure simply fails every attempt.
     pub max_retries: u32,
     /// The grid dimensions.
     pub dims: Vec<GridDim>,
@@ -374,79 +372,36 @@ impl Sweep {
             .collect()
     }
 
-    /// Runs every point over the worker pool, invoking `progress` as points
-    /// complete. Points are returned in grid order regardless of completion
-    /// order. All-or-nothing wrapper around [`Sweep::run_isolated`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`SimError`] in grid order (a caught point panic
-    /// included, as [`SimError::Panic`]).
-    pub fn run(
-        &self,
-        progress: impl FnMut(&SweepPoint) + Send,
-    ) -> Result<Vec<SweepPoint>, SimError> {
-        self.run_isolated(progress).into_result()
-    }
-
-    /// Runs every point over the worker pool with failure isolation: a point
-    /// that errors or panics (after `max_retries` extra attempts) is
+    /// Runs every point through [`run_batch`] with failure isolation: a
+    /// point that errors or panics (after `max_retries` extra attempts) is
     /// recorded in [`SweepRun::failures`] while the rest of the grid
     /// completes and stays bit-identical to a clean run. With `fail_fast`,
     /// points not yet launched when the first failure lands are skipped.
-    pub fn run_isolated(&self, progress: impl FnMut(&SweepPoint) + Send) -> SweepRun {
-        let specs = self.specs();
-        let progress = Mutex::new(progress);
-        let abort = AtomicBool::new(false);
-        let attempts_allowed = self.max_retries.saturating_add(1);
-        let indices: Vec<usize> = (0..specs.len()).collect();
-        let outcomes = pre_par::par_map(&indices, |&i| {
-            if self.fail_fast && abort.load(Ordering::Relaxed) {
-                return Err((SimError::Skipped, 0));
-            }
-            let (settings, spec) = &specs[i];
-            let mut last_error = SimError::Skipped;
-            for _attempt in 0..attempts_allowed {
-                // Per-attempt catch_unwind so retries cover panics, not just
-                // clean errors.
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    crate::fault::panic_if_cell_faulted(i);
-                    run_one(spec)
-                }));
-                match outcome {
-                    Ok(Ok(result)) => {
-                        let point = SweepPoint {
-                            settings: settings.clone(),
-                            spec: spec.clone(),
-                            result,
-                        };
-                        // The callback only renders progress output, so a
-                        // poisoned lock is safe to recover.
-                        let mut report = progress.lock().unwrap_or_else(PoisonError::into_inner);
-                        (*report)(&point);
-                        return Ok(point);
-                    }
-                    Ok(Err(error)) => last_error = error,
-                    Err(payload) => {
-                        last_error = SimError::Panic {
-                            detail: pre_par::panic_message(payload.as_ref()),
-                        }
-                    }
-                }
-            }
-            if self.fail_fast {
-                abort.store(true, Ordering::Relaxed);
-            }
-            Err((last_error, attempts_allowed))
+    /// `progress` fires as points complete; the returned points are in grid
+    /// order. [`SweepRun::into_result`] gives all-or-nothing behaviour.
+    pub fn run_isolated(&self, mut progress: impl FnMut(&SweepPoint) + Send) -> SweepRun {
+        let (settings, specs): (Vec<_>, Vec<_>) = self.specs().into_iter().unzip();
+        let outcomes = run_batch(&specs, self.fail_fast, self.max_retries, |i, result| {
+            progress(&SweepPoint {
+                settings: settings[i].clone(),
+                spec: specs[i].clone(),
+                result: result.clone(),
+            });
         });
+        let total = outcomes.len();
         let mut points = Vec::new();
         let mut failures = Vec::new();
-        for (i, outcome) in outcomes.into_iter().enumerate() {
+        let grid = outcomes.into_iter().zip(settings).zip(specs);
+        for (index, (((outcome, attempts), settings), spec)) in grid.enumerate() {
             match outcome {
-                Ok(point) => points.push(point),
-                Err((error, attempts)) => failures.push(SweepFailure {
-                    index: i,
-                    settings: specs[i].0.clone(),
+                Ok(result) => points.push(SweepPoint {
+                    settings,
+                    spec,
+                    result,
+                }),
+                Err(error) => failures.push(SweepFailure {
+                    index,
+                    settings,
                     error,
                     attempts,
                 }),
@@ -455,7 +410,7 @@ impl Sweep {
         SweepRun {
             points,
             failures,
-            total: specs.len(),
+            total,
         }
     }
 }
@@ -467,24 +422,6 @@ pub fn cache_hit_rate(points: &[SweepPoint]) -> f64 {
     }
     let hits = points.iter().filter(|p| p.result.cache_hit).count();
     hits as f64 / points.len() as f64
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders sweep results as JSON, including the failed points (with their
@@ -502,9 +439,11 @@ pub fn sweep_json(
     let _ = writeln!(out, "  \"technique\": \"{}\",", sweep.technique.label());
     let _ = writeln!(out, "  \"budget\": {},", sweep.budget);
     let _ = writeln!(out, "  \"warmup\": {},", sweep.warmup_uops);
+    // Sample specs and point labels come from the numeric grid grammars and
+    // never need escaping; error messages can carry arbitrary text.
     match &sweep.sample {
         Some(s) => {
-            let _ = writeln!(out, "  \"sample\": \"{}\",", json_escape(&s.label()));
+            let _ = writeln!(out, "  \"sample\": \"{s}\",");
         }
         None => out.push_str("  \"sample\": null,\n"),
     }
@@ -518,12 +457,13 @@ pub fn sweep_json(
     for (i, f) in failures.iter().enumerate() {
         let _ = write!(
             out,
-            "    {{\"index\": {}, \"label\": \"{}\", \"attempts\": {}, \"error\": \"{}\"}}",
+            "    {{\"index\": {}, \"label\": \"{}\", \"attempts\": {}, \"error\": \"",
             f.index,
-            json_escape(&f.label()),
+            f.label(),
             f.attempts,
-            json_escape(&f.error.to_string())
         );
+        json_escape_into(&mut out, &f.error.to_string());
+        out.push_str("\"}");
         if i + 1 < failures.len() {
             out.push(',');
         }
@@ -659,7 +599,7 @@ mod tests {
         sweep.budget = 2_000;
         sweep.params = WorkloadParams::short(50);
         sweep.base_config = SimConfig::small_for_tests();
-        let points = sweep.run(|_| {}).expect("runs");
+        let points = sweep.run_isolated(|_| {}).into_result().expect("runs");
         assert_eq!(points.len(), 2);
         let json = sweep_json(&sweep, &points, &[], 1.25);
         assert!(json.contains("\"num_points\": 2"));

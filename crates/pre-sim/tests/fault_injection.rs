@@ -11,6 +11,7 @@ use pre_sim::matrix::EvaluationMatrix;
 use pre_sim::runner::{run_one, RunSpec};
 use pre_sim::stores::{clear_stores, snapshot_for_with_dir};
 use pre_sim::sweep::Sweep;
+use pre_sim::SampleSpec;
 use pre_workloads::{Workload, WorkloadParams};
 use std::path::PathBuf;
 use std::process::Command;
@@ -112,6 +113,57 @@ fn matrix_isolates_a_panicking_cell_and_survivors_match_serial() {
         assert_eq!(survivor.stats, serial_result.stats);
         assert_eq!(survivor.stats.to_kv(), serial_result.stats.to_kv());
         assert_eq!(survivor.energy, serial_result.energy);
+    }
+}
+
+#[test]
+fn sampled_cells_take_cell_faults_as_whole_cells_not_per_slice() {
+    let _guard = lock();
+    let specs: Vec<RunSpec> = [
+        (Workload::ComputeBound, Technique::OutOfOrder),
+        (Workload::McfLike, Technique::Pre),
+        (Workload::LbmLike, Technique::PreEmq),
+    ]
+    .into_iter()
+    .map(|(w, t)| {
+        RunSpec::new(w, t)
+            .with_budget(8_000)
+            .with_config(SimConfig::small_for_tests())
+            .sampled(SampleSpec::new(3, 1_000))
+    })
+    .collect();
+
+    // Clean reference, before arming any fault: every cell simulates at
+    // least two representative slices, so a per-slice fault hook would hit
+    // every cell.
+    let _env = EnvGuard::set(&[("PRE_FAULT", None), ("PRE_CACHE_DIR", None)]);
+    let clean: Vec<_> = specs
+        .iter()
+        .map(|s| run_one(s).expect("clean sampled run"))
+        .collect();
+    for result in &clean {
+        let meta = result.sample.as_ref().expect("sampled");
+        assert!(
+            meta.intervals_simulated() >= 2,
+            "{}: {}",
+            result.workload,
+            meta.summary()
+        );
+    }
+
+    let _fault = EnvGuard::set(&[("PRE_FAULT", Some("panic:cell=1"))]);
+    let run = EvaluationMatrix::run_specs_isolated(&specs, |_| {});
+    assert_eq!(run.failures.len(), 1, "only cell 1 failed");
+    assert_eq!(run.failures[0].index, 1);
+    assert!(matches!(run.failures[0].error, SimError::Panic { .. }));
+    for i in [0, 2] {
+        let survivor = run
+            .matrix
+            .get(specs[i].workload, specs[i].technique)
+            .expect("survivor present");
+        assert_eq!(survivor.stats.to_kv(), clean[i].stats.to_kv());
+        assert_eq!(survivor.energy, clean[i].energy);
+        assert_eq!(survivor.sample, clean[i].sample);
     }
 }
 
@@ -234,6 +286,11 @@ fn truncate_snapshot_fault_falls_back_to_a_cold_capture() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Splits a `quick_check` row into its whitespace-separated columns.
+fn columns(line: &str) -> Vec<&str> {
+    line.split_whitespace().collect()
+}
+
 #[test]
 fn quick_check_subprocess_isolates_a_panicking_cell() {
     // Subprocess tests set env only on the child, so no ENV_LOCK needed.
@@ -246,36 +303,56 @@ fn quick_check_subprocess_isolates_a_panicking_cell() {
     assert!(clean.status.success(), "clean run exits 0");
     let clean_stdout = String::from_utf8_lossy(&clean.stdout).to_string();
 
-    let faulted = Command::new(env!("CARGO_BIN_EXE_quick_check"))
-        .arg("1500")
-        .env("PRE_FAULT", "panic:cell=1")
-        .env_remove("PRE_CACHE_DIR")
-        .output()
-        .expect("quick_check runs");
-    assert_eq!(
-        faulted.status.code(),
-        Some(1),
-        "partial failure surfaces as exit code 1"
-    );
-    let stdout = String::from_utf8_lossy(&faulted.stdout).to_string();
-    assert!(
-        stdout.contains("FAILED") && stdout.contains("injected fault"),
-        "failure reported in output:\n{stdout}"
-    );
-    // Every surviving row is byte-identical to the clean run's row.
-    let surviving: Vec<&str> = stdout.lines().filter(|l| !l.contains("FAILED")).collect();
-    assert!(surviving.len() > 2, "other cells still ran:\n{stdout}");
-    for line in surviving {
+    // Cell 1 is a runahead cell of the first workload; cell 5 is the
+    // out-of-order baseline of the second, so that workload's speedups
+    // have nothing to divide by.
+    for cell in [1, 5] {
+        let faulted = Command::new(env!("CARGO_BIN_EXE_quick_check"))
+            .arg("1500")
+            .env("PRE_FAULT", format!("panic:cell={cell}"))
+            .env_remove("PRE_CACHE_DIR")
+            .output()
+            .expect("quick_check runs");
+        assert_eq!(
+            faulted.status.code(),
+            Some(1),
+            "partial failure surfaces as exit code 1"
+        );
+        let stdout = String::from_utf8_lossy(&faulted.stdout).to_string();
+        let failed: Vec<&str> = stdout.lines().filter(|l| l.contains("FAILED")).collect();
+        assert_eq!(failed.len(), 1, "exactly one failure line:\n{stdout}");
         assert!(
-            clean_stdout.contains(line),
-            "surviving row matches the clean run: {line}"
+            failed[0].contains("injected fault"),
+            "failure reported in output:\n{stdout}"
+        );
+        // "<workload> / <technique>: FAILED: ..."
+        let (failed_workload, rest) = failed[0].split_once(" / ").expect("failure line");
+        let baseline_failed = rest.starts_with("OoO:");
+        assert_eq!(baseline_failed, cell == 5, "{}", failed[0]);
+
+        // Every surviving row matches the clean run's row, except that a
+        // workload whose baseline failed shows `-` for its speedups.
+        let surviving: Vec<&str> = stdout.lines().filter(|l| !l.contains("FAILED")).collect();
+        assert!(surviving.len() > 2, "other cells still ran:\n{stdout}");
+        for line in surviving {
+            let cols = columns(line);
+            let reference = clean_stdout
+                .lines()
+                .map(columns)
+                .find(|c| c.get(..2) == cols.get(..2))
+                .unwrap_or_else(|| panic!("row missing from the clean run: {line}"));
+            let mut expected = reference.clone();
+            if baseline_failed && cols[0] == failed_workload {
+                expected[3] = "-";
+            }
+            assert_eq!(cols, expected, "cell={cell}: surviving row differs");
+        }
+        assert_eq!(
+            stdout.lines().count(),
+            clean_stdout.lines().count(),
+            "exactly one row replaced by a failure line"
         );
     }
-    assert_eq!(
-        stdout.lines().count(),
-        clean_stdout.lines().count(),
-        "exactly one row replaced by a failure line"
-    );
 }
 
 #[test]

@@ -4,12 +4,19 @@
 use pre_model::config::SimConfig;
 use pre_runahead::Technique;
 use pre_sim::matrix::EvaluationMatrix;
+use pre_sim::RunSpec;
 use pre_workloads::{Workload, WorkloadParams};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 const WORKLOADS: [Workload; 2] = [Workload::LbmLike, Workload::McfLike];
 const TECHNIQUES: [Technique; 2] = [Technique::OutOfOrder, Technique::Pre];
+
+fn specs(workloads: &[Workload], techniques: &[Technique], max_uops: u64) -> Vec<RunSpec> {
+    let config = SimConfig::haswell_like();
+    let params = WorkloadParams::default();
+    EvaluationMatrix::specs(workloads, techniques, &config, &params, max_uops)
+}
 
 /// Serializes the tests in this binary: one of them mutates the
 /// process-global `PRE_THREADS` variable, which `pre-par` reads on every
@@ -22,13 +29,10 @@ static ENV_LOCK: Mutex<()> = Mutex::new(());
 #[test]
 fn parallel_matrix_matches_serial_bit_for_bit() {
     let _guard = ENV_LOCK.lock().unwrap();
-    let config = SimConfig::haswell_like();
-    let params = WorkloadParams::default();
-
-    let serial =
-        EvaluationMatrix::run_serial(&WORKLOADS, &TECHNIQUES, &config, &params, 4_000, |_| {})
-            .expect("serial matrix runs");
-    let parallel = EvaluationMatrix::run(&WORKLOADS, &TECHNIQUES, &config, &params, 4_000, |_| {})
+    let specs = specs(&WORKLOADS, &TECHNIQUES, 4_000);
+    let serial = EvaluationMatrix::run_serial(&specs, |_| {}).expect("serial matrix runs");
+    let parallel = EvaluationMatrix::run_specs_isolated(&specs, |_| {})
+        .into_result()
         .expect("parallel matrix runs");
 
     assert_eq!(serial.results().len(), 4);
@@ -62,12 +66,11 @@ fn parallel_matrix_matches_serial_bit_for_bit() {
 #[test]
 fn progress_fires_once_per_cell() {
     let _guard = ENV_LOCK.lock().unwrap();
-    let config = SimConfig::haswell_like();
-    let params = WorkloadParams::default();
     let count = AtomicUsize::new(0);
-    EvaluationMatrix::run(&WORKLOADS, &TECHNIQUES, &config, &params, 2_000, |_| {
+    EvaluationMatrix::run_specs_isolated(&specs(&WORKLOADS, &TECHNIQUES, 2_000), |_| {
         count.fetch_add(1, Ordering::Relaxed);
     })
+    .into_result()
     .expect("matrix runs");
     assert_eq!(count.load(Ordering::Relaxed), 4);
 }
@@ -79,27 +82,12 @@ fn single_threaded_parallel_path_is_identical() {
     // `PRE_THREADS` is read per call inside pre-par and is process-global;
     // ENV_LOCK keeps the other tests from seeing it.
     let _guard = ENV_LOCK.lock().unwrap();
+    let specs = specs(&[Workload::LbmLike], &[Technique::Pre], 2_000);
     std::env::set_var("PRE_THREADS", "1");
-    let config = SimConfig::haswell_like();
-    let params = WorkloadParams::default();
-    let one = EvaluationMatrix::run(
-        &[Workload::LbmLike],
-        &[Technique::Pre],
-        &config,
-        &params,
-        2_000,
-        |_| {},
-    )
-    .expect("matrix runs");
+    let one = EvaluationMatrix::run_specs_isolated(&specs, |_| {})
+        .into_result()
+        .expect("matrix runs");
     std::env::remove_var("PRE_THREADS");
-    let reference = EvaluationMatrix::run_serial(
-        &[Workload::LbmLike],
-        &[Technique::Pre],
-        &config,
-        &params,
-        2_000,
-        |_| {},
-    )
-    .expect("serial matrix runs");
+    let reference = EvaluationMatrix::run_serial(&specs, |_| {}).expect("serial matrix runs");
     assert_eq!(one.results()[0].stats, reference.results()[0].stats);
 }

@@ -20,15 +20,16 @@ fn run_matrix(
 ) -> EvaluationMatrix {
     let mut config = SimConfig::haswell_like();
     config.core.reference_scheduler = reference;
-    EvaluationMatrix::run(
+    let specs = EvaluationMatrix::specs(
         workloads,
         &Technique::ALL,
         &config,
         &WorkloadParams::default(),
         uops,
-        |_| {},
-    )
-    .expect("matrix runs")
+    );
+    EvaluationMatrix::run_specs_isolated(&specs, |_| {})
+        .into_result()
+        .expect("matrix runs")
 }
 
 /// Every cell of the mixed (synthetic + asm) matrix, every technique: the

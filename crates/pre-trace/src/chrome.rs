@@ -50,7 +50,10 @@ pub struct ChromeEvent {
     pub args: Vec<(String, ArgValue)>,
 }
 
-fn escape_into(out: &mut String, s: &str) {
+/// Appends `s` to `out` escaped for the inside of a JSON string literal
+/// (quotes, backslashes and control characters). Shared by the Chrome trace
+/// writer and `pre-sim`'s sweep report.
+pub fn json_escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -69,9 +72,9 @@ fn escape_into(out: &mut String, s: &str) {
 impl ChromeEvent {
     fn render(&self, out: &mut String) {
         out.push_str("{\"name\":\"");
-        escape_into(out, &self.name);
+        json_escape_into(out, &self.name);
         out.push_str("\",\"cat\":\"");
-        escape_into(out, &self.cat);
+        json_escape_into(out, &self.cat);
         let _ = write!(out, "\",\"ph\":\"{}\",\"ts\":{}", self.ph, self.ts);
         if let Some(dur) = self.dur {
             let _ = write!(out, ",\"dur\":{dur}");
@@ -87,7 +90,7 @@ impl ChromeEvent {
                 out.push(',');
             }
             out.push('"');
-            escape_into(out, key);
+            json_escape_into(out, key);
             out.push_str("\":");
             match value {
                 ArgValue::Int(v) => {
@@ -95,7 +98,7 @@ impl ChromeEvent {
                 }
                 ArgValue::Str(s) => {
                     out.push('"');
-                    escape_into(out, s);
+                    json_escape_into(out, s);
                     out.push('"');
                 }
             }

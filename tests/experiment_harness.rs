@@ -12,15 +12,16 @@ use precise_runahead::workloads::{Workload, WorkloadParams};
 fn a_small_evaluation_matrix_produces_all_figures() {
     let workloads = [Workload::LbmLike, Workload::LibquantumLike];
     let config = SimConfigBuilder::haswell_like().build().unwrap();
-    let matrix = EvaluationMatrix::run(
+    let specs = EvaluationMatrix::specs(
         &workloads,
         &Technique::ALL,
         &config,
         &WorkloadParams::default(),
         8_000,
-        |_| {},
-    )
-    .expect("matrix runs");
+    );
+    let matrix = EvaluationMatrix::run_specs_isolated(&specs, |_| {})
+        .into_result()
+        .expect("matrix runs");
     assert!(!matrix.any_deadlocked());
     assert_eq!(
         matrix.results().len(),

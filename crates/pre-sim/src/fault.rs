@@ -8,9 +8,10 @@
 //! * `panic:cell=<N>` — the N-th cell of a matrix, sweep or `quick_check`
 //!   run (0-based, grid order) panics at the start of each attempt,
 //!   exercising the batch executor ([`crate::runner::run_batch`], the only
-//!   injection point) and partial-failure reporting. The representative
-//!   slices of a sampled cell are parts of that cell, not cells, and are
-//!   never injection points;
+//!   injection point) and partial-failure reporting. The hook fires once
+//!   per cell attempt, never per slice: the batch runs a sampled cell's
+//!   representative slices as separate work items, but they are parts of
+//!   that one cell;
 //! * `corrupt-cache:key=<16-hex>` (or `corrupt-cache:key=*`) — result-cache
 //!   files for that key (or every key) are corrupted right after being
 //!   written, exercising checksum verification, quarantine and the
@@ -125,8 +126,8 @@ pub fn active_faults() -> Vec<Fault> {
 }
 
 /// Injection point at the start of each attempt at batch cell `index`
-/// (called only by [`crate::runner::run_batch`]): panics when a
-/// `panic:cell=<index>` fault is armed.
+/// (called only by [`crate::runner::run_batch`], once per cell attempt and
+/// never per slice): panics when a `panic:cell=<index>` fault is armed.
 pub fn panic_if_cell_faulted(index: usize) {
     for fault in active_faults() {
         if fault == Fault::PanicCell(index) {

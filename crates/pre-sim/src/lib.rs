@@ -10,7 +10,9 @@
 //!   plus energy ([`run_one`]), or a batch of independent specs
 //!   ([`run_batch`]): the one executor, which owns the [`pre_par`] worker
 //!   pool (`PRE_THREADS` caps it), per-attempt panic capture, retries,
-//!   fail-fast and the `PRE_FAULT` cell hook.
+//!   fail-fast and the `PRE_FAULT` cell hook. It schedules work items,
+//!   not cells: every sampling plan first, then plain cells and sampled
+//!   cells' representative slices on one pool call.
 //! * [`matrix`] — run the full evaluation matrix through [`run_batch`] and
 //!   compute the normalized metrics the figures plot (speedup over the
 //!   out-of-order baseline, energy savings, invocation ratios, …).

@@ -11,8 +11,9 @@ use pre_runahead::Technique;
 use pre_trace::{TraceSession, TraceSpec, Tracer};
 use pre_workloads::{Workload, WorkloadParams};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::atomic::Ordering::SeqCst;
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Specification of one simulation run.
 #[derive(Debug, Clone)]
@@ -210,13 +211,25 @@ impl RunResult {
 
 /// Runs one simulation: answered from the result cache when the spec opts
 /// in (traced runs always simulate), otherwise simulated in full or, with
-/// [`RunSpec::sample`], estimated by interval sampling.
+/// [`RunSpec::sample`], estimated by interval sampling as a batch of one
+/// (its slices still share the worker pool).
 ///
 /// # Errors
 ///
 /// Returns [`SimError`] if the configuration or the generated program is
 /// invalid, or if trace output cannot be written.
 pub fn run_one(spec: &RunSpec) -> Result<RunResult, SimError> {
+    if spec.sample.is_none() {
+        return run_plain(spec);
+    }
+    let (outcome, _) = schedule(std::slice::from_ref(spec), false, 0, false, |_, _| {})
+        .pop()
+        .expect("one outcome per spec");
+    outcome
+}
+
+/// [`run_one`] of a spec without sampling parameters.
+fn run_plain(spec: &RunSpec) -> Result<RunResult, SimError> {
     if !spec.use_result_cache || spec.trace.is_some() {
         return run_uncached(spec);
     }
@@ -232,9 +245,6 @@ pub fn run_one(spec: &RunSpec) -> Result<RunResult, SimError> {
 }
 
 fn run_uncached(spec: &RunSpec) -> Result<RunResult, SimError> {
-    if spec.sample.is_some() {
-        return crate::sample::run_sampled(spec);
-    }
     let Some(ts) = &spec.trace else {
         let program = crate::stores::program_for(spec.workload, &spec.params);
         let mut core = build_core(spec, &program)?;
@@ -307,13 +317,158 @@ fn run_result(spec: &RunSpec, core: &OooCore) -> RunResult {
     }
 }
 
-/// Runs independent specs over the [`pre_par`] worker pool: the one
-/// executor behind evaluation matrices, sweeps and `quick_check`.
+/// One cell of a batch, expanded into the work items that compute it.
+#[derive(Debug)]
+pub(crate) struct Cell {
+    /// The cell's items; never empty.
+    pub(crate) items: Vec<Item>,
+    /// How the items' results fold into the cell's result.
+    pub(crate) fold: Fold,
+}
+
+/// One work item of a batch.
+#[derive(Debug)]
+pub(crate) enum Item {
+    /// A run without sampling parameters, as [`run_one`] runs it.
+    Run(Box<RunSpec>),
+    /// The cell's outcome, known at expansion: a result-cache hit or a
+    /// rejected spec.
+    Answer(Box<Result<RunResult, SimError>>),
+}
+
+/// How a [`Cell`]'s item results fold into its result.
+#[derive(Debug)]
+pub(crate) enum Fold {
+    /// The cell's one item is its result.
+    Plain,
+    /// Slices of a sampled spec, extrapolated into an estimate.
+    Sampled(crate::sample::Estimate),
+}
+
+impl Cell {
+    /// A plain spec: one item.
+    fn plain(spec: &RunSpec) -> Cell {
+        Cell {
+            items: vec![Item::Run(Box::new(spec.clone()))],
+            fold: Fold::Plain,
+        }
+    }
+
+    /// A cell whose outcome is already known.
+    pub(crate) fn answered(outcome: Result<RunResult, SimError>) -> Cell {
+        Cell {
+            items: vec![Item::Answer(Box::new(outcome))],
+            fold: Fold::Plain,
+        }
+    }
+
+    /// The cell's result from its items' outcomes (in item order): the
+    /// first error fails the cell.
+    fn fold(
+        &self,
+        spec: &RunSpec,
+        outcomes: impl IntoIterator<Item = Result<RunResult, SimError>>,
+    ) -> Result<RunResult, SimError> {
+        let mut parts = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
+        match &self.fold {
+            Fold::Plain => Ok(parts.pop().expect("a plain cell has one item")),
+            Fold::Sampled(estimate) => estimate.fold(spec, parts),
+        }
+    }
+}
+
+/// Every spec of a batch as a [`Cell`], in spec order.
+fn expand(specs: &[RunSpec]) -> Vec<Cell> {
+    specs
+        .iter()
+        .zip(crate::sample::expand(specs))
+        .map(|(spec, cell)| cell.unwrap_or_else(|| Cell::plain(spec)))
+        .collect()
+}
+
+/// One attempt at `spec` on the calling thread: expanded afresh, its items
+/// run in order.
+fn run_serially(spec: &RunSpec) -> Result<RunResult, SimError> {
+    let cell = expand(std::slice::from_ref(spec))
+        .pop()
+        .expect("one cell per spec");
+    cell.fold(spec, cell.items.iter().map(run_item))
+}
+
+/// Runs `f`, turning a panic into [`SimError::Panic`].
+pub(crate) fn caught<T>(f: impl FnOnce() -> T) -> Result<T, SimError> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| SimError::Panic {
+        detail: pre_par::panic_message(payload.as_ref()),
+    })
+}
+
+/// Runs one item; a panic becomes [`SimError::Panic`].
+fn run_item(item: &Item) -> Result<RunResult, SimError> {
+    caught(|| match item {
+        Item::Run(spec) => run_plain(spec),
+        Item::Answer(outcome) => (**outcome).clone(),
+    })
+    .and_then(|outcome| outcome)
+}
+
+/// Fires the `PRE_FAULT` cell hook for cell `index`, returning its panic.
+fn cell_fault(index: usize) -> Option<SimError> {
+    caught(|| crate::fault::panic_if_cell_faulted(index)).err()
+}
+
+/// Locks `m`, recovering from poisoning: slots are only ever assigned or
+/// taken whole, and the progress callback only renders output.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`Tally::phase`] before any item of the cell has begun.
+const FRESH: u8 = 0;
+/// [`Tally::phase`] once the cell's first attempt has begun.
+const RUNNING: u8 = 1;
+/// [`Tally::phase`] of a cell skipped by fail-fast.
+const SKIPPED: u8 = 2;
+
+/// The bookkeeping of one cell while its items run on the pool.
+#[derive(Debug)]
+struct Tally {
+    /// [`FRESH`], [`RUNNING`] or [`SKIPPED`]; the first item of the cell to
+    /// begin decides.
+    phase: AtomicU8,
+    /// The panic of the `PRE_FAULT` cell hook, if it fired: it fails the
+    /// attempt ahead of any item outcome.
+    fault: OnceLock<SimError>,
+    /// Each item's outcome, in item order, until the cell is folded.
+    outcomes: Vec<Mutex<Option<Result<RunResult, SimError>>>>,
+    /// Items not yet finished; the item that brings it to zero folds the
+    /// cell.
+    pending: AtomicUsize,
+}
+
+/// Runs independent specs as one batch: the executor behind evaluation
+/// matrices, sweeps and `quick_check`.
 ///
-/// Every attempt at spec `i` runs under `catch_unwind` (a panic becomes
-/// [`SimError::Panic`]) after the `PRE_FAULT` cell hook
-/// [`crate::fault::panic_if_cell_faulted`] for index `i`. A failed spec is retried
-/// up to `max_retries` times. With `fail_fast`, specs not yet started once
+/// The batch is scheduled by work item, not by cell, in three phases:
+///
+/// 1. **Plans.** The sampling plan of every distinct (program, sampling
+///    parameters, budget, skip) key is resolved concurrently, one pool job
+///    per key; a sampled spec answered from the result cache never builds
+///    its plan.
+/// 2. **Items.** Each spec expands into items: a plain spec is one item, a
+///    sampled spec one item per representative slice (or one unsampled
+///    item when it has no representatives), and a cache hit or rejected
+///    spec one item carrying its answer. All items of the batch go through
+///    one [`pre_par`] pool call, each under `catch_unwind` (a panic becomes
+///    [`SimError::Panic`]).
+/// 3. **Fold.** A spec is folded when its last item finishes: the first
+///    error in item order fails it; otherwise sampled slices are
+///    extrapolated and the estimate is cached.
+///
+/// An attempt at spec `i` starts with the `PRE_FAULT` cell hook
+/// [`crate::fault::panic_if_cell_faulted`] for index `i`, once per attempt
+/// and never per slice. A failed spec is retried up to `max_retries`
+/// times, each retry on the worker that folded it, its items run there in
+/// order. With `fail_fast`, specs none of whose items have started once
 /// any spec has failed for good are skipped as [`SimError::Skipped`] with
 /// zero attempts; which ones is scheduling-dependent (deterministic under
 /// `PRE_THREADS=1`). `progress(i, result)` fires as specs succeed, in
@@ -328,38 +483,93 @@ pub fn run_batch(
     max_retries: u32,
     progress: impl FnMut(usize, &RunResult) + Send,
 ) -> Vec<(Result<RunResult, SimError>, u32)> {
+    schedule(specs, fail_fast, max_retries, true, progress)
+}
+
+/// [`run_batch`], with the `PRE_FAULT` cell hook armed only when
+/// `cell_faults` is set ([`run_one`] of a sampled spec runs without it).
+fn schedule(
+    specs: &[RunSpec],
+    fail_fast: bool,
+    max_retries: u32,
+    cell_faults: bool,
+    progress: impl FnMut(usize, &RunResult) + Send,
+) -> Vec<(Result<RunResult, SimError>, u32)> {
+    let cells = expand(specs);
+    let tallies: Vec<Tally> = cells
+        .iter()
+        .map(|cell| Tally {
+            phase: AtomicU8::new(FRESH),
+            fault: OnceLock::new(),
+            outcomes: cell.items.iter().map(|_| Mutex::default()).collect(),
+            pending: AtomicUsize::new(cell.items.len()),
+        })
+        .collect();
+    let items: Vec<(usize, usize)> = cells
+        .iter()
+        .enumerate()
+        .flat_map(|(c, cell)| (0..cell.items.len()).map(move |i| (c, i)))
+        .collect();
     let progress = Mutex::new(progress);
     let abort = AtomicBool::new(false);
     let attempts = max_retries.saturating_add(1);
-    let indices: Vec<usize> = (0..specs.len()).collect();
-    pre_par::par_map(&indices, |&i| {
-        if fail_fast && abort.load(Ordering::Relaxed) {
-            return (Err(SimError::Skipped), 0);
-        }
-        let mut error = SimError::Skipped;
-        for attempt in 1..=attempts {
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                crate::fault::panic_if_cell_faulted(i);
-                run_one(&specs[i])
-            }));
-            match outcome {
-                Ok(Ok(result)) => {
-                    // The callback only renders progress output, so a
-                    // poisoned lock is safe to recover.
-                    (*progress.lock().unwrap_or_else(PoisonError::into_inner))(i, &result);
-                    return (Ok(result), attempt);
+    let fault = |c: usize| if cell_faults { cell_fault(c) } else { None };
+
+    pre_par::par_map(&items, |&(c, i)| {
+        let (cell, tally) = (&cells[c], &tallies[c]);
+        let begin = if fail_fast && abort.load(SeqCst) {
+            SKIPPED
+        } else {
+            RUNNING
+        };
+        let phase = match tally.phase.compare_exchange(FRESH, begin, SeqCst, SeqCst) {
+            // This item begins the cell's first attempt.
+            Ok(_) if begin == RUNNING => {
+                if let Some(e) = fault(c) {
+                    let _ = tally.fault.set(e);
                 }
-                Ok(Err(e)) => error = e,
-                Err(payload) => {
-                    error = SimError::Panic {
-                        detail: pre_par::panic_message(payload.as_ref()),
-                    }
-                }
+                RUNNING
             }
+            Ok(_) => SKIPPED,
+            Err(decided) => decided,
+        };
+        if phase == RUNNING && tally.fault.get().is_none() {
+            *lock(&tally.outcomes[i]) = Some(run_item(&cell.items[i]));
         }
-        abort.store(true, Ordering::Relaxed);
-        (Err(error), attempts)
+        if tally.pending.fetch_sub(1, SeqCst) != 1 {
+            return None;
+        }
+        // The last item of the cell: fold it, retrying on this worker.
+        if phase == SKIPPED {
+            return Some((Err(SimError::Skipped), 0));
+        }
+        let mut outcome = match tally.fault.get() {
+            Some(e) => Err(e.clone()),
+            None => cell.fold(
+                &specs[c],
+                tally.outcomes.iter().map(|slot| {
+                    lock(slot)
+                        .take()
+                        .expect("every item of a running cell without a fault has run")
+                }),
+            ),
+        };
+        let mut attempt = 1;
+        while outcome.is_err() && attempt < attempts {
+            attempt += 1;
+            outcome = fault(c).map_or_else(|| run_serially(&specs[c]), Err);
+        }
+        match &outcome {
+            Ok(result) => (*lock(&progress))(c, result),
+            Err(_) => abort.store(true, SeqCst),
+        }
+        Some((outcome, attempt))
     })
+    // Items are in cell order and only the item that finishes a cell
+    // returns its outcome, so the outcomes come out in spec order.
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 #[cfg(test)]

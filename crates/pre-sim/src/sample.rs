@@ -1,29 +1,30 @@
 //! SimPoint-style sampled simulation: profile → cluster → simulate
 //! representatives → extrapolate.
 //!
-//! [`run_sampled`] estimates a full run's statistics from a handful of
-//! detailed-simulation slices:
+//! A sampled [`RunSpec`] is estimated from a handful of detailed-simulation
+//! slices. It runs as a cell of a [`crate::runner::run_batch`] batch
+//! ([`run_one`] and [`run_sampled`] are batches of one), in three phases:
 //!
 //! ```text
-//!  functional profile        deterministic k-means        detailed sim (parallel)
-//!  ┌──────────────────┐      ┌──────────────────┐      ┌─────────────────────────┐
-//!  │ interval BBVs    │ ───► │ K clusters,      │ ───► │ fork each representative │
-//!  │ (pre_model::     │      │ 1 representative │      │ from a windowed snapshot,│
-//!  │  profile)        │      │ + weight each    │      │ warm-replay, run 1 slice │
-//!  └──────────────────┘      └──────────────────┘      └─────────────────────────┘
-//!                                                                 │
-//!                                              weighted extrapolation (SimStats
-//!                                              × cluster weight, exact integers)
+//!  1. plans (one pool job per key)   2. items (one pool for the batch)    3. fold (last slice)
+//!  ┌───────────────────────────┐    ┌─────────────────────────────┐    ┌─────────────────────┐
+//!  │ result-cache lookup; on a │    │ one item per representative:│    │ first error in slice│
+//!  │ miss: interval BBVs,      │ ─► │ fork from a windowed        │ ─► │ order fails; else   │
+//!  │ deterministic k-means,    │    │ snapshot, warm-replay, run  │    │ SimStats × cluster  │
+//!  │ snapshot capture          │    │ one interval                │    │ weight, cache store │
+//!  └───────────────────────────┘    └─────────────────────────────┘    └─────────────────────┘
 //! ```
 //!
 //! The profiling/clustering plan and the representative snapshots are
-//! memoized per (program, sampling parameters, budget), so the five
+//! memoized per (program, sampling parameters, budget, skip), so the five
 //! techniques of one evaluation cell pay for a single functional profile.
-//! Representatives fan out over `pre_par::try_par_map`, inheriting the
-//! supervised pool's failure isolation: a panic in one slice surfaces as
-//! [`SimError::Panic`] for the sampled run instead of tearing anything down.
-//! The sampled run is one cell of its batch; its slices are not `PRE_FAULT`
-//! cell injection points.
+//! The batch resolves every distinct plan concurrently before any slice
+//! runs, and a cell answered from the result cache never builds its plan.
+//! The slices of every cell then share the batch's one worker pool with
+//! its plain cells; each runs under `catch_unwind`, so a panic in one slice
+//! surfaces as [`SimError::Panic`] for its cell instead of tearing anything
+//! down. The `PRE_FAULT` cell hook fires once per attempt at a sampled
+//! cell, never per slice.
 //!
 //! Every extrapolated result carries a [`SampleMeta`] so downstream
 //! reporting can mark estimates (`~`) and show K / coverage / weights;
@@ -34,14 +35,17 @@
 // failure here must surface as a typed error, never an unwind.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::runner::{run_one, RunResult, RunSpec};
+use crate::runner::{caught, run_one, Cell, Fold, Item, RunResult, RunSpec};
 use crate::stores::{key_of, Memo};
 use pre_energy::EnergyModel;
-use pre_model::error::SimError;
-use pre_model::profile::{cluster_intervals, profile_intervals, Clustering, IntervalProfile};
+use pre_model::error::{ConfigError, SimError};
+use pre_model::profile::{
+    cluster_intervals, profile_intervals, Clustering, IntervalProfile, Representative,
+};
 use pre_model::program::{Interpreter, Program};
 use pre_model::snapshot::{SimSnapshot, WarmTrace};
 use pre_model::stats::SimStats;
+use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -303,113 +307,234 @@ fn capture_representative_snapshots(
     }
 }
 
-/// Runs `spec` in sampled mode (`spec.sample` must be set): profiles the
-/// functional execution into intervals, clusters them, simulates one
-/// representative per cluster in detail (fanned out over the supervised
-/// pool) and extrapolates a full-run [`RunResult`] carrying [`SampleMeta`].
-/// The result cache is consulted by [`run_one`], which wraps this.
-///
-/// # Errors
-///
-/// Returns [`SimError`] when the spec carries no sampling parameters or
-/// requests tracing (unsupported in sampled mode), and propagates the first
-/// per-slice failure (validation errors, watchdog aborts as data, panics as
-/// [`SimError::Panic`]).
-pub fn run_sampled(spec: &RunSpec) -> Result<RunResult, SimError> {
-    let Some(sample) = spec.sample else {
-        return Err(SimError::Snapshot {
-            detail: "run_sampled called without sampling parameters".to_string(),
-        });
-    };
+/// Rejects sampled `spec`s that cannot be estimated: tracing (unsupported
+/// in sampled mode), zero clusters or a zero interval size.
+fn validate(spec: &RunSpec, sample: &SampleSpec) -> Result<(), SimError> {
     if spec.trace.is_some() {
         return Err(SimError::Trace(
             "tracing is not supported with --sample (trace a full run instead)".to_string(),
         ));
     }
-    let program = crate::stores::program_for(spec.workload, &spec.params);
-    let plan = plan_for(&program, &sample, spec.max_uops, spec.warmup_uops);
-    if plan.clustering.representatives.is_empty() {
-        // Nothing to profile (zero budget or the program halts before the
-        // warm-up ends): degrade to an unsampled run of the same spec.
-        let mut fallback = spec.clone();
-        fallback.sample = None;
-        fallback.use_result_cache = false;
-        let mut result = run_one(&fallback)?;
-        result.sample = Some(SampleMeta {
-            spec: sample,
-            ..SampleMeta::default()
+    for (field, value) in [
+        ("sample.clusters", sample.clusters as u64),
+        ("sample.interval_uops", sample.interval_uops),
+    ] {
+        if value == 0 {
+            return Err(SimError::Config(ConfigError::ZeroCapacity { field }));
+        }
+    }
+    Ok(())
+}
+
+/// Expands the sampled specs of a batch into their work items; `None` for
+/// every plain spec. Plans come first: one pool job per distinct (program,
+/// sampling parameters, budget, skip) key answers that key's cells from the
+/// result cache where it can and builds the plan only for a cell that
+/// misses. A rejected spec, or a key whose job panicked, becomes a cell
+/// answered with the error.
+pub(crate) fn expand(specs: &[RunSpec]) -> Vec<Option<Cell>> {
+    let mut cells: Vec<Option<Cell>> = specs.iter().map(|_| None).collect();
+    let mut keys: HashMap<String, usize> = HashMap::new();
+    let mut groups: Vec<(SampleSpec, Vec<usize>)> = Vec::new();
+    for (i, spec) in specs.iter().enumerate() {
+        let Some(sample) = &spec.sample else { continue };
+        if let Err(e) = validate(spec, sample) {
+            cells[i] = Some(Cell::answered(Err(e)));
+            continue;
+        }
+        let key = format!(
+            "{} {:?} {} {} {}",
+            spec.workload,
+            spec.params,
+            sample.label(),
+            spec.max_uops,
+            spec.warmup_uops
+        );
+        let group = *keys.entry(key).or_insert_with(|| {
+            groups.push((*sample, Vec::new()));
+            groups.len() - 1
         });
-        return Ok(result);
+        groups[group].1.push(i);
     }
+    let resolved = pre_par::par_map(&groups, |(sample, group)| {
+        caught(|| resolve(specs, *sample, group))
+    });
+    for ((_, group), outcome) in groups.iter().zip(resolved) {
+        match outcome {
+            Ok(group_cells) => {
+                for (&i, cell) in group.iter().zip(group_cells) {
+                    cells[i] = Some(cell);
+                }
+            }
+            Err(e) => {
+                for &i in group {
+                    cells[i] = Some(Cell::answered(Err(e.clone())));
+                }
+            }
+        }
+    }
+    cells
+}
 
-    // One detailed-run spec per representative: fork from the interval
-    // snapshot (warm window = one interval), simulate exactly the interval.
-    let rep_specs: Vec<RunSpec> = plan
-        .clustering
-        .representatives
+/// One plan job: the cells of `group` (specs sharing one plan key, never
+/// empty), each answered from the result cache or expanded from the plan,
+/// which is built at the first miss.
+fn resolve(specs: &[RunSpec], sample: SampleSpec, group: &[usize]) -> Vec<Cell> {
+    let first = &specs[group[0]];
+    let program = crate::stores::program_for(first.workload, &first.params);
+    let disk = crate::stores::env_cache_dir();
+    let mut plan = None;
+    group
         .iter()
-        .map(|rep| {
-            let iv = &plan.profile.intervals[rep.interval];
-            let mut s = spec.clone();
-            s.sample = None;
-            s.warmup_uops = iv.start_uop;
-            s.warm_window = (iv.start_uop > 0).then(|| sample.interval_uops.min(iv.start_uop));
-            s.max_uops = iv.len_uops;
-            s.max_cycles = iv.len_uops.saturating_mul(200).max(1_000_000);
-            s
+        .map(|&i| {
+            let spec = &specs[i];
+            let store = spec
+                .use_result_cache
+                .then(|| crate::stores::result_key(spec, &program));
+            let hit = store
+                .as_ref()
+                .and_then(|(key, desc)| crate::stores::result_lookup(*key, desc, disk.as_deref()));
+            if let Some(hit) = hit {
+                return Cell::answered(Ok(hit));
+            }
+            let plan = plan
+                .get_or_insert_with(|| plan_for(&program, &sample, spec.max_uops, spec.warmup_uops))
+                .clone();
+            Estimate {
+                sample,
+                plan,
+                store,
+            }
+            .cell(spec)
         })
-        .collect();
-    // Slices are parts of one cell, not cells: a panic in any of them fails
-    // the sampled run (first error in slice order wins).
-    let slices = pre_par::try_par_map(&rep_specs, run_one)
-        .into_iter()
-        .map(|outcome| {
-            outcome.unwrap_or_else(|job| {
-                Err(SimError::Panic {
-                    detail: job.payload,
-                })
-            })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
+        .collect()
+}
 
-    // Weighted extrapolation: integer counters are exact functions of the
-    // per-slice stats and weights.
-    let mut stats = SimStats::new();
-    for (rep, slice) in plan.clustering.representatives.iter().zip(&slices) {
-        stats.merge_scaled(&slice.stats, rep.weight);
+/// How a sampled cell's slice results fold into its estimate.
+#[derive(Debug)]
+pub(crate) struct Estimate {
+    sample: SampleSpec,
+    plan: Arc<SamplePlan>,
+    /// The result-cache entry the estimate is stored under, when the spec
+    /// opts into the cache.
+    store: Option<(u64, String)>,
+}
+
+impl Estimate {
+    /// The cell of sampled `spec`: one item per representative slice (fork
+    /// from the interval snapshot, warm window one interval, simulate
+    /// exactly the interval), or one unsampled run of the same spec when
+    /// there is nothing to sample (zero budget, or the program halts before
+    /// the warm-up ends).
+    fn cell(self, spec: &RunSpec) -> Cell {
+        let mut base = spec.clone();
+        base.sample = None;
+        let reps = &self.plan.clustering.representatives;
+        let items = if reps.is_empty() {
+            base.use_result_cache = false;
+            vec![Item::Run(Box::new(base))]
+        } else {
+            reps.iter()
+                .map(|rep| {
+                    let iv = &self.plan.profile.intervals[rep.interval];
+                    let mut s = base.clone();
+                    s.warmup_uops = iv.start_uop;
+                    s.warm_window =
+                        (iv.start_uop > 0).then(|| self.sample.interval_uops.min(iv.start_uop));
+                    s.max_uops = iv.len_uops;
+                    s.max_cycles = iv.len_uops.saturating_mul(200).max(1_000_000);
+                    Item::Run(Box::new(s))
+                })
+                .collect()
+        };
+        Cell {
+            items,
+            fold: Fold::Sampled(self),
+        }
     }
-    let energy = EnergyModel::default().evaluate(&stats, &spec.config);
-    let meta = SampleMeta {
-        spec: sample,
-        intervals_total: plan.profile.intervals.len() as u64,
-        total_uops: plan.profile.total_uops(),
-        simulated_uops: plan
-            .clustering
-            .representatives
-            .iter()
-            .map(|rep| plan.profile.intervals[rep.interval].len_uops)
-            .sum(),
-        weights: plan
-            .clustering
-            .representatives
-            .iter()
-            .map(|rep| RepWeight {
-                interval: rep.interval as u64,
-                weight: rep.weight,
-                uops: plan.profile.intervals[rep.interval].len_uops,
-            })
-            .collect(),
-    };
-    Ok(RunResult {
-        workload: spec.workload,
-        technique: spec.technique,
-        stats,
-        energy,
-        deadlocked: slices.iter().any(|s| s.deadlocked),
-        cache_hit: slices.iter().all(|s| s.cache_hit),
-        watchdog: slices.iter().find_map(|s| s.watchdog.clone()),
-        sample: Some(meta),
-    })
+
+    /// Folds the slice results (in representative order) into the estimate
+    /// of `spec` and stores it in the result cache when the spec opts in.
+    /// Integer counters are exact functions of the per-slice stats and
+    /// cluster weights.
+    pub(crate) fn fold(
+        &self,
+        spec: &RunSpec,
+        slices: Vec<RunResult>,
+    ) -> Result<RunResult, SimError> {
+        let plan = &self.plan;
+        let reps = &plan.clustering.representatives;
+        let result = if reps.is_empty() {
+            let mut result = slices
+                .into_iter()
+                .next()
+                .ok_or_else(|| SimError::Snapshot {
+                    detail: "sampled cell without representatives ran no item".to_string(),
+                })?;
+            result.sample = Some(SampleMeta {
+                spec: self.sample,
+                ..SampleMeta::default()
+            });
+            result
+        } else {
+            let mut stats = SimStats::new();
+            for (rep, slice) in reps.iter().zip(&slices) {
+                stats.merge_scaled(&slice.stats, rep.weight);
+            }
+            let len = |rep: &Representative| plan.profile.intervals[rep.interval].len_uops;
+            let meta = SampleMeta {
+                spec: self.sample,
+                intervals_total: plan.profile.intervals.len() as u64,
+                total_uops: plan.profile.total_uops(),
+                simulated_uops: reps.iter().map(len).sum(),
+                weights: reps
+                    .iter()
+                    .map(|rep| RepWeight {
+                        interval: rep.interval as u64,
+                        weight: rep.weight,
+                        uops: len(rep),
+                    })
+                    .collect(),
+            };
+            RunResult {
+                workload: spec.workload,
+                technique: spec.technique,
+                energy: EnergyModel::default().evaluate(&stats, &spec.config),
+                stats,
+                deadlocked: slices.iter().any(|s| s.deadlocked),
+                cache_hit: slices.iter().all(|s| s.cache_hit),
+                watchdog: slices.iter().find_map(|s| s.watchdog.clone()),
+                sample: Some(meta),
+            }
+        };
+        if let Some((key, desc)) = &self.store {
+            let disk = crate::stores::env_cache_dir();
+            crate::stores::result_store(*key, desc, &result, disk.as_deref());
+        }
+        Ok(result)
+    }
+}
+
+/// Runs `spec` in sampled mode (`spec.sample` must be set) without the
+/// result cache: profiles the functional execution into intervals,
+/// clusters them, simulates one representative per cluster in detail and
+/// extrapolates a full-run [`RunResult`] carrying [`SampleMeta`]. This is
+/// [`run_one`] on the spec with [`RunSpec::use_result_cache`] off, so
+/// neither the estimate nor its slices touch the cache.
+///
+/// # Errors
+///
+/// Returns [`SimError`] when the spec carries no sampling parameters,
+/// requests tracing or zero clusters or interval size, and propagates the
+/// first failure in slice order (validation errors, watchdog aborts as
+/// data, panics as [`SimError::Panic`]).
+pub fn run_sampled(spec: &RunSpec) -> Result<RunResult, SimError> {
+    if spec.sample.is_none() {
+        return Err(SimError::Snapshot {
+            detail: "run_sampled called without sampling parameters".to_string(),
+        });
+    }
+    run_one(&spec.clone().with_result_cache(false))
 }
 
 #[cfg(test)]
@@ -473,6 +598,7 @@ mod tests {
 
     #[test]
     fn sampled_run_reports_metadata_and_reasonable_ipc() {
+        let _stores = crate::stores::lock_stores();
         crate::stores::clear_stores();
         let spec = RunSpec::new(Workload::ComputeBound, Technique::OutOfOrder)
             .with_budget(20_000)
@@ -508,6 +634,7 @@ mod tests {
 
     #[test]
     fn sampled_runs_are_deterministic_and_cache_cleanly() {
+        let _stores = crate::stores::lock_stores();
         crate::stores::clear_stores();
         let spec = RunSpec::new(Workload::ComputeBound, Technique::Pre)
             .with_budget(12_000)

@@ -157,6 +157,16 @@ pub fn clear_stores() {
     crate::sample::PLANS.clear();
 }
 
+/// Serializes the unit tests that empty the process-global stores and then
+/// assert on what they hold: the test harness runs tests on parallel
+/// threads, and one test's [`clear_stores`] must not land inside another's
+/// store-then-lookup sequence.
+#[cfg(test)]
+pub(crate) fn lock_stores() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The built program for `(workload, params)`, shared process-wide.
 ///
 /// Building a workload is pure, so every run of the same cell constructs
@@ -873,6 +883,7 @@ mod tests {
 
     #[test]
     fn disk_cache_roundtrips_and_verifies_keydesc() {
+        let _stores = lock_stores();
         let (spec, result) = small_result();
         let program = spec.workload.build(&spec.params);
         let (key, desc) = result_key(&spec, &program);
@@ -895,6 +906,7 @@ mod tests {
 
     #[test]
     fn snapshot_disk_roundtrip_and_truncation_fallback() {
+        let _stores = lock_stores();
         let program = Workload::ComputeBound.build(&WorkloadParams::short(80));
         let (key, _) = snapshot_key(&program, 300, 300);
         let dir = std::env::temp_dir().join(format!("pre-snap-test-{key:016x}"));
@@ -940,6 +952,7 @@ mod tests {
 
     #[test]
     fn interval_snapshot_keys_never_collide_with_warmup_snapshots() {
+        let _stores = lock_stores();
         let program = Workload::ComputeBound.build(&WorkloadParams::short(200));
         // A per-interval snapshot at offset 10k with a 2k warm window vs the
         // plain warm-up snapshot for a 10k warm-up budget (full window):
@@ -1018,6 +1031,7 @@ mod tests {
 
     #[test]
     fn snapshot_store_shares_one_capture() {
+        let _stores = lock_stores();
         clear_stores();
         let program = Workload::ComputeBound.build(&WorkloadParams::short(200));
         let a = snapshot_for_with_dir(&program, 500, 500, None);
@@ -1029,6 +1043,7 @@ mod tests {
 
     #[test]
     fn warmed_store_shares_across_core_sizing() {
+        let _stores = lock_stores();
         clear_stores();
         let program = Workload::ComputeBound.build(&WorkloadParams::short(200));
         let snap = snapshot_for_with_dir(&program, 500, 500, None);

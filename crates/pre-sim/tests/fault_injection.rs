@@ -8,7 +8,7 @@ use pre_model::config::SimConfig;
 use pre_model::error::SimError;
 use pre_runahead::Technique;
 use pre_sim::matrix::EvaluationMatrix;
-use pre_sim::runner::{run_one, RunSpec};
+use pre_sim::runner::{run_batch, run_one, RunSpec};
 use pre_sim::stores::{clear_stores, snapshot_for_with_dir};
 use pre_sim::sweep::Sweep;
 use pre_sim::SampleSpec;
@@ -395,5 +395,56 @@ fn sweep_subprocess_reports_failures_and_retries() {
     assert!(
         stdout.contains("1 of 2 points"),
         "surviving point completed:\n{stdout}"
+    );
+}
+
+#[test]
+fn sampled_batches_count_attempts_per_cell_not_per_slice() {
+    let _guard = lock();
+    let specs: Vec<RunSpec> = [
+        (Workload::ComputeBound, Technique::OutOfOrder),
+        (Workload::McfLike, Technique::Pre),
+        (Workload::LbmLike, Technique::PreEmq),
+    ]
+    .into_iter()
+    .map(|(w, t)| {
+        RunSpec::new(w, t)
+            .with_budget(8_000)
+            .with_config(SimConfig::small_for_tests())
+            .sampled(SampleSpec::new(3, 1_000))
+    })
+    .collect();
+    let _env = EnvGuard::set(&[("PRE_FAULT", Some("panic:cell=1")), ("PRE_CACHE_DIR", None)]);
+
+    // The hook fires once per attempt of cell 1: one retry, two attempts.
+    let outcomes = run_batch(&specs, false, 1, |_, _| {});
+    assert_eq!(outcomes.len(), 3);
+    for (i, (outcome, attempts)) in outcomes.iter().enumerate() {
+        if i == 1 {
+            assert!(
+                matches!(outcome, Err(SimError::Panic { .. })),
+                "{outcome:?}"
+            );
+            assert_eq!(*attempts, 2);
+        } else {
+            assert!(outcome.is_ok(), "cell {i}: {outcome:?}");
+            assert_eq!(*attempts, 1, "cell {i}");
+        }
+    }
+
+    // Fail-fast on one worker: cell 1 fails for good before any item of
+    // cell 2 starts, so cell 2 is skipped without an attempt.
+    let _one = EnvGuard::set(&[("PRE_THREADS", Some("1"))]);
+    let outcomes = run_batch(&specs, true, 0, |_, _| {});
+    assert!(matches!(outcomes[0], (Ok(_), 1)), "{:?}", outcomes[0]);
+    assert!(
+        matches!(outcomes[1], (Err(SimError::Panic { .. }), 1)),
+        "{:?}",
+        outcomes[1]
+    );
+    assert!(
+        matches!(outcomes[2], (Err(SimError::Skipped), 0)),
+        "{:?}",
+        outcomes[2]
     );
 }

@@ -2,10 +2,15 @@
 //! clustering passes are deterministic (including under `PRE_THREADS`
 //! variation), and the extrapolated IPC of a sampled run stays within 5% of
 //! the full detailed run on the long asm kernels under every runahead
-//! flavour the paper compares.
+//! flavour the paper compares. Batches that mix sampled and plain specs
+//! match serial runs, and unusable sampling parameters are rejected with
+//! typed errors.
 
+use pre_model::config::SimConfig;
+use pre_model::error::{ConfigError, SimError};
 use pre_model::profile::{cluster_intervals, profile_intervals};
 use pre_runahead::Technique;
+use pre_sim::matrix::EvaluationMatrix;
 use pre_sim::runner::{run_one, RunSpec};
 use pre_sim::sample::SampleSpec;
 use pre_sim::stores::clear_stores;
@@ -163,5 +168,90 @@ fn sampled_ipc_is_within_five_percent_of_full_runs() {
                 meta.summary()
             );
         }
+    }
+}
+
+/// Zero clusters or a zero interval size cannot be sampled: both are
+/// rejected with a typed configuration error instead of a mislabelled
+/// single-cluster estimate or a panic in the profiling pass.
+#[test]
+fn invalid_sampling_parameters_are_rejected_with_typed_errors() {
+    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for (sample, field) in [
+        (SampleSpec::new(0, 1_000), "sample.clusters"),
+        (SampleSpec::new(2, 0), "sample.interval_uops"),
+    ] {
+        let spec = RunSpec::new(Workload::ComputeBound, Technique::Pre)
+            .with_budget(8_000)
+            .sampled(sample);
+        let outcome = std::panic::catch_unwind(|| run_one(&spec));
+        match outcome {
+            Ok(Err(SimError::Config(ConfigError::ZeroCapacity { field: f }))) => {
+                assert_eq!(f, field, "{sample}")
+            }
+            Ok(other) => panic!("{sample}: expected a zero-capacity error, got {other:?}"),
+            Err(_) => panic!("{sample}: the sampled run panicked"),
+        }
+    }
+}
+
+/// One batch mixing plain specs, sampled specs (several techniques on the
+/// same programs, so they share plans), a sampled spec with nothing to
+/// sample and a sampled spec already in the result cache equals per-spec
+/// serial `run_one` in stats, energy and sampling metadata, whatever the
+/// worker-pool width.
+#[test]
+fn mixed_batches_match_serial_runs_under_any_pool_width() {
+    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let small = |w: Workload, t: Technique, budget: u64| {
+        RunSpec::new(w, t)
+            .with_budget(budget)
+            .with_config(SimConfig::small_for_tests())
+    };
+    let sample = SampleSpec::new(3, 1_000);
+    let cached = 8;
+    let specs = vec![
+        small(Workload::LbmLike, Technique::OutOfOrder, 4_000),
+        small(Workload::ComputeBound, Technique::OutOfOrder, 8_000).sampled(sample),
+        small(Workload::ComputeBound, Technique::Pre, 8_000).sampled(sample),
+        small(Workload::McfLike, Technique::OutOfOrder, 8_000).sampled(sample),
+        small(Workload::ComputeBound, Technique::PreEmq, 8_000).sampled(sample),
+        small(Workload::McfLike, Technique::RunaheadBuffer, 4_000),
+        small(Workload::McfLike, Technique::Pre, 8_000).sampled(sample),
+        small(Workload::LbmLike, Technique::Pre, 0).sampled(sample),
+        small(Workload::LbmLike, Technique::PreEmq, 8_000)
+            .sampled(sample)
+            .with_result_cache(true),
+    ];
+    for threads in ["1", "4"] {
+        with_threads(Some(threads), || {
+            clear_stores();
+            let serial: Vec<_> = specs
+                .iter()
+                .map(|s| run_one(s).expect("serial run"))
+                .collect();
+            assert!(serial[7]
+                .sample
+                .as_ref()
+                .is_some_and(|m| m.intervals_simulated() == 0));
+            clear_stores();
+            run_one(&specs[cached]).expect("priming run");
+            let run = EvaluationMatrix::run_specs_isolated(&specs, |_| {});
+            assert!(run.failures.is_empty(), "PRE_THREADS={threads}");
+            for (spec, reference) in specs.iter().zip(&serial) {
+                let got = run
+                    .matrix
+                    .get(spec.workload, spec.technique)
+                    .expect("every cell present");
+                let name = format!("{} (PRE_THREADS={threads})", spec.cell_name());
+                assert_eq!(got.stats, reference.stats, "{name}");
+                assert_eq!(got.energy, reference.energy, "{name}");
+                assert_eq!(got.sample, reference.sample, "{name}");
+            }
+            let hit = run
+                .matrix
+                .get(specs[cached].workload, specs[cached].technique);
+            assert!(hit.is_some_and(|r| r.cache_hit), "the cached spec is a hit");
+        });
     }
 }

@@ -20,8 +20,8 @@
 //! that outlive their entry (squash, runahead exit) are dropped lazily
 //! without walking any list eagerly.
 //!
-//! The queue also supports a *reference mode* (the `--reference-scheduler`
-//! escape hatch) in which none of the event structures are maintained and
+//! The queue also supports a *reference mode* (the
+//! `CoreConfig::reference_scheduler` oracle) in which none of the event structures are maintained and
 //! the pipeline falls back to scan-based select; both paths produce
 //! bit-identical statistics, which `pre-sim`'s `scheduler_equivalence` test
 //! asserts cell-by-cell.

@@ -316,7 +316,7 @@ impl OooCore {
         self.issue_retry = retry;
     }
 
-    /// Reference select (the `--reference-scheduler` escape hatch): rescans
+    /// Reference select (the `CoreConfig::reference_scheduler` oracle): rescans
     /// the whole queue for ready candidates every cycle, exactly like the
     /// pre-event-scheduler pipeline. Must stay bit-identical to
     /// [`OooCore::issue_stage`]; the `scheduler_equivalence` suite asserts

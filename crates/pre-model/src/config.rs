@@ -589,14 +589,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Selects the reference (scan-based, no fast-forward) issue scheduler
-    /// instead of the event-driven one. Statistics are bit-identical either
-    /// way; this is the `--reference-scheduler` escape hatch.
-    pub fn reference_scheduler(mut self, on: bool) -> Self {
-        self.cfg.core.reference_scheduler = on;
-        self
-    }
-
     /// Applies an arbitrary closure to the configuration under construction.
     pub fn tweak(mut self, f: impl FnOnce(&mut SimConfig)) -> Self {
         f(&mut self.cfg);

@@ -12,8 +12,7 @@
 //!
 //! The paper provisions 256 entries with LRU replacement and finds that this
 //! captures the stalling slices of SPEC CPU2006 with almost no misses
-//! (Section 3.6); `stat_f`/`sst_sensitivity` in `pre-sim` reproduces that
-//! sweep.
+//! (Section 3.6); `report sst` in `pre-sim` (Stat F) reproduces that sweep.
 
 /// A fully-associative, LRU-replaced table of instruction addresses.
 #[derive(Debug, Clone)]

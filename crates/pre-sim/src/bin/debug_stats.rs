@@ -1,18 +1,24 @@
 //! Development aid: dump detailed statistics for one workload under one
-//! technique.
+//! technique, and optionally record every trace stream of that run.
 //!
 //! Usage: `debug_stats [--suite synthetic|asm|mixed] [--trace <spec>]
 //! [--sample [n=K,interval=N]] [workload] [technique] [max_uops]`. Workload
 //! names include the asm kernels (`asm-matmul`, `quicksort`, ...); when only
-//! `--suite` is given, the suite's first workload is dumped. Run with
-//! `--help` for the environment variables the tools honour.
+//! `--suite` is given, the suite's first workload is dumped. `--trace
+//! dir=traces,all` is the quickest way to get a Konata/O3PipeView view of
+//! the pipeline (the `.pipeview` file) or a `chrome://tracing` timeline of
+//! runahead intervals (the `.trace.json` file); the files written are
+//! listed at the end of the dump. Run with `--help` for the environment
+//! variables the tools honour.
+//!
+//! A malformed command line exits 2; a run that fails, or trace files that
+//! cannot be created or written, exit 1.
 
 use pre_runahead::Technique;
-use pre_sim::experiments::split_suite_flag;
+use pre_sim::experiments::{cli_from_args, Flag};
 use pre_sim::runner::{run_one, run_one_traced, RunSpec};
-use pre_sim::sample::SampleSpec;
 use pre_trace::collect::IntervalLog;
-use pre_trace::{IntervalCollector, TraceSession, TraceSpec, Tracer};
+use pre_trace::{IntervalCollector, TraceSession, Tracer};
 use pre_workloads::Workload;
 
 const HELP: &str = "\
@@ -20,6 +26,7 @@ usage: debug_stats [--suite synthetic|asm|mixed] [--trace <spec>] [--sample [n=K
 
 Dumps every statistic of one (workload, technique) run, including the
 runahead interval entry/exit event log collected through the tracer.
+Defaults: the suite's first workload, ooo, 60 000 committed uops.
 
   --suite <name>   pick the default workload from this suite
   --trace <spec>   also write trace files; <spec> is a comma-separated list
@@ -38,88 +45,50 @@ environment variables:
 ";
 
 fn main() {
-    let (suite, positional) = match split_suite_flag(std::env::args().skip(1)) {
-        Ok(parsed) => parsed,
-        Err(msg) => {
-            eprintln!("{msg}");
-            eprint!("{HELP}");
-            std::process::exit(2);
+    let (cli, workload, technique) = cli_from_args(HELP, 60_000, |cli| {
+        let cli = cli.only(&[Flag::Suite, Flag::Trace, Flag::Sample], 2)?;
+        if cli.sample.is_some() && cli.trace.is_some() {
+            return Err(
+                "--sample and --trace are incompatible (sampled runs cannot be traced)".into(),
+            );
         }
-    };
-    let mut trace: Option<TraceSpec> = None;
-    let mut sample: Option<SampleSpec> = None;
-    let mut rest = Vec::new();
-    let mut args = positional.into_iter().peekable();
-    while let Some(arg) = args.next() {
-        if arg == "--help" || arg == "-h" {
-            print!("{HELP}");
-            return;
-        }
-        if arg == "--trace" {
-            let value = args.next().unwrap_or_else(|| {
-                eprintln!("--trace requires a value");
-                std::process::exit(2);
-            });
-            trace = Some(value.parse().expect("valid --trace spec"));
-            continue;
-        }
-        if let Some(value) = arg.strip_prefix("--trace=") {
-            trace = Some(value.parse().expect("valid --trace spec"));
-            continue;
-        }
-        if arg == "--sample" {
-            // The value is optional; consume the next argument only when it
-            // looks like a sample spec (contains `=`).
-            sample = Some(match args.peek() {
-                Some(next) if next.contains('=') => args
-                    .next()
-                    .unwrap_or_default()
-                    .parse()
-                    .expect("valid --sample spec"),
-                _ => SampleSpec::default(),
-            });
-            continue;
-        }
-        if let Some(value) = arg.strip_prefix("--sample=") {
-            sample = Some(value.parse().expect("valid --sample spec"));
-            continue;
-        }
-        rest.push(arg);
-    }
-    if sample.is_some() && trace.is_some() {
-        eprintln!("--sample and --trace are incompatible (sampled runs cannot be traced)");
-        std::process::exit(2);
-    }
-    let workload: Workload = rest
-        .first()
-        .map(|s| s.parse().expect("workload"))
-        .unwrap_or_else(|| suite.workloads()[0]);
-    let technique: Technique = rest
-        .get(1)
-        .map(|s| s.parse().expect("technique"))
-        .unwrap_or(Technique::OutOfOrder);
-    let budget: u64 = rest.get(2).and_then(|s| s.parse().ok()).unwrap_or(60_000);
+        let workload: Workload = match cli.names.first() {
+            Some(name) => name.parse().map_err(|e| format!("{e}"))?,
+            None => cli.suite.workloads()[0],
+        };
+        let technique: Technique = match cli.names.get(1) {
+            Some(name) => name.parse().map_err(|e| format!("{e}"))?,
+            None => Technique::OutOfOrder,
+        };
+        Ok((cli, workload, technique))
+    });
 
-    let mut spec = RunSpec::new(workload, technique).with_budget(budget);
-    spec.sample = sample;
-    let (result, events, trace_files) = if sample.is_some() {
+    let mut spec = RunSpec::new(workload, technique).with_budget(cli.budget);
+    spec.sample = cli.sample;
+    let (result, events, session) = if cli.sample.is_some() {
         // Sampled runs cannot carry a tracer; the interval event log stays
         // empty and the extrapolated statistics are dumped with a ~ marker.
-        let result = run_one(&spec).expect("run");
+        let result = run_one(&spec).unwrap_or_else(|e| fail(&format!("run failed: {e}")));
         (result, IntervalLog::default(), None)
     } else {
         // The interval event log rides on the tracer: a full TraceSession
         // when `--trace` asks for files, the lightweight IntervalCollector
         // otherwise.
-        let tracer: Box<dyn Tracer> = match &trace {
+        let tracer: Box<dyn Tracer> = match &cli.trace {
             Some(ts) => Box::new(
-                TraceSession::create(ts, &spec.cell_name()).expect("trace files can be created"),
+                TraceSession::create(ts, &spec.cell_name()).unwrap_or_else(|e| {
+                    fail(&format!(
+                        "cannot create trace files under {}: {e}",
+                        ts.dir.display()
+                    ))
+                }),
             ),
             None => Box::new(IntervalCollector::new()),
         };
-        let (result, tracer) = run_one_traced(&spec, tracer).expect("run");
-        let (events, trace_files) = recover_log(tracer, trace.is_some());
-        (result, events, trace_files)
+        let (result, tracer) =
+            run_one_traced(&spec, tracer).unwrap_or_else(|e| fail(&format!("run failed: {e}")));
+        let (events, session) = recover_log(tracer, cli.trace.is_some());
+        (result, events, session)
     };
     let s = &result.stats;
     println!(
@@ -266,31 +235,35 @@ fn main() {
         result.energy.total_mj(),
         result.energy.static_fraction()
     );
-    if let Some(files) = trace_files {
+    if let Some(session) = session {
         println!("--- trace files ---");
-        for f in files {
+        for f in session.files() {
             println!("{}", f.display());
+        }
+        if let Some(e) = session.io_error() {
+            fail(&format!("trace output incomplete: {e}"));
         }
     }
 }
 
+fn fail(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1);
+}
+
 /// Downcasts the returned tracer back to whichever concrete type was
 /// attached, extracting the interval event log (and, for a trace session,
-/// the list of files written).
+/// the session itself, which knows the files written).
 fn recover_log(
     tracer: Box<dyn Tracer>,
     traced_to_files: bool,
-) -> (IntervalLog, Option<Vec<std::path::PathBuf>>) {
+) -> (IntervalLog, Option<Box<TraceSession>>) {
     if traced_to_files {
         let session = tracer
             .into_any()
             .downcast::<TraceSession>()
             .expect("tracer is the session attached above");
-        if let Some(e) = session.io_error() {
-            eprintln!("warning: trace output incomplete: {e}");
-        }
-        let files = session.files().to_vec();
-        (session.interval_log().clone(), Some(files))
+        (session.interval_log().clone(), Some(session))
     } else {
         let collector = tracer
             .into_any()

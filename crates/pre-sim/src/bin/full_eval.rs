@@ -1,42 +1,38 @@
 //! Runs the complete evaluation matrix once and prints every result that
 //! depends on it: Figure 2 (performance), Figure 3 (energy) and Stat D
 //! (runahead invocation ratios). This is the cheapest way to regenerate the
-//! paper's headline numbers because the matrix is simulated only once.
+//! paper's headline numbers because the matrix is simulated only once. The
+//! Figure 2 and Figure 3 tables are also written to `fig2_performance.csv`
+//! and `fig3_energy.csv` in the working directory.
 //!
-//! Usage: `full_eval [--suite synthetic|asm|mixed] [--reference-scheduler]
-//! [--warmup <uops>] [--trace <spec>] [--sample [n=K,interval=N]]
-//! [max_uops_per_run]` (defaults: the synthetic memory-intensive suite,
-//! 300 000 uops, event-driven scheduler). `--sample` estimates every cell by
-//! SimPoint-style interval sampling (profile → cluster → simulate one
-//! representative per cluster → extrapolate); sampled numbers are marked `~`
-//! in the tables and the sampling metadata is printed after them.
-//! `--reference-scheduler` selects the scan-based escape-hatch scheduler —
-//! bit-identical statistics, much slower wall clock; useful for timing
-//! comparisons and debugging. `--warmup` shares one functional warm-up
-//! snapshot per workload across its cells. `--trace dir=traces,all`
-//! additionally writes per-cell trace files (pipeview/Chrome/time-series/
-//! commit streams). Cells consult the result cache (persisted when
+//! Usage: `full_eval [--suite synthetic|asm|mixed] [--warmup <uops>]
+//! [--trace <spec>] [--sample [n=K,interval=N]] [max_uops_per_run]`
+//! (defaults: the synthetic memory-intensive suite, 300 000 uops).
+//! `--sample` estimates every cell by SimPoint-style interval sampling
+//! (profile → cluster → simulate one representative per cluster →
+//! extrapolate); sampled numbers are marked `~` in the tables and the
+//! sampling metadata is printed after them. `--warmup` shares one
+//! functional warm-up snapshot per workload across its cells. `--trace
+//! dir=traces,all` additionally writes per-cell trace files (pipeview/
+//! Chrome/time-series/commit streams). Cells consult the result cache (persisted when
 //! `PRE_CACHE_DIR` names a directory), so a repeated invocation answers
 //! unchanged cells in milliseconds; the progress log marks those `(cached)`.
 
 use pre_model::stats::TerminationKind;
 use pre_sim::experiments::{
     cli_from_args, fig2_summary, fig2_table, fig3_summary, fig3_table,
-    run_suite_matrix_cli_isolated, stat_invocations, Suite, DEFAULT_EVAL_UOPS,
+    run_suite_matrix_cli_isolated, stat_invocations, Flag, Suite, DEFAULT_EVAL_UOPS,
 };
 use pre_sim::runner::cell_name;
 
+const USAGE: &str = "usage: full_eval [--suite synthetic|asm|mixed] [--warmup <uops>] \
+                     [--trace <spec>] [--sample [n=K,interval=N]] [max_uops]";
+
 fn main() {
-    let cli = cli_from_args(DEFAULT_EVAL_UOPS);
+    let cli = cli_from_args(USAGE, DEFAULT_EVAL_UOPS, |cli| cli.only(&Flag::ALL, 0));
     eprintln!(
-        "running the full evaluation matrix over the {} suite ({} committed uops per run{})...",
-        cli.suite,
-        cli.budget,
-        if cli.reference_scheduler {
-            ", reference scheduler"
-        } else {
-            ""
-        }
+        "running the full evaluation matrix over the {} suite ({} committed uops per run)...",
+        cli.suite, cli.budget
     );
     if let Some(trace) = &cli.trace {
         eprintln!("writing per-cell traces under {}", trace.dir.display());

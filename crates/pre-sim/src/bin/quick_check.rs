@@ -1,8 +1,7 @@
 //! Quick sanity check: run a few representative workloads under every
 //! technique with a small budget and print IPC, runahead activity and
 //! energy. Intended for development and for a fast "does the reproduction
-//! behave sensibly" smoke test; the real figures come from the
-//! `fig2_performance` / `fig3_energy` binaries.
+//! behave sensibly" smoke test; the real figures come from `full_eval`.
 //!
 //! Usage: `quick_check [--suite synthetic|asm|mixed] [--warmup <uops>]
 //! [--trace <spec>] [--sample [n=K,interval=N]] [max_uops]` (`--suite asm`
@@ -21,11 +20,14 @@
 //! PCs).
 
 use pre_model::stats::TerminationKind;
-use pre_sim::experiments::{cli_from_args, suite_matrix_specs};
+use pre_sim::experiments::{cli_from_args, suite_matrix_specs, Flag};
 use pre_sim::matrix::EvaluationMatrix;
 
+const USAGE: &str = "usage: quick_check [--suite synthetic|asm|mixed] [--warmup <uops>] \
+                     [--trace <spec>] [--sample [n=K,interval=N]] [max_uops]";
+
 fn main() {
-    let cli = cli_from_args(60_000);
+    let cli = cli_from_args(USAGE, 60_000, |cli| cli.only(&Flag::ALL, 0));
     // The synthetic suite is large, so the quick check runs the reduced
     // representative matrix; the cell order is the canonical
     // `Suite::quick_cells` order shared with the other binaries.

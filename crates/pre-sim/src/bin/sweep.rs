@@ -13,8 +13,7 @@
 //! sweep [--workload <name>] [--technique <name>] [--budget <uops>]
 //!       [--warmup <uops>] [--grid dim=v1,v2,...]... [--json <path>]
 //!       [--csv <path>] [--no-cache] [--expect-min-hit-rate <pct>]
-//!       [--reference-scheduler] [--fail-fast] [--max-retries <n>]
-//!       [--sample [n=K,interval=N]]
+//!       [--fail-fast] [--max-retries <n>] [--sample [n=K,interval=N]]
 //! ```
 //!
 //! Dimensions: `emq`, `sst`, `rob`, `iq`, `prdq`, `min-free-int`,
@@ -32,7 +31,7 @@
 //! `--fail-fast` stops launching new points after the first failure.
 
 use pre_runahead::Technique;
-use pre_sim::sample::SampleSpec;
+use pre_sim::experiments::{parse_sample, sample_value};
 use pre_sim::sweep::{cache_hit_rate, sweep_csv, sweep_json, GridDim, Sweep, ALL_DIMS};
 use pre_workloads::Workload;
 use std::str::FromStr;
@@ -50,8 +49,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: sweep [--workload <name>] [--technique <name>] [--budget <uops>] \
          [--warmup <uops>] [--grid dim=v1,v2,...]... [--json <path>] [--csv <path>] \
-         [--no-cache] [--expect-min-hit-rate <pct>] [--reference-scheduler] \
-         [--fail-fast] [--max-retries <n>] [--sample [n=K,interval=N]]"
+         [--no-cache] [--expect-min-hit-rate <pct>] [--fail-fast] [--max-retries <n>] \
+         [--sample [n=K,interval=N]]"
     );
     eprintln!("dimensions: {}", dims.join(", "));
     std::process::exit(2);
@@ -71,25 +70,13 @@ fn parse_args() -> Args {
         usage();
     };
     while let Some(arg) = args.next() {
-        if arg == "--sample" {
-            // The value is optional; consume the next argument only when it
-            // looks like a sample spec (contains `=`).
-            sweep.sample = Some(match args.peek() {
-                Some(next) if next.contains('=') && !next.starts_with("--") => {
-                    match args.next().unwrap_or_default().parse::<SampleSpec>() {
-                        Ok(s) => s,
-                        Err(e) => bail(format!("bad --sample: {e}")),
-                    }
-                }
-                _ => SampleSpec::default(),
-            });
-            continue;
-        }
-        if let Some(value) = arg.strip_prefix("--sample=") {
-            match value.parse::<SampleSpec>() {
-                Ok(s) => sweep.sample = Some(s),
-                Err(e) => bail(format!("bad --sample: {e}")),
-            }
+        if arg == "--sample" || arg.starts_with("--sample=") {
+            // The value is optional, read by the rule every binary shares.
+            let spec = match arg.strip_prefix("--sample=") {
+                Some(value) => parse_sample(value),
+                None => sample_value(&mut args),
+            };
+            sweep.sample = Some(spec.unwrap_or_else(|e| bail(e)));
             continue;
         }
         let mut value_of = |flag: &str| -> String {
@@ -132,7 +119,6 @@ fn parse_args() -> Args {
                 Ok(p) => expect_min_hit_rate = Some(p / 100.0),
                 Err(_) => bail("bad --expect-min-hit-rate value".to_string()),
             },
-            "--reference-scheduler" => sweep.base_config.core.reference_scheduler = true,
             "--fail-fast" => sweep.fail_fast = true,
             "--max-retries" => match value_of("--max-retries").parse() {
                 Ok(n) => sweep.max_retries = n,

@@ -12,14 +12,15 @@ use pre_runahead::Technique;
 use pre_trace::TraceSpec;
 use pre_workloads::Workload;
 use std::fmt;
+use std::iter::Peekable;
 use std::str::FromStr;
 
 /// Default committed-micro-op budget per (workload, technique) run used by
 /// the experiment binaries. The paper simulates 1-billion-instruction
 /// SimPoints; this reproduction uses a budget that keeps the full evaluation
 /// matrix tractable on one machine while still covering thousands of
-/// runahead intervals per run. Override with the first command-line argument
-/// of each binary.
+/// runahead intervals per run. Override with the `max_uops` argument of each
+/// binary.
 pub const DEFAULT_EVAL_UOPS: u64 = 300_000;
 
 /// Which workload set an experiment binary runs over.
@@ -136,19 +137,47 @@ impl FromStr for Suite {
     }
 }
 
+/// A flag of the shared experiment command line. A binary that cannot
+/// honour one refuses it through [`CliArgs::only`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flag {
+    /// `--suite synthetic|asm|mixed`
+    Suite,
+    /// `--warmup <uops>`
+    Warmup,
+    /// `--trace <spec>`
+    Trace,
+    /// `--sample [n=K,interval=N]`
+    Sample,
+}
+
+impl Flag {
+    /// Every flag, for the binaries that honour them all.
+    pub const ALL: [Flag; 4] = [Flag::Suite, Flag::Warmup, Flag::Trace, Flag::Sample];
+
+    fn from_key(key: &str) -> Option<Flag> {
+        Flag::ALL.into_iter().find(|f| f.key() == key)
+    }
+
+    fn key(self) -> &'static str {
+        match self {
+            Flag::Suite => "--suite",
+            Flag::Warmup => "--warmup",
+            Flag::Trace => "--trace",
+            Flag::Sample => "--sample",
+        }
+    }
+}
+
 /// Common command-line arguments of the experiment binaries:
-/// `<binary> [--suite synthetic|asm|mixed] [--reference-scheduler]
-/// [--warmup <uops>] [--trace <spec>] [max_uops]`.
+/// `<binary> [--suite synthetic|asm|mixed] [--warmup <uops>] [--trace <spec>]
+/// [--sample [n=K,interval=N]] [name]... [max_uops]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CliArgs {
     /// Which workload suite to run.
     pub suite: Suite,
     /// Committed-micro-op budget per run.
     pub budget: u64,
-    /// Escape hatch: run on the reference (scan-based, no fast-forward)
-    /// scheduler instead of the event-driven one. Statistics are
-    /// bit-identical; only wall-clock time differs.
-    pub reference_scheduler: bool,
     /// Micro-ops of functional warm-up before detailed simulation
     /// (`--warmup <uops>`; 0 = cold start). Warm-up snapshots are shared
     /// across the cells of one invocation, so the warm-up executes once per
@@ -162,176 +191,154 @@ pub struct CliArgs {
     /// estimated by SimPoint-style interval sampling instead of a full
     /// detailed run, and reported numbers are marked `~`.
     pub sample: Option<SampleSpec>,
+    /// The positional arguments other than the budget, in order: a report
+    /// name, or `debug_stats`'s workload and technique.
+    pub names: Vec<String>,
+    /// The flags given, in command-line order.
+    pub flags: Vec<Flag>,
 }
 
 impl CliArgs {
-    /// The simulator configuration these arguments select: the paper's
-    /// Table 1 baseline, with the reference scheduler applied when
-    /// requested.
-    pub fn config(&self) -> SimConfig {
-        let mut cfg = SimConfig::haswell_like();
-        cfg.core.reference_scheduler = self.reference_scheduler;
-        cfg
-    }
-}
-
-/// Extracts a `--suite <name>` / `--suite=<name>` flag from `args`,
-/// returning the suite (default [`Suite::Synthetic`]) and the remaining
-/// positional arguments in order. Shared by every experiment binary so the
-/// flag parses identically everywhere.
-///
-/// # Errors
-///
-/// Returns a message suitable for printing when the flag is malformed.
-pub fn split_suite_flag<I: IntoIterator<Item = String>>(
-    args: I,
-) -> Result<(Suite, Vec<String>), String> {
-    let mut suite = Suite::default();
-    let mut positional = Vec::new();
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
-        if arg == "--suite" {
-            let value = args.next().ok_or("--suite requires a value")?;
-            suite = value.parse().map_err(|e: ParseSuiteError| e.to_string())?;
-        } else if let Some(value) = arg.strip_prefix("--suite=") {
-            suite = value.parse().map_err(|e: ParseSuiteError| e.to_string())?;
-        } else {
-            positional.push(arg);
+    /// Returns these arguments when they use no flag outside `accepted` and
+    /// at most `max_names` names.
+    ///
+    /// # Errors
+    ///
+    /// Names the first refused flag or surplus name.
+    pub fn only(self, accepted: &[Flag], max_names: usize) -> Result<Self, String> {
+        if let Some(flag) = self.flags.iter().find(|f| !accepted.contains(f)) {
+            return Err(format!("{} is not accepted here", flag.key()));
         }
+        if let Some(extra) = self.names.get(max_names) {
+            return Err(format!("unrecognized argument `{extra}`"));
+        }
+        Ok(self)
     }
-    Ok((suite, positional))
 }
 
-/// Parses `[--suite <name>] [--reference-scheduler] [--warmup <uops>]
-/// [--trace <spec>] [--sample [n=K,interval=N]] [max_uops]` from an argument
-/// iterator. `--sample` with no value uses the default sampling parameters
-/// ([`SampleSpec::default`]).
+/// Parses a `--sample` spec, with a message suitable for printing.
 ///
 /// # Errors
 ///
-/// Returns a message suitable for printing when a flag is malformed.
+/// Returns the spec's parse error.
+pub fn parse_sample(value: &str) -> Result<SampleSpec, String> {
+    value.parse().map_err(|e| format!("bad --sample: {e}"))
+}
+
+/// Reads the optional value of a bare `--sample` flag from `args`: the next
+/// argument is the spec only when it looks like one (contains `=` and is not
+/// itself a flag), so `--sample 60000` keeps the budget and `--sample
+/// --warmup=500` keeps the flag. Shared with the `sweep` binary.
+///
+/// # Errors
+///
+/// Returns the spec's parse error.
+pub fn sample_value<I: Iterator<Item = String>>(
+    args: &mut Peekable<I>,
+) -> Result<SampleSpec, String> {
+    match args.next_if(|next| next.contains('=') && !next.starts_with("--")) {
+        Some(value) => parse_sample(&value),
+        None => Ok(SampleSpec::default()),
+    }
+}
+
+/// Parses `[--suite <name>] [--warmup <uops>] [--trace <spec>] [--sample
+/// [n=K,interval=N]] [name]... [max_uops]` from an argument iterator. Flags
+/// take their value as the next argument or after `=`; `--sample` with no
+/// value uses [`SampleSpec::default`]. A numeric positional is the budget,
+/// any other is a name.
+///
+/// # Errors
+///
+/// Returns a message suitable for printing when a flag is unknown or
+/// malformed, or the budget is given twice.
 pub fn parse_cli<I: IntoIterator<Item = String>>(
     args: I,
     default_budget: u64,
 ) -> Result<CliArgs, String> {
-    let (suite, positional) = split_suite_flag(args)?;
     let mut cli = CliArgs {
-        suite,
+        suite: Suite::default(),
         budget: default_budget,
-        reference_scheduler: false,
         warmup: 0,
         trace: None,
         sample: None,
+        names: Vec::new(),
+        flags: Vec::new(),
     };
-    let mut positional = positional.into_iter().peekable();
-    while let Some(arg) = positional.next() {
-        if arg == "--reference-scheduler" {
-            cli.reference_scheduler = true;
-            continue;
-        }
-        if arg == "--warmup" {
-            let value = positional.next().ok_or("--warmup requires a value")?;
-            cli.warmup = value
-                .parse()
-                .map_err(|_| format!("bad --warmup value `{value}`"))?;
-            continue;
-        }
-        if let Some(value) = arg.strip_prefix("--warmup=") {
-            cli.warmup = value
-                .parse()
-                .map_err(|_| format!("bad --warmup value `{value}`"))?;
-            continue;
-        }
-        if arg == "--trace" {
-            let value = positional.next().ok_or("--trace requires a value")?;
-            cli.trace = Some(value.parse().map_err(|e| format!("{e}"))?);
-            continue;
-        }
-        if let Some(value) = arg.strip_prefix("--trace=") {
-            cli.trace = Some(value.parse().map_err(|e| format!("{e}"))?);
-            continue;
-        }
-        if arg == "--sample" {
-            // The value is optional: consume the next argument only when it
-            // looks like a sample spec (contains `=`), so `--sample 60000`
-            // still reads the budget.
-            let spec = match positional.peek() {
-                Some(next) if next.contains('=') => {
-                    let value = positional.next().unwrap_or_default();
-                    value.parse().map_err(|e| format!("bad --sample: {e}"))?
+    let mut budget_given = false;
+    let mut args = args.into_iter().peekable();
+    while let Some(arg) = args.next() {
+        if !arg.starts_with("--") {
+            match arg.parse() {
+                Ok(_) if budget_given => return Err(format!("unrecognized argument `{arg}`")),
+                Ok(budget) => {
+                    cli.budget = budget;
+                    budget_given = true;
                 }
-                _ => SampleSpec::default(),
-            };
-            cli.sample = Some(spec);
+                Err(_) => cli.names.push(arg),
+            }
             continue;
         }
-        if let Some(value) = arg.strip_prefix("--sample=") {
-            cli.sample = Some(value.parse().map_err(|e| format!("bad --sample: {e}"))?);
+        let (key, inline) = match arg.split_once('=') {
+            Some((key, value)) => (key, Some(value.to_string())),
+            None => (arg.as_str(), None),
+        };
+        let flag = Flag::from_key(key).ok_or_else(|| format!("unrecognized argument `{arg}`"))?;
+        cli.flags.push(flag);
+        if flag == Flag::Sample {
+            cli.sample = Some(match inline {
+                Some(value) => parse_sample(&value)?,
+                None => sample_value(&mut args)?,
+            });
             continue;
         }
-        match arg.parse() {
-            Ok(budget) => cli.budget = budget,
-            Err(_) => return Err(format!("unrecognized argument `{arg}`")),
+        let value = match inline {
+            Some(value) => value,
+            None => args
+                .next()
+                .ok_or_else(|| format!("{key} requires a value"))?,
+        };
+        match flag {
+            Flag::Suite => cli.suite = value.parse().map_err(|e: ParseSuiteError| e.to_string())?,
+            Flag::Warmup => {
+                cli.warmup = value
+                    .parse()
+                    .map_err(|_| format!("bad --warmup value `{value}`"))?;
+            }
+            Flag::Trace => cli.trace = Some(value.parse().map_err(|e| format!("{e}"))?),
+            Flag::Sample => unreachable!("handled above"),
         }
     }
     Ok(cli)
 }
 
-/// Parses the process command line
-/// (`[--suite <name>] [--reference-scheduler] [--warmup <uops>]
-/// [--trace <spec>] [--sample [n=K,interval=N]] [max_uops]`), exiting with a
-/// usage message on malformed input.
-pub fn cli_from_args(default_budget: u64) -> CliArgs {
-    match parse_cli(std::env::args().skip(1), default_budget) {
-        Ok(cli) => cli,
+/// Parses the process command line with [`parse_cli`] and hands the result
+/// to `interpret`, the binary's own reading of it (which flags and names it
+/// accepts, see [`CliArgs::only`]). `--help` prints `usage` and exits 0; a
+/// command line that fails to parse, or that `interpret` refuses, prints the
+/// error and `usage` and exits 2.
+pub fn cli_from_args<T>(
+    usage: &str,
+    default_budget: u64,
+    interpret: impl FnOnce(CliArgs) -> Result<T, String>,
+) -> T {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{}", usage.trim_end());
+        std::process::exit(0);
+    }
+    match parse_cli(args, default_budget).and_then(interpret) {
+        Ok(parsed) => parsed,
         Err(msg) => {
             eprintln!("{msg}");
-            eprintln!(
-                "usage: <binary> [--suite synthetic|asm|mixed] [--reference-scheduler] \
-                 [--warmup <uops>] [--trace <spec>] [--sample [n=K,interval=N]] [max_uops]"
-            );
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Parses the `[max_uops]` command line of the binaries that take nothing
-/// but a per-run micro-op budget, falling back to `default` when it is
-/// absent.
-///
-/// # Errors
-///
-/// Returns a message suitable for printing for any other argument — a flag
-/// or a second value — so a flag is never misread as the budget.
-pub fn parse_budget<I: IntoIterator<Item = String>>(args: I, default: u64) -> Result<u64, String> {
-    let mut args = args.into_iter();
-    let budget = match args.next() {
-        None => default,
-        Some(arg) => arg
-            .parse()
-            .map_err(|_| format!("unrecognized argument `{arg}`"))?,
-    };
-    match args.next() {
-        None => Ok(budget),
-        Some(extra) => Err(format!("unexpected argument `{extra}`")),
-    }
-}
-
-/// Parses the process command line (`[max_uops]`) with [`parse_budget`],
-/// exiting with a usage message on anything else.
-pub fn budget_from_args(default: u64) -> u64 {
-    match parse_budget(std::env::args().skip(1), default) {
-        Ok(budget) => budget,
-        Err(msg) => {
-            eprintln!("{msg}");
-            eprintln!("usage: <binary> [max_uops]");
+            eprintln!("{}", usage.trim_end());
             std::process::exit(2);
         }
     }
 }
 
 /// Runs the evaluation matrix described by parsed [`CliArgs`], honouring
-/// `--suite`, `--reference-scheduler`, `--warmup`, `--trace` (the trace
+/// `--suite`, `--warmup`, `--trace` (the trace
 /// spec, when present, is applied to every cell; each cell writes its own
 /// files named after [`crate::runner::cell_name`]) and `--sample`. Cells
 /// consult the result cache, so a repeated invocation (with `PRE_CACHE_DIR`
@@ -350,20 +357,18 @@ pub fn run_suite_matrix_cli_isolated(
 }
 
 /// One result-cached spec per (workload, technique) cell, in the given
-/// order, with the budget, configuration, warm-up, trace and sampling
-/// options of `cli`. The matrix binaries pass [`Suite::cells`];
-/// `quick_check` passes [`Suite::quick_cells`].
+/// order, with the budget, warm-up, trace and sampling options of `cli`.
+/// `full_eval` passes [`Suite::cells`]; `quick_check` passes
+/// [`Suite::quick_cells`].
 pub fn suite_matrix_specs(
     cli: &CliArgs,
     cells: impl IntoIterator<Item = (Workload, Technique)>,
 ) -> Vec<RunSpec> {
-    let config = cli.config();
     cells
         .into_iter()
         .map(|(workload, technique)| {
             let mut spec = RunSpec::new(workload, technique)
                 .with_budget(cli.budget)
-                .with_config(config.clone())
                 .with_warmup(cli.warmup)
                 .with_result_cache(true);
             spec.trace.clone_from(&cli.trace);
@@ -672,17 +677,12 @@ pub fn stat_intervals(max_uops: u64) -> Result<Table, SimError> {
 /// (the paper reports ≈37 % of IQ entries, 51 % of integer and 59 % of
 /// floating-point registers free), plus the per-class free-register
 /// occupancy histograms at full-window stalls and the eager-drain volume —
-/// the counters behind the `asm-box-blur` reproduction finding. `config`
-/// carries e.g. the `--reference-scheduler` escape hatch.
+/// the counters behind the `asm-box-blur` reproduction finding.
 ///
 /// # Errors
 ///
 /// Propagates [`SimError`] from the simulator.
-pub fn stat_free_resources_with(
-    suite: Suite,
-    config: &SimConfig,
-    max_uops: u64,
-) -> Result<Table, SimError> {
+pub fn stat_free_resources(suite: Suite, max_uops: u64) -> Result<Table, SimError> {
     let mut table = Table::new(
         "Stat C — free resources at runahead entry (PRE)",
         &[
@@ -698,11 +698,7 @@ pub fn stat_free_resources_with(
     // restricted to the PRE column, so cell orderings agree across
     // binaries.
     for (workload, technique) in suite.cells().filter(|&(_, t)| t == Technique::Pre) {
-        let result = run_one(
-            &RunSpec::new(workload, technique)
-                .with_budget(max_uops)
-                .with_config(config.clone()),
-        )?;
+        let result = run_one(&RunSpec::new(workload, technique).with_budget(max_uops))?;
         table.add_row(vec![
             workload.name().into(),
             pct(result.stats.iq_free_at_entry.mean()),
@@ -833,17 +829,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_parser_accepts_only_a_budget() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_budget(args(&[]), 1234), Ok(1234));
-        assert_eq!(parse_budget(args(&["7000"]), 1234), Ok(7000));
-        // A flag's value is never misread as the budget.
-        assert!(parse_budget(args(&["--warmup", "5000"]), 1234).is_err());
-        assert!(parse_budget(args(&["--suite", "asm"]), 1234).is_err());
-        assert!(parse_budget(args(&["7000", "8000"]), 1234).is_err());
-    }
-
-    #[test]
     fn suites_select_the_right_workloads() {
         assert_eq!(
             Suite::Synthetic.workloads(),
@@ -875,7 +860,39 @@ mod tests {
 
         assert!(parse_cli(args(&["--suite", "bogus"]), 777).is_err());
         assert!(parse_cli(args(&["--suite"]), 777).is_err());
-        assert!(parse_cli(args(&["wat"]), 777).is_err());
+        assert!(parse_cli(args(&["--wat"]), 777).is_err());
+        assert!(parse_cli(args(&["7000", "8000"]), 777).is_err());
+    }
+
+    #[test]
+    fn cli_collects_names_around_the_budget() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let cli = parse_cli(
+            args(&["asm-quicksort", "--suite", "asm", "pre", "3000"]),
+            777,
+        )
+        .unwrap();
+        assert_eq!(cli.suite, Suite::Asm);
+        assert_eq!(cli.names, args(&["asm-quicksort", "pre"]));
+        assert_eq!(cli.budget, 3000);
+        // A malformed budget is a name, so a binary that takes none refuses it.
+        let cli = parse_cli(args(&["2k"]), 777).unwrap();
+        assert_eq!((cli.budget, cli.names.clone()), (777, args(&["2k"])));
+        assert!(cli.only(&Flag::ALL, 0).is_err());
+    }
+
+    #[test]
+    fn only_refuses_flags_and_names_a_binary_cannot_honour() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let parse = |v: &[&str]| parse_cli(args(v), 777).unwrap();
+        assert!(parse(&["sst", "2000"]).only(&[], 1).is_ok());
+        // A flag's value is never misread as the budget.
+        assert!(parse(&["sst", "--warmup", "5000"]).only(&[], 1).is_err());
+        assert!(parse(&["sst", "--suite=asm"]).only(&[], 1).is_err());
+        assert!(parse(&["free-resources", "--suite=asm"])
+            .only(&[Flag::Suite], 1)
+            .is_ok());
+        assert!(parse(&["mcf", "pre", "extra"]).only(&Flag::ALL, 2).is_err());
     }
 
     #[test]
@@ -903,16 +920,12 @@ mod tests {
         assert_eq!(cli.budget, 60_000);
 
         assert!(parse_cli(args(&["--sample=n=0"]), 777).is_err());
-    }
 
-    #[test]
-    fn split_suite_flag_preserves_positionals() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let (suite, positional) =
-            split_suite_flag(args(&["asm-quicksort", "--suite", "asm", "pre", "3000"])).unwrap();
-        assert_eq!(suite, Suite::Asm);
-        assert_eq!(positional, args(&["asm-quicksort", "pre", "3000"]));
-        assert!(split_suite_flag(args(&["--suite", "bogus"])).is_err());
+        // A bare `--sample` never swallows the next flag.
+        let cli = parse_cli(args(&["--sample", "--warmup=500"]), 777).unwrap();
+        assert_eq!(cli.sample, Some(SampleSpec::default()));
+        assert_eq!(cli.warmup, 500);
+        assert_eq!(cli.flags, vec![Flag::Sample, Flag::Warmup]);
     }
 
     #[test]

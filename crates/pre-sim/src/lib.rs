@@ -2,9 +2,10 @@
 //!
 //! This crate turns the simulator (`pre-core`), the workload suite
 //! (`pre-workloads`) and the energy model (`pre-energy`) into the experiments
-//! of the paper's evaluation section. Each figure, table and headline text
-//! statistic has a binary under `src/bin/` that regenerates it; the shared
-//! machinery lives here:
+//! of the paper's evaluation section. Five binaries under `src/bin/`
+//! regenerate every figure, table and headline text statistic (`full_eval`
+//! the matrix-wide ones, `report <name>` the rest); the shared machinery
+//! lives here:
 //!
 //! * [`runner`] — run one (workload, technique) pair and collect statistics
 //!   plus energy ([`run_one`]), or a batch of independent specs

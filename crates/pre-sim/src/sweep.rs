@@ -15,8 +15,9 @@
 //! successful ones. `max_retries` re-runs a failed point; `fail_fast` stops
 //! launching new points after the first failure.
 //!
-//! The EMQ/SST sensitivity experiments (`emq_sensitivity`,
-//! `sst_sensitivity`) are one-dimensional sweeps over this engine.
+//! The EMQ/SST sensitivity experiments (`report emq` and `report sst`, built
+//! on `experiments::{emq,sst}_sensitivity`) are one-dimensional sweeps over
+//! this engine.
 
 // Failure isolation is this module's contract: a grid point must never take
 // down the sweep, so every fallible step here surfaces a SimError instead of

@@ -9,7 +9,8 @@
 //! * static programs built from the ISA ([`program`]),
 //! * the simulator configuration, defaulting to the paper's Table 1
 //!   Haswell-like core ([`config`]),
-//! * and the statistics each run produces ([`stats`]).
+//! * the statistics each run produces ([`stats`]),
+//! * and the JSON writer and reader behind every report ([`json`]).
 //!
 //! # Example
 //!
@@ -28,6 +29,7 @@ pub mod config;
 pub mod error;
 pub mod hash;
 pub mod isa;
+pub mod json;
 pub mod mem;
 pub mod profile;
 pub mod program;

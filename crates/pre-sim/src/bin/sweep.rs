@@ -32,8 +32,9 @@
 
 use pre_runahead::Technique;
 use pre_sim::experiments::{parse_sample, sample_value};
-use pre_sim::sweep::{cache_hit_rate, sweep_csv, sweep_json, GridDim, Sweep, ALL_DIMS};
+use pre_sim::sweep::{cache_hit_rate, sweep_csv, sweep_json, Sweep, ALL_DIMS};
 use pre_workloads::Workload;
+use std::fmt;
 use std::str::FromStr;
 use std::time::Instant;
 
@@ -44,19 +45,47 @@ struct Args {
     expect_min_hit_rate: Option<f64>,
 }
 
-fn usage() -> ! {
+/// Prints usage (to stdout for `--help`, else to stderr) and exits with
+/// `code`.
+fn usage(code: i32) -> ! {
     let dims: Vec<_> = ALL_DIMS.iter().map(|d| d.name()).collect();
-    eprintln!(
+    let text = format!(
         "usage: sweep [--workload <name>] [--technique <name>] [--budget <uops>] \
          [--warmup <uops>] [--grid dim=v1,v2,...]... [--json <path>] [--csv <path>] \
          [--no-cache] [--expect-min-hit-rate <pct>] [--fail-fast] [--max-retries <n>] \
-         [--sample [n=K,interval=N]]"
+         [--sample [n=K,interval=N]]\ndimensions: {}",
+        dims.join(", ")
     );
-    eprintln!("dimensions: {}", dims.join(", "));
-    std::process::exit(2);
+    if code == 0 {
+        println!("{text}");
+    } else {
+        eprintln!("{text}");
+    }
+    std::process::exit(code);
+}
+
+/// Prints `msg` and the usage to stderr and exits 2.
+fn fail(msg: String) -> ! {
+    eprintln!("{msg}");
+    usage(2);
+}
+
+/// Reads and parses the value of `flag`, or exits 2 with usage.
+fn flag_value<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T
+where
+    T::Err: fmt::Display,
+{
+    let Some(text) = args.next() else {
+        fail(format!("{flag} requires a value"));
+    };
+    text.parse()
+        .unwrap_or_else(|e| fail(format!("bad {flag} value `{text}`: {e}")))
 }
 
 fn parse_args() -> Args {
+    if std::env::args().skip(1).any(|a| a == "--help" || a == "-h") {
+        usage(0);
+    }
     // Defaults mirror the EMQ ablation: lbm-like under PRE+EMQ.
     let mut sweep = Sweep::new(Workload::LbmLike, Technique::PreEmq);
     sweep.budget = 150_000;
@@ -65,10 +94,6 @@ fn parse_args() -> Args {
     let mut csv = None;
     let mut expect_min_hit_rate = None;
     let mut args = std::env::args().skip(1).peekable();
-    let bail = |msg: String| -> ! {
-        eprintln!("{msg}");
-        usage();
-    };
     while let Some(arg) = args.next() {
         if arg == "--sample" || arg.starts_with("--sample=") {
             // The value is optional, read by the rule every binary shares.
@@ -76,55 +101,29 @@ fn parse_args() -> Args {
                 Some(value) => parse_sample(value),
                 None => sample_value(&mut args),
             };
-            sweep.sample = Some(spec.unwrap_or_else(|e| bail(e)));
+            sweep.sample = Some(spec.unwrap_or_else(|e| fail(e)));
             continue;
         }
-        let mut value_of = |flag: &str| -> String {
-            match args.next() {
-                Some(v) => v,
-                None => bail(format!("{flag} requires a value")),
-            }
-        };
         match arg.as_str() {
-            "--workload" => {
-                let v = value_of("--workload");
-                match Workload::from_str(&v) {
-                    Ok(w) => sweep.workload = w,
-                    Err(e) => bail(format!("{e}")),
-                }
-            }
-            "--technique" => {
-                let v = value_of("--technique");
-                match Technique::from_str(&v.to_ascii_lowercase()) {
-                    Ok(t) => sweep.technique = t,
-                    Err(e) => bail(format!("{e}")),
-                }
-            }
-            "--budget" => match value_of("--budget").parse() {
-                Ok(b) => sweep.budget = b,
-                Err(_) => bail("bad --budget value".to_string()),
-            },
-            "--warmup" => match value_of("--warmup").parse() {
-                Ok(w) => sweep.warmup_uops = w,
-                Err(_) => bail("bad --warmup value".to_string()),
-            },
-            "--grid" => match value_of("--grid").parse::<GridDim>() {
-                Ok(g) => sweep.dims.push(g),
-                Err(e) => bail(format!("{e}")),
-            },
-            "--json" => json = Some(value_of("--json")),
-            "--csv" => csv = Some(value_of("--csv")),
+            "--workload" => sweep.workload = flag_value(&mut args, &arg),
+            "--technique" => sweep.technique = flag_value(&mut args, &arg),
+            "--budget" => sweep.budget = flag_value(&mut args, &arg),
+            "--warmup" => sweep.warmup_uops = flag_value(&mut args, &arg),
+            "--grid" => sweep.dims.push(flag_value(&mut args, &arg)),
+            "--json" => json = Some(flag_value(&mut args, &arg)),
+            "--csv" => csv = Some(flag_value(&mut args, &arg)),
             "--no-cache" => sweep.use_result_cache = false,
-            "--expect-min-hit-rate" => match value_of("--expect-min-hit-rate").parse::<f64>() {
-                Ok(p) => expect_min_hit_rate = Some(p / 100.0),
-                Err(_) => bail("bad --expect-min-hit-rate value".to_string()),
-            },
+            "--expect-min-hit-rate" => {
+                // A range check, unlike a `<` comparison, also refuses `nan`.
+                let pct: f64 = flag_value(&mut args, &arg);
+                if !(0.0..=100.0).contains(&pct) {
+                    fail(format!("{arg} takes a percentage in 0-100, not {pct}"));
+                }
+                expect_min_hit_rate = Some(pct / 100.0);
+            }
             "--fail-fast" => sweep.fail_fast = true,
-            "--max-retries" => match value_of("--max-retries").parse() {
-                Ok(n) => sweep.max_retries = n,
-                Err(_) => bail("bad --max-retries value".to_string()),
-            },
-            _ => bail(format!("unrecognized argument `{arg}`")),
+            "--max-retries" => sweep.max_retries = flag_value(&mut args, &arg),
+            _ => fail(format!("unrecognized argument `{arg}`")),
         }
     }
     Args {

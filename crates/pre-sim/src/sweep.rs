@@ -28,8 +28,8 @@ use crate::runner::{run_batch, RunResult, RunSpec};
 use crate::sample::SampleSpec;
 use pre_model::config::SimConfig;
 use pre_model::error::SimError;
+use pre_model::json::{self, Value};
 use pre_runahead::Technique;
-use pre_trace::chrome::json_escape_into;
 use pre_workloads::{Workload, WorkloadParams};
 use std::fmt;
 use std::fmt::Write as _;
@@ -181,14 +181,8 @@ fn settings_label(settings: &[(SweepDim, u64)]) -> String {
     if settings.is_empty() {
         return "base".to_string();
     }
-    let mut out = String::new();
-    for (i, (dim, value)) in settings.iter().enumerate() {
-        if i > 0 {
-            out.push(' ');
-        }
-        let _ = write!(out, "{dim}={value}");
-    }
-    out
+    let pairs: Vec<String> = settings.iter().map(|(d, v)| format!("{d}={v}")).collect();
+    pairs.join(" ")
 }
 
 /// One point of an expanded sweep: the dimension settings, the spec they
@@ -434,68 +428,42 @@ pub fn sweep_json(
     failures: &[SweepFailure],
     elapsed_secs: f64,
 ) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"workload\": \"{}\",", sweep.workload.name());
-    let _ = writeln!(out, "  \"technique\": \"{}\",", sweep.technique.label());
-    let _ = writeln!(out, "  \"budget\": {},", sweep.budget);
-    let _ = writeln!(out, "  \"warmup\": {},", sweep.warmup_uops);
-    // Sample specs and point labels come from the numeric grid grammars and
-    // never need escaping; error messages can carry arbitrary text.
-    match &sweep.sample {
-        Some(s) => {
-            let _ = writeln!(out, "  \"sample\": \"{s}\",");
-        }
-        None => out.push_str("  \"sample\": null,\n"),
-    }
-    let _ = writeln!(out, "  \"elapsed_secs\": {elapsed_secs:.6},");
-    let _ = writeln!(out, "  \"num_points\": {},", points.len());
-    let _ = writeln!(out, "  \"failed_points\": {},", failures.len());
     let hits = points.iter().filter(|p| p.result.cache_hit).count();
-    let _ = writeln!(out, "  \"cache_hits\": {hits},");
-    let _ = writeln!(out, "  \"cache_hit_rate\": {:.6},", cache_hit_rate(points));
-    out.push_str("  \"failures\": [\n");
-    for (i, f) in failures.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"index\": {}, \"label\": \"{}\", \"attempts\": {}, \"error\": \"",
-            f.index,
-            f.label(),
-            f.attempts,
-        );
-        json_escape_into(&mut out, &f.error.to_string());
-        out.push_str("\"}");
-        if i + 1 < failures.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str("    {");
-        for (dim, value) in &p.settings {
-            let _ = write!(out, "\"{dim}\": {value}, ");
-        }
-        let _ = write!(
-            out,
-            "\"ipc\": {:.6}, \"sim_cycles\": {}, \"committed_uops\": {}, \"energy_mj\": {:.6}, \"cache_hit\": {}, \"deadlocked\": {}, \"sampled\": {}",
-            p.result.ipc(),
-            p.result.stats.cycles,
-            p.result.stats.committed_uops,
-            p.result.energy_mj(),
-            p.result.cache_hit,
-            p.result.deadlocked,
-            p.result.sample.is_some()
-        );
-        out.push('}');
-        if i + 1 < points.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let sample = sweep.sample.map_or(Value::Null, |s| s.to_string().into());
+    let failures_json = failures.iter().map(|f| {
+        Value::obj([
+            ("index", f.index.into()),
+            ("label", f.label().into()),
+            ("attempts", f.attempts.into()),
+            ("error", f.error.to_string().into()),
+        ])
+    });
+    let points_json = points.iter().map(|p| {
+        let settings = p.settings.iter().map(|&(dim, v)| (dim.name(), v.into()));
+        Value::obj(settings.chain([
+            ("ipc", p.result.ipc().into()),
+            ("sim_cycles", p.result.stats.cycles.into()),
+            ("committed_uops", p.result.stats.committed_uops.into()),
+            ("energy_mj", p.result.energy_mj().into()),
+            ("cache_hit", p.result.cache_hit.into()),
+            ("deadlocked", p.result.deadlocked.into()),
+            ("sampled", p.result.sample.is_some().into()),
+        ]))
+    });
+    json::write(&Value::obj([
+        ("workload", sweep.workload.name().into()),
+        ("technique", sweep.technique.label().into()),
+        ("budget", sweep.budget.into()),
+        ("warmup", sweep.warmup_uops.into()),
+        ("sample", sample),
+        ("elapsed_secs", elapsed_secs.into()),
+        ("num_points", points.len().into()),
+        ("failed_points", failures.len().into()),
+        ("cache_hits", hits.into()),
+        ("cache_hit_rate", cache_hit_rate(points).into()),
+        ("failures", Value::Arr(failures_json.collect())),
+        ("points", Value::Arr(points_json.collect())),
+    ]))
 }
 
 /// Renders sweep results as CSV (one row per point, one column per
@@ -607,6 +575,19 @@ mod tests {
         assert!(json.contains("\"failed_points\": 0"));
         assert!(json.contains("\"rob\": 128"));
         assert!(!json.contains("\"cells\""));
+        let doc = json::parse(&json).expect("sweep JSON parses");
+        let parsed_points = doc.get("points").and_then(Value::as_array).expect("points");
+        assert_eq!(
+            doc.get("num_points").and_then(Value::as_i64),
+            Some(parsed_points.len() as i64)
+        );
+        assert_eq!(parsed_points[0].get("rob"), Some(&Value::Int(128)));
+        assert_eq!(
+            parsed_points[1].get("sim_cycles"),
+            Some(&Value::from(points[1].result.stats.cycles))
+        );
+        assert_eq!(doc.get("elapsed_secs"), Some(&Value::Float(1.25)));
+        assert_eq!(doc.get("sample"), Some(&Value::Null));
         let csv = sweep_csv(&sweep, &points);
         let mut lines = csv.lines();
         assert_eq!(
@@ -634,6 +615,16 @@ mod tests {
         assert!(json.contains("\"label\": \"rob=192\""));
         assert!(json.contains("\"attempts\": 2"));
         assert!(json.contains("boom \\\"quoted\\\""));
+        let doc = json::parse(&json).expect("sweep JSON parses");
+        let failure = &doc
+            .get("failures")
+            .and_then(Value::as_array)
+            .expect("failures")[0];
+        assert_eq!(failure.get("index"), Some(&Value::Int(1)));
+        assert_eq!(
+            failure.get("error").and_then(Value::as_str),
+            Some(failures[0].error.to_string().as_str())
+        );
     }
 
     #[test]

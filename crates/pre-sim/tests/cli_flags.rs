@@ -1,6 +1,6 @@
 //! Command-line wiring of the experiment binaries: `full_eval` must honour
-//! every flag of the shared parser, and `report` and `debug_stats` must
-//! refuse what they cannot honour — a flag, a surplus or malformed
+//! every flag of the shared parser, and `report`, `debug_stats` and `sweep`
+//! must refuse what they cannot honour — a flag, a surplus or malformed
 //! positional — with exit 2 and a usage message instead of misreading it,
 //! panicking or ignoring it.
 
@@ -160,4 +160,21 @@ fn debug_stats_trace_writes_files_or_exits_1() {
         "{}",
         String::from_utf8_lossy(&blocked.stderr)
     );
+}
+
+#[test]
+fn sweep_refuses_hit_rate_gates_it_cannot_check() {
+    let exe = env!("CARGO_BIN_EXE_sweep");
+    for pct in ["nan", "inf", "-1", "150"] {
+        assert_usage_error(exe, &["--expect-min-hit-rate", pct]);
+    }
+}
+
+#[test]
+fn sweep_help_prints_usage_and_exits_0() {
+    for flag in ["--help", "-h"] {
+        let out = run(env!("CARGO_BIN_EXE_sweep"), &[flag]);
+        assert_eq!(out.status.code(), Some(0), "sweep {flag}");
+        assert!(String::from_utf8_lossy(&out.stdout).starts_with("usage: sweep"));
+    }
 }

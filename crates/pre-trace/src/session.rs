@@ -1,7 +1,7 @@
 //! [`TraceSession`]: every enabled stream of one simulated cell behind a
 //! single [`Tracer`].
 
-use crate::chrome::{ArgValue, ChromeTrace};
+use crate::chrome::ChromeTrace;
 use crate::collect::IntervalLog;
 use crate::commitlog::CommitLogWriter;
 use crate::pipeview::PipeviewTrace;
@@ -188,14 +188,11 @@ impl Tracer for TraceSession {
                 vec![
                     (
                         "stalling_pc".into(),
-                        ArgValue::Str(format!("{:#x}", u64::from(stalling_pc) * 4)),
+                        format!("{:#x}", u64::from(stalling_pc) * 4).into(),
                     ),
-                    ("int_free".into(), ArgValue::Int(ev.int_free as i64)),
-                    ("fp_free".into(), ArgValue::Int(ev.fp_free as i64)),
-                    (
-                        "prdq_allocated".into(),
-                        ArgValue::Int(ev.prdq_allocated as i64),
-                    ),
+                    ("int_free".into(), ev.int_free.into()),
+                    ("fp_free".into(), ev.fp_free.into()),
+                    ("prdq_allocated".into(), ev.prdq_allocated.into()),
                 ],
             );
         }

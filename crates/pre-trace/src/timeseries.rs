@@ -10,9 +10,11 @@
 
 use crate::spec::TimeSeriesFormat;
 use crate::Sample;
+use pre_model::json::{self, Value};
 use std::fmt::Write as _;
 
-/// CSV header of the time-series stream (one `Row` per line, same order).
+/// CSV header of the time-series stream (one `Row` per line, same order);
+/// its columns are also the keys of the JSON rows.
 pub const CSV_HEADER: &str = "cycle,ipc,committed_uops,rob,iq,lq,sq,emq,\
 free_int_pct,free_fp_pct,mshr_outstanding,l2_miss_delta,l3_miss_delta,runahead";
 
@@ -87,44 +89,26 @@ impl TimeSeries {
     /// ends mid-window) emits a single partial-window row at the sample
     /// cycle, so even runs shorter than one window produce a data point.
     pub fn record(&mut self, s: &Sample) {
-        if !self.due(s.cycle) {
-            if s.cycle <= self.last_cycle && !self.rows.is_empty() {
-                return;
-            }
-            let elapsed = s.cycle.saturating_sub(self.last_cycle).max(1);
-            self.rows.push(Row {
-                cycle: s.cycle,
-                ipc: (s.committed_uops - self.last_committed) as f64 / elapsed as f64,
-                committed_uops: s.committed_uops,
-                rob: s.rob,
-                iq: s.iq,
-                lq: s.lq,
-                sq: s.sq,
-                emq: s.emq,
-                free_int_pct: s.free_int_frac * 100.0,
-                free_fp_pct: s.free_fp_frac * 100.0,
-                mshr_outstanding: s.mshr_occupancy,
-                l2_miss_delta: s.l2_misses - self.last_l2,
-                l3_miss_delta: s.l3_misses - self.last_l3,
-                runahead: s.in_runahead,
-            });
-            self.last_cycle = s.cycle;
-            self.last_committed = s.committed_uops;
-            self.last_l2 = s.l2_misses;
-            self.last_l3 = s.l3_misses;
+        let partial = !self.due(s.cycle);
+        if partial && s.cycle <= self.last_cycle && !self.rows.is_empty() {
             return;
         }
         // Rates are averaged over the span since the previous sample, then
-        // attributed to each crossed window.
+        // attributed to each crossed window (`step` apart); a partial
+        // window is one row at the sample cycle and moves no boundary.
         let elapsed = s.cycle.saturating_sub(self.last_cycle).max(1);
         let ipc = (s.committed_uops - self.last_committed) as f64 / elapsed as f64;
-        let span_windows = (s.cycle - self.next_boundary) / self.window + 1;
         let l2_delta = s.l2_misses - self.last_l2;
         let l3_delta = s.l3_misses - self.last_l3;
-        for i in 0..span_windows {
-            let boundary = self.next_boundary + i * self.window;
+        let (first, windows, step) = if partial {
+            (s.cycle, 1, 0)
+        } else {
+            let crossed = (s.cycle - self.next_boundary) / self.window + 1;
+            (self.next_boundary, crossed, self.window)
+        };
+        for i in 0..windows {
             self.rows.push(Row {
-                cycle: boundary,
+                cycle: first + i * step,
                 ipc,
                 committed_uops: s.committed_uops,
                 rob: s.rob,
@@ -140,7 +124,7 @@ impl TimeSeries {
                 runahead: s.in_runahead,
             });
         }
-        self.next_boundary += span_windows * self.window;
+        self.next_boundary += windows * step;
         self.last_cycle = s.cycle;
         self.last_committed = s.committed_uops;
         self.last_l2 = s.l2_misses;
@@ -152,69 +136,54 @@ impl TimeSeries {
         &self.rows
     }
 
-    /// Renders the configured output format.
+    /// Renders the configured output format: CSV under [`CSV_HEADER`], or
+    /// a JSON array of one object per row keyed by the same columns.
     pub fn render(&self) -> String {
-        match self.format {
-            TimeSeriesFormat::Csv => self.render_csv(),
-            TimeSeriesFormat::Json => self.render_json(),
+        let columns = || CSV_HEADER.split(',');
+        if self.format == TimeSeriesFormat::Json {
+            let rows = self
+                .rows
+                .iter()
+                .map(|r| Value::obj(columns().zip(r.values())));
+            return json::write(&Value::Arr(rows.collect()));
         }
-    }
-
-    fn render_csv(&self) -> String {
         let mut out = String::from(CSV_HEADER);
-        out.push('\n');
         for r in &self.rows {
-            let _ = writeln!(
-                out,
-                "{},{:.4},{},{},{},{},{},{},{:.1},{:.1},{},{},{},{}",
-                r.cycle,
-                r.ipc,
-                r.committed_uops,
-                r.rob,
-                r.iq,
-                r.lq,
-                r.sq,
-                r.emq,
-                r.free_int_pct,
-                r.free_fp_pct,
-                r.mshr_outstanding,
-                r.l2_miss_delta,
-                r.l3_miss_delta,
-                u8::from(r.runahead),
-            );
+            for (i, (column, value)) in columns().zip(r.values()).enumerate() {
+                out.push(if i == 0 { '\n' } else { ',' });
+                let _ = match value {
+                    Value::Float(x) if column == "ipc" => write!(out, "{x:.4}"),
+                    Value::Float(x) => write!(out, "{x:.1}"),
+                    Value::Int(v) => write!(out, "{v}"),
+                    other => unreachable!("time-series cell {other:?}"),
+                };
+            }
         }
+        out.push('\n');
         out
     }
+}
 
-    fn render_json(&self) -> String {
-        let mut out = String::from("[\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            let _ = write!(
-                out,
-                "{{\"cycle\":{},\"ipc\":{:.4},\"committed_uops\":{},\"rob\":{},\"iq\":{},\
-                 \"lq\":{},\"sq\":{},\"emq\":{},\"free_int_pct\":{:.1},\"free_fp_pct\":{:.1},\
-                 \"mshr_outstanding\":{},\"l2_miss_delta\":{},\"l3_miss_delta\":{},\"runahead\":{}}}",
-                r.cycle,
-                r.ipc,
-                r.committed_uops,
-                r.rob,
-                r.iq,
-                r.lq,
-                r.sq,
-                r.emq,
-                r.free_int_pct,
-                r.free_fp_pct,
-                r.mshr_outstanding,
-                r.l2_miss_delta,
-                r.l3_miss_delta,
-                u8::from(r.runahead),
-            );
-        }
-        out.push_str("\n]\n");
-        out
+impl Row {
+    /// The row's values, in [`CSV_HEADER`] column order (`runahead` as
+    /// 0/1).
+    fn values(&self) -> [Value; 14] {
+        [
+            self.cycle.into(),
+            self.ipc.into(),
+            self.committed_uops.into(),
+            self.rob.into(),
+            self.iq.into(),
+            self.lq.into(),
+            self.sq.into(),
+            self.emq.into(),
+            self.free_int_pct.into(),
+            self.free_fp_pct.into(),
+            self.mshr_outstanding.into(),
+            self.l2_miss_delta.into(),
+            self.l3_miss_delta.into(),
+            u64::from(self.runahead).into(),
+        ]
     }
 }
 
@@ -268,5 +237,26 @@ mod tests {
         let mut lines = csv.lines();
         let header_cols = lines.next().unwrap().split(',').count();
         assert_eq!(lines.next().unwrap().split(',').count(), header_cols);
+    }
+
+    #[test]
+    fn json_rows_are_keyed_by_the_csv_columns() {
+        let mut ts = TimeSeries::new(10, TimeSeriesFormat::Json);
+        ts.record(&sample(10, 5));
+        ts.record(&sample(35, 9));
+        let doc = json::parse(&ts.render()).unwrap();
+        let rows = doc.as_array().unwrap();
+        assert_eq!(rows.len(), ts.rows().len());
+        let columns: Vec<&str> = CSV_HEADER.split(',').collect();
+        for (json_row, row) in rows.iter().zip(ts.rows()) {
+            let Value::Obj(members) = json_row else {
+                panic!("row is not an object: {json_row:?}");
+            };
+            let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(keys, columns);
+            assert_eq!(json_row.get("cycle"), Some(&Value::Int(row.cycle as i64)));
+            assert_eq!(json_row.get("ipc"), Some(&Value::Float(row.ipc)));
+            assert_eq!(json_row.get("runahead"), Some(&Value::Int(0)));
+        }
     }
 }

@@ -243,8 +243,11 @@ pub struct OooCore {
     /// asserts [`SimStats`] stay bit-identical with and without a tracer.
     pub(crate) tracer: Option<Box<dyn Tracer>>,
 
-    // Reusable scratch buffers so the steady-state tick performs no heap
-    // allocation (the event path) and the reference path reuses capacity.
+    // Reusable scratch buffers so the per-cycle event path performs no heap
+    // allocation and the reference path reuses capacity. Runahead entry
+    // still allocates, once per interval: the RAS snapshot, the PRE rename
+    // checkpoint's free lists, the flush-style invalidation list and the
+    // runahead buffer's window, chain and INV register list.
     pub(crate) issue_retry: Vec<ReadyKey>,
     pub(crate) ref_candidates: Vec<IqEntry>,
     pub(crate) ref_issued: Vec<u64>,
@@ -717,7 +720,7 @@ impl OooCore {
             let Some(entry) = self.rob.pop_head() else {
                 break;
             };
-            let inst = entry.uop.inst;
+            let inst = self.insts[entry.uop.pc as usize];
             if let (Some(dest), Some(result)) = (inst.dest, entry.result) {
                 self.arf[dest.flat_index()] = result;
             }
@@ -790,10 +793,10 @@ impl OooCore {
             let Some(entry) = self.rob.pop_head() else {
                 break;
             };
-            if entry.uop.inst.opcode.is_store() {
+            if self.insts[entry.uop.pc as usize].opcode.is_store() {
                 self.lsq.release_store(entry.id);
             }
-            if entry.uop.inst.opcode.is_load() {
+            if entry.is_load {
                 self.lsq.release_load(entry.id);
             }
             if let Some((arch, old, _)) = entry.old_dest {

@@ -192,10 +192,10 @@ impl OooCore {
     fn begin_buffer_runahead(&mut self, now: u64, head_id: u64, head_pc: u32) -> FlushKind {
         let window: Vec<WindowUop> = self
             .rob
-            .iter_uops()
-            .map(|u| WindowUop {
-                pc: u.pc,
-                inst: u.inst,
+            .iter()
+            .map(|e| WindowUop {
+                pc: e.pc,
+                inst: self.insts[e.pc as usize],
             })
             .collect();
         let found = self.runahead_buffer.fill_from_window(
@@ -218,8 +218,8 @@ impl OooCore {
         );
         let inv_regs: Vec<ArchReg> = self
             .rob
-            .head_uop()
-            .and_then(|u| u.inst.dest)
+            .head()
+            .and_then(|h| self.insts[h.pc as usize].dest)
             .into_iter()
             .collect();
         self.chain_engine = Some(ChainReplayEngine::new(
@@ -353,7 +353,7 @@ impl OooCore {
         if self.iq.is_full() || self.rename.prdq().is_full() {
             return false;
         }
-        if let Some(class) = uop.inst.opcode.dest_class() {
+        if let Some(class) = self.insts[uop.pc as usize].opcode.dest_class() {
             if self.rename.num_free(class) == 0 {
                 return false;
             }
@@ -365,7 +365,7 @@ impl OooCore {
     /// runahead micro-op, allocating its PRDQ entry and learning its
     /// producers' PCs.
     fn runahead_execute_uop(&mut self, uop: crate::uop::DynUop, now: u64) {
-        let inst = uop.inst;
+        let inst = self.insts[uop.pc as usize];
         // Iterative slice learning: the producers of this instruction's
         // sources are part of the slice too.
         for src in inst.sources() {

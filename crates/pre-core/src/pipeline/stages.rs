@@ -80,17 +80,14 @@ impl OooCore {
             };
             let uop = DynUop {
                 pc: self.fetch_pc,
-                inst,
-                predicted_taken,
                 predicted_next_pc: next_pc,
-                fetched_at: now,
             };
             if self.delay_pipe.push(uop, now).is_err() {
                 break;
             }
             self.stats.fetched_uops += 1;
             if let Some(t) = self.tracer.as_deref_mut() {
-                t.uop_fetched(uop.pc, &uop.inst, now);
+                t.uop_fetched(uop.pc, &inst, now);
             }
             self.fetch_pc = next_pc;
             if inst.opcode.is_control() && predicted_taken {
@@ -173,7 +170,7 @@ impl OooCore {
         if self.rob.is_full() || self.iq.is_full() {
             return false;
         }
-        let opcode = uop.inst.opcode;
+        let opcode = self.insts[uop.pc as usize].opcode;
         if opcode.is_load() && self.lsq.lq_full() {
             return false;
         }
@@ -191,7 +188,7 @@ impl OooCore {
     pub(crate) fn rename_and_dispatch(&mut self, uop: DynUop, now: u64) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        let inst = uop.inst;
+        let inst = self.insts[uop.pc as usize];
 
         // The SST sits after the decode stage and is looked up for every
         // micro-op (Section 3.2). In normal mode a hit drives the iterative
@@ -217,7 +214,7 @@ impl OooCore {
             old_dest = Some((d, rename.old, rename.old_pc));
         }
 
-        let mut rob_entry = RobEntry::new(id, uop);
+        let mut rob_entry = RobEntry::new(id, uop, &inst);
         rob_entry.dest = dest;
         rob_entry.old_dest = old_dest;
         let rob_slot = self.rob.push(rob_entry);

@@ -717,7 +717,7 @@ mod tests {
     ) -> RobEntry {
         let inst = StaticInst::int_alu_imm(AluOp::Add, arch, arch, 1);
         let rename = subsystem.rename_dest(arch, id as u32).expect("free reg");
-        let mut entry = RobEntry::new(id, DynUop::sequential(id as u32, inst, 0));
+        let mut entry = RobEntry::new(id, DynUop::sequential(id as u32), &inst);
         entry.dest = Some((arch.class(), rename.new));
         entry.old_dest = Some((arch, rename.old, rename.old_pc));
         entry.issued = true;
@@ -804,7 +804,7 @@ mod tests {
         rob.push(first);
         // An unissued conditional branch shadows everything younger.
         let branch = StaticInst::branch(BranchCond::Lt, a, a, 0);
-        let mut branch_entry = RobEntry::new(2, DynUop::sequential(2, branch, 0));
+        let mut branch_entry = RobEntry::new(2, DynUop::sequential(2), &branch);
         branch_entry.issued = false;
         rob.push(branch_entry);
         rob.push(rob_entry_with_rename(3, &mut r, a, true));

@@ -3,8 +3,12 @@
 //! The buffer is a fixed-capacity ring with the per-entry state split
 //! between a **hot** array ([`RobHotEntry`]: the status bits, age, program
 //! counter and rename mappings that the per-cycle commit, full-window-stall
-//! and eager-reclaim scans touch) and a **cold** array (the micro-op payload
-//! needed only when an entry writes back, commits or is squashed). Entries
+//! and eager-reclaim scans touch) and a **cold** array (the 8-byte micro-op
+//! handle and the execution results, needed only when an entry writes back,
+//! commits or is squashed). Neither array holds the static instruction: the
+//! core's PC-indexed instruction table already does, so commit reads
+//! `insts[pc]` and dispatch copies only the two opcode bits the hot scans
+//! need (load, conditional branch) into the hot entry. Entries
 //! never move: a micro-op keeps its physical slot index from dispatch to
 //! removal, so the issue queue and the in-flight completion events carry a
 //! slot handle and write back in O(1) — validated against the stored
@@ -30,6 +34,10 @@ pub struct RobEntry {
     pub id: u64,
     /// The dynamic micro-op.
     pub uop: DynUop,
+    /// The micro-op is a load (decoded once at dispatch).
+    pub is_load: bool,
+    /// The micro-op is a conditional branch (decoded once at dispatch).
+    pub is_cond_branch: bool,
     /// Destination mapping allocated at rename, if the micro-op writes a
     /// register.
     pub dest: Option<(RegClass, PhysReg)>,
@@ -58,11 +66,14 @@ pub struct RobEntry {
 }
 
 impl RobEntry {
-    /// Creates a freshly dispatched (not yet issued) entry.
-    pub fn new(id: u64, uop: DynUop) -> Self {
+    /// Creates a freshly dispatched (not yet issued) entry for `uop`, whose
+    /// static instruction is `inst`.
+    pub fn new(id: u64, uop: DynUop, inst: &StaticInst) -> Self {
         RobEntry {
             id,
             uop,
+            is_load: inst.opcode.is_load(),
+            is_cond_branch: inst.opcode.is_cond_branch(),
             dest: None,
             old_dest: None,
             issued: false,
@@ -87,9 +98,9 @@ pub struct RobHotEntry {
     pub id: u64,
     /// Program counter of the micro-op.
     pub pc: u32,
-    /// The micro-op is a load (decoded once at push).
+    /// The micro-op is a load.
     pub is_load: bool,
-    /// The micro-op is a conditional branch (decoded once at push).
+    /// The micro-op is a conditional branch.
     pub is_cond_branch: bool,
     /// The micro-op has been issued to a functional unit.
     pub issued: bool,
@@ -145,7 +156,7 @@ struct RobColdEntry {
 impl RobColdEntry {
     fn free() -> Self {
         RobColdEntry {
-            uop: DynUop::sequential(0, StaticInst::nop(), 0),
+            uop: DynUop::sequential(0),
             mem_addr: None,
             store_value: None,
             result: None,
@@ -159,6 +170,8 @@ fn split(entry: RobEntry) -> (RobHotEntry, RobColdEntry) {
     let RobEntry {
         id,
         uop,
+        is_load,
+        is_cond_branch,
         dest,
         old_dest,
         issued,
@@ -175,8 +188,8 @@ fn split(entry: RobEntry) -> (RobHotEntry, RobColdEntry) {
         RobHotEntry {
             id,
             pc: uop.pc,
-            is_load: uop.inst.opcode.is_load(),
-            is_cond_branch: uop.inst.opcode.is_cond_branch(),
+            is_load,
+            is_cond_branch,
             issued,
             executed,
             completion_cycle,
@@ -199,6 +212,8 @@ fn assemble(hot: RobHotEntry, cold: RobColdEntry) -> RobEntry {
     RobEntry {
         id: hot.id,
         uop: cold.uop,
+        is_load: hot.is_load,
+        is_cond_branch: hot.is_cond_branch,
         dest: hot.dest,
         old_dest: hot.old_dest,
         issued: hot.issued,
@@ -320,15 +335,6 @@ impl ReorderBuffer {
             None
         } else {
             Some(&self.hot[self.head])
-        }
-    }
-
-    /// The micro-op of the oldest entry, if any.
-    pub fn head_uop(&self) -> Option<&DynUop> {
-        if self.len == 0 {
-            None
-        } else {
-            Some(&self.cold[self.head].uop)
         }
     }
 
@@ -472,12 +478,6 @@ impl ReorderBuffer {
         })
     }
 
-    /// Iterates over the micro-ops from oldest to youngest (runahead-buffer
-    /// window extraction).
-    pub fn iter_uops(&self) -> impl Iterator<Item = &DynUop> + '_ {
-        (0..self.len).map(move |i| &self.cold[self.phys(i)].uop)
-    }
-
     /// Removes every entry strictly younger than `id`, handing the hot state
     /// of each to `squashed` youngest-first (the order needed to roll back
     /// the RAT), and returns how many were removed.
@@ -531,7 +531,7 @@ mod tests {
     use pre_model::isa::StaticInst;
 
     fn entry(id: u64) -> RobEntry {
-        RobEntry::new(id, DynUop::sequential(id as u32, StaticInst::nop(), 0))
+        RobEntry::new(id, DynUop::sequential(id as u32), &StaticInst::nop())
     }
 
     #[test]
@@ -683,12 +683,12 @@ mod tests {
     #[test]
     fn long_latency_detection_requires_memory_level() {
         let mut rob = ReorderBuffer::new(2);
-        let mut e = entry(1);
-        e.uop.inst = StaticInst::load(
+        let load = StaticInst::load(
             pre_model::reg::ArchReg::int(1),
             pre_model::reg::ArchReg::int(2),
             0,
         );
+        let mut e = RobEntry::new(1, DynUop::sequential(1), &load);
         e.issued = true;
         e.completion_cycle = 500;
         e.mem_level = Some(HitLevel::L2);

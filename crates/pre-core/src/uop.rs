@@ -1,32 +1,29 @@
-//! Dynamic micro-ops: a static instruction plus the front-end's speculation
-//! state for one dynamic instance.
+//! Dynamic micro-ops: the front-end's handle for one dynamic instance of a
+//! static instruction.
+//!
+//! A micro-op carries only its program counter and the PC the front end
+//! followed after it. The static instruction lives once in the core's
+//! PC-indexed instruction table (`insts[pc]`), and every stage that needs
+//! the opcode or operands reads it from there: the front end, the EMQ and
+//! the ROB then copy 8 bytes per micro-op instead of a full decoded record.
 
-use pre_model::isa::StaticInst;
-
-/// A decoded dynamic micro-op travelling down the front-end.
+/// A dynamic micro-op travelling down the front end: an 8-byte PC handle
+/// into the core's instruction table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DynUop {
-    /// Program counter of the instruction.
+    /// Program counter of the instruction (its index in the instruction
+    /// table).
     pub pc: u32,
-    /// The static instruction.
-    pub inst: StaticInst,
-    /// Predicted direction for conditional branches (`true` for taken).
-    pub predicted_taken: bool,
     /// The PC the front-end followed after this micro-op.
     pub predicted_next_pc: u32,
-    /// Cycle at which the micro-op was fetched.
-    pub fetched_at: u64,
 }
 
 impl DynUop {
     /// Creates a non-control micro-op whose predicted successor is `pc + 1`.
-    pub fn sequential(pc: u32, inst: StaticInst, fetched_at: u64) -> Self {
+    pub fn sequential(pc: u32) -> Self {
         DynUop {
             pc,
-            inst,
-            predicted_taken: false,
             predicted_next_pc: pc + 1,
-            fetched_at,
         }
     }
 }
@@ -34,13 +31,16 @@ impl DynUop {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pre_model::isa::StaticInst;
 
     #[test]
     fn sequential_uop_predicts_fallthrough() {
-        let uop = DynUop::sequential(7, StaticInst::nop(), 3);
+        let uop = DynUop::sequential(7);
+        assert_eq!(uop.pc, 7);
         assert_eq!(uop.predicted_next_pc, 8);
-        assert!(!uop.predicted_taken);
-        assert_eq!(uop.fetched_at, 3);
+    }
+
+    #[test]
+    fn uop_is_an_eight_byte_handle() {
+        assert_eq!(std::mem::size_of::<DynUop>(), 8);
     }
 }

@@ -155,7 +155,8 @@ fn rob_squash_preserves_order() {
         for id in 1..=count as u64 {
             rob.push(RobEntry::new(
                 id,
-                DynUop::sequential(id as u32, StaticInst::nop(), 0),
+                DynUop::sequential(id as u32),
+                &StaticInst::nop(),
             ));
         }
         let mut squashed = Vec::new();

@@ -117,7 +117,7 @@ fn build_window(
         if rng.gen_below(6) == 0 {
             // An unresolved conditional branch: shadows younger entries.
             let inst = StaticInst::branch(BranchCond::Lt, ArchReg::int(1), ArchReg::int(2), 0);
-            let mut entry = RobEntry::new(id, DynUop::sequential(id as u32, inst, 0));
+            let mut entry = RobEntry::new(id, DynUop::sequential(id as u32), &inst);
             entry.issued = false;
             slots.push((id, rob.push(entry)));
             continue;
@@ -129,7 +129,7 @@ fn build_window(
         let Some(rename) = r.rename_dest(arch, id as u32) else {
             break;
         };
-        let mut entry = RobEntry::new(id, DynUop::sequential(id as u32, inst, 0));
+        let mut entry = RobEntry::new(id, DynUop::sequential(id as u32), &inst);
         entry.dest = Some((RegClass::Int, rename.new));
         entry.old_dest = Some((arch, rename.old, rename.old_pc));
         let issued = rng.gen_below(3) != 0;

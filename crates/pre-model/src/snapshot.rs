@@ -230,6 +230,14 @@ impl SimSnapshot {
     /// Serializes the snapshot to the line-oriented text format.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
+        self.write_text(&mut out);
+        out
+    }
+
+    /// Appends [`SimSnapshot::to_text`] to `out`, so a caller framing the
+    /// text (the on-disk snapshot store) builds it in place instead of
+    /// copying it.
+    pub fn write_text(&self, out: &mut String) {
         out.push_str("pre-snapshot v1\n");
         let _ = writeln!(out, "warmup_uops {}", self.warmup_uops);
         let _ = writeln!(out, "executed {}", self.executed);
@@ -242,7 +250,7 @@ impl SimSnapshot {
         out.push('\n');
         for (page_no, data, written) in self.mem.page_images() {
             let _ = write!(out, "page {page_no} ");
-            push_hex(&mut out, data);
+            push_hex(out, data);
             for w in written {
                 let _ = write!(out, " {w:x}");
             }
@@ -259,7 +267,6 @@ impl SimSnapshot {
             let _ = writeln!(out, "B {} {} {}", b.pc, u8::from(b.taken), b.target);
         }
         out.push_str("end\n");
-        out
     }
 
     /// Parses the text format written by [`SimSnapshot::to_text`].

@@ -15,6 +15,17 @@
 //! (Section 3.6); `report sst` in `pre-sim` (Stat F) reproduces that sweep.
 
 /// A fully-associative, LRU-replaced table of instruction addresses.
+///
+/// The capacity is read in one place only: the full check in
+/// [`StallingSliceTable::insert`]. Entries leave only by eviction, so the
+/// table holds `inserts - evictions` PCs and evicts exactly when an insert
+/// finds it full. A sequence of calls that caused no eviction therefore
+/// never took the capacity branch and never held more than
+/// [`StallingSliceTable::inserts`] PCs, and replaying it into a table of
+/// any capacity of at least that many gives the same answers, counters and
+/// LRU stamps. `pre-sim`'s batch executor relies on this to answer the
+/// smaller-SST points of a sweep from the largest one's run (Mattson et
+/// al.'s inclusion property of LRU stacks, 1970).
 #[derive(Debug, Clone)]
 pub struct StallingSliceTable {
     capacity: usize,
@@ -159,7 +170,9 @@ impl StallingSliceTable {
     }
 
     /// Removes every stored PC (not used by PRE itself — the SST persists
-    /// across runahead intervals — but useful for experiments).
+    /// across runahead intervals — but useful for experiments). Entries
+    /// removed this way leave without an eviction, so a run that calls it
+    /// is outside the capacity-independence argument of the type docs.
     pub fn clear(&mut self) {
         self.entries.clear();
     }
@@ -276,6 +289,72 @@ mod tests {
                 assert_eq!(b, s, "entry/LRU state diverged");
             }
         }
+    }
+
+    /// One operation of a replayed PC stream.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Insert(u32),
+        Lookup(u32),
+        BulkHits(u32, u64),
+    }
+
+    /// Replays `ops` into a fresh table of `capacity` entries, returning
+    /// every call's answer and the final counters.
+    fn replay(capacity: usize, ops: &[Op]) -> (Vec<bool>, [u64; 4]) {
+        let mut sst = StallingSliceTable::new(capacity);
+        let answers = ops
+            .iter()
+            .map(|&op| match op {
+                Op::Insert(pc) => sst.insert(pc),
+                Op::Lookup(pc) => sst.lookup(pc),
+                Op::BulkHits(pc, n) => {
+                    let resident = sst.contains(pc);
+                    if resident {
+                        sst.record_bulk_hits(pc, n);
+                    }
+                    resident
+                }
+            })
+            .collect();
+        let counters = [sst.lookups(), sst.hits(), sst.inserts(), sst.evictions()];
+        (answers, counters)
+    }
+
+    /// Randomized: a run that never evicted answers every insert and lookup
+    /// the same way at every capacity of at least its insert count, which
+    /// is what lets a sweep answer smaller tables from the largest one.
+    #[test]
+    fn prop_no_eviction_run_is_capacity_independent() {
+        let mut rng = SmallRng::seed_from_u64(0x557_0004);
+        let mut certified = 0;
+        for _case in 0..256 {
+            let pcs = rng.gen_range_u64(1..48);
+            let ops: Vec<Op> = (0..rng.gen_range_usize(1..300))
+                .map(|_| {
+                    let pc = rng.gen_range_u64(0..pcs) as u32;
+                    match rng.gen_below(3) {
+                        0 => Op::Insert(pc),
+                        1 => Op::Lookup(pc),
+                        _ => Op::BulkHits(pc, rng.gen_range_u64(1..4)),
+                    }
+                })
+                .collect();
+            let (answers, counters) = replay(32, &ops);
+            let [_, _, inserts, evictions] = counters;
+            if evictions != 0 {
+                continue;
+            }
+            certified += 1;
+            for capacity in (inserts.max(1) as usize)..=40 {
+                assert_eq!(
+                    replay(capacity, &ops),
+                    (answers.clone(), counters),
+                    "capacity {capacity} diverged from 32 with {inserts} inserts"
+                );
+            }
+        }
+        assert!(certified > 64, "too few eviction-free cases: {certified}");
     }
 
     #[test]

@@ -25,6 +25,12 @@
 //! `"sampled": true`. The profile and clustering are computed once per
 //! (workload, budget) and shared by all points.
 //!
+//! Points that differ only in `sst` share one simulation when the largest
+//! SST of the group never evicted (any table that holds every PC the run
+//! inserted behaves the same); the summary line counts the points answered
+//! that way as `N from SST siblings`. A dimension given twice, or a value
+//! listed twice in one dimension, is a usage error.
+//!
 //! Failures are isolated: a point that errors or panics is reported (and
 //! retried `--max-retries` times) while the rest of the grid completes; the
 //! exit code is then 1 and the JSON report lists the failed points.
@@ -32,7 +38,7 @@
 
 use pre_runahead::Technique;
 use pre_sim::experiments::{parse_sample, sample_value};
-use pre_sim::sweep::{cache_hit_rate, sweep_csv, sweep_json, Sweep, ALL_DIMS};
+use pre_sim::sweep::{cache_hit_rate, sweep_csv, sweep_json, GridDim, Sweep, ALL_DIMS};
 use pre_workloads::Workload;
 use std::fmt;
 use std::str::FromStr;
@@ -109,7 +115,13 @@ fn parse_args() -> Args {
             "--technique" => sweep.technique = flag_value(&mut args, &arg),
             "--budget" => sweep.budget = flag_value(&mut args, &arg),
             "--warmup" => sweep.warmup_uops = flag_value(&mut args, &arg),
-            "--grid" => sweep.dims.push(flag_value(&mut args, &arg)),
+            "--grid" => {
+                let grid: GridDim = flag_value(&mut args, &arg);
+                if sweep.dims.iter().any(|d| d.dim == grid.dim) {
+                    fail(format!("{arg} gives dimension `{}` twice", grid.dim));
+                }
+                sweep.dims.push(grid);
+            }
             "--json" => json = Some(flag_value(&mut args, &arg)),
             "--csv" => csv = Some(flag_value(&mut args, &arg)),
             "--no-cache" => sweep.use_result_cache = false,
@@ -189,12 +201,13 @@ fn main() {
     }
     let hit_rate = cache_hit_rate(points);
     println!(
-        "{} of {} points in {:.2}s ({:.1} points/s), cache hit rate {:.1}%{}",
+        "{} of {} points in {:.2}s ({:.1} points/s), cache hit rate {:.1}%, {} from SST siblings{}",
         points.len(),
         run.total,
         elapsed,
         points.len() as f64 / elapsed.max(1e-9),
         hit_rate * 100.0,
+        run.from_sst_siblings,
         if run.failures.is_empty() {
             String::new()
         } else {

@@ -13,7 +13,9 @@
 //!   pool (`PRE_THREADS` caps it), per-attempt panic capture, retries,
 //!   fail-fast and the `PRE_FAULT` cell hook. It schedules work items,
 //!   not cells: every sampling plan first, then plain cells and sampled
-//!   cells' representative slices on one pool call.
+//!   cells' representative slices on one pool call, then the SST-size
+//!   siblings of plain cells, answered from their largest-SST sibling's
+//!   run when its table never evicted.
 //! * [`matrix`] — run the full evaluation matrix through [`run_batch`] and
 //!   compute the normalized metrics the figures plot (speedup over the
 //!   out-of-order baseline, energy savings, invocation ratios, …).

@@ -223,6 +223,7 @@ pub fn run_one(spec: &RunSpec) -> Result<RunResult, SimError> {
         return run_plain(spec);
     }
     let (outcome, _) = schedule(std::slice::from_ref(spec), false, 0, false, |_, _| {})
+        .0
         .pop()
         .expect("one outcome per spec");
     outcome
@@ -230,8 +231,17 @@ pub fn run_one(spec: &RunSpec) -> Result<RunResult, SimError> {
 
 /// [`run_one`] of a spec without sampling parameters.
 fn run_plain(spec: &RunSpec) -> Result<RunResult, SimError> {
+    cached(spec, || run_uncached(spec))
+}
+
+/// `spec`'s result from the result cache when the spec opts in (traced
+/// runs never do); otherwise `compute`s it and, when opted in, stores it.
+fn cached(
+    spec: &RunSpec,
+    compute: impl FnOnce() -> Result<RunResult, SimError>,
+) -> Result<RunResult, SimError> {
     if !spec.use_result_cache || spec.trace.is_some() {
-        return run_uncached(spec);
+        return compute();
     }
     let program = crate::stores::program_for(spec.workload, &spec.params);
     let (key, desc) = crate::stores::result_key(spec, &program);
@@ -239,7 +249,7 @@ fn run_plain(spec: &RunSpec) -> Result<RunResult, SimError> {
     if let Some(hit) = crate::stores::result_lookup(key, &desc, disk.as_deref()) {
         return Ok(hit);
     }
-    let result = run_uncached(spec)?;
+    let result = compute()?;
     crate::stores::result_store(key, &desc, &result, disk.as_deref());
     Ok(result)
 }
@@ -331,6 +341,9 @@ pub(crate) struct Cell {
 pub(crate) enum Item {
     /// A run without sampling parameters, as [`run_one`] runs it.
     Run(Box<RunSpec>),
+    /// A plain spec answered from its own result-cache entry, or else by
+    /// the result its SST leader proved equal to it (see [`run_batch`]).
+    Sibling(Box<RunSpec>, Box<RunResult>),
     /// The cell's outcome, known at expansion: a result-cache hit or a
     /// rejected spec.
     Answer(Box<Result<RunResult, SimError>>),
@@ -406,6 +419,7 @@ pub(crate) fn caught<T>(f: impl FnOnce() -> T) -> Result<T, SimError> {
 fn run_item(item: &Item) -> Result<RunResult, SimError> {
     caught(|| match item {
         Item::Run(spec) => run_plain(spec),
+        Item::Sibling(spec, result) => cached(spec, || Ok((**result).clone())),
         Item::Answer(outcome) => (**outcome).clone(),
     })
     .and_then(|outcome| outcome)
@@ -448,7 +462,7 @@ struct Tally {
 /// Runs independent specs as one batch: the executor behind evaluation
 /// matrices, sweeps and `quick_check`.
 ///
-/// The batch is scheduled by work item, not by cell, in three phases:
+/// The batch is scheduled by work item, not by cell, in four phases:
 ///
 /// 1. **Plans.** The sampling plan of every distinct (program, sampling
 ///    parameters, budget, skip) key is resolved concurrently, one pool job
@@ -457,20 +471,37 @@ struct Tally {
 /// 2. **Items.** Each spec expands into items: a plain spec is one item, a
 ///    sampled spec one item per representative slice (or one unsampled
 ///    item when it has no representatives), and a cache hit or rejected
-///    spec one item carrying its answer. All items of the batch go through
-///    one [`pre_par`] pool call, each under `catch_unwind` (a panic becomes
-///    [`SimError::Panic`]).
+///    spec one item carrying its answer. All items of the batch but the
+///    SST siblings of phase 4 go through one [`pre_par`] pool call, each
+///    under `catch_unwind` (a panic becomes [`SimError::Panic`]).
 /// 3. **Fold.** A spec is folded when its last item finishes: the first
 ///    error in item order fails it; otherwise sampled slices are
 ///    extrapolated and the estimate is cached.
+/// 4. **SST siblings.** Plain specs (no sampling, no trace) equal in every
+///    field but `config.runahead.sst_entries` form a group, whose largest
+///    SST (ties: first in spec order) is its *leader*. Only leaders run in
+///    phase 2; the other members run afterwards on a second pool call. A
+///    member answers from its own result-cache entry when it has one
+///    (damaged entries are still quarantined). Otherwise it takes the
+///    leader's statistics when the leader succeeded with
+///    `sst_evictions == 0`, `sst_inserts` is at most the member's SST and
+///    the member's configuration validates; its energy is recomputed from
+///    its own configuration and it is stored under its own key. This is
+///    exact, not an estimate: the table reads its capacity only when an
+///    insert finds it full, and entries leave it only by eviction, so a
+///    run without evictions never took that branch and never held more
+///    than `sst_inserts` PCs. Any capacity of at least `sst_inserts`
+///    therefore executes the same cycles ([`pre_runahead::sst`]). A member
+///    outside that certificate is simulated in the second pool call.
 ///
 /// An attempt at spec `i` starts with the `PRE_FAULT` cell hook
 /// [`crate::fault::panic_if_cell_faulted`] for index `i`, once per attempt
-/// and never per slice. A failed spec is retried up to `max_retries`
-/// times, each retry on the worker that folded it, its items run there in
-/// order. With `fail_fast`, specs none of whose items have started once
-/// any spec has failed for good are skipped as [`SimError::Skipped`] with
-/// zero attempts; which ones is scheduling-dependent (deterministic under
+/// and never per slice, SST siblings included. A failed spec is retried up
+/// to `max_retries` times, each retry on the worker that folded it, its
+/// items run there in order (a sibling's retry simulates it). With
+/// `fail_fast`, specs none of whose items have started once any spec has
+/// failed for good are skipped as [`SimError::Skipped`] with zero attempts;
+/// which ones is scheduling-dependent (deterministic under
 /// `PRE_THREADS=1`). `progress(i, result)` fires as specs succeed, in
 /// completion order.
 ///
@@ -483,93 +514,216 @@ pub fn run_batch(
     max_retries: u32,
     progress: impl FnMut(usize, &RunResult) + Send,
 ) -> Vec<(Result<RunResult, SimError>, u32)> {
-    schedule(specs, fail_fast, max_retries, true, progress)
+    schedule(specs, fail_fast, max_retries, true, progress).0
 }
+
+/// A spec's final outcome and the attempts it took.
+type Attempted = (Result<RunResult, SimError>, u32);
 
 /// [`run_batch`], with the `PRE_FAULT` cell hook armed only when
 /// `cell_faults` is set ([`run_one`] of a sampled spec runs without it).
-fn schedule(
+/// Also returns how many specs were answered from an SST sibling's result.
+pub(crate) fn schedule(
     specs: &[RunSpec],
     fail_fast: bool,
     max_retries: u32,
     cell_faults: bool,
     progress: impl FnMut(usize, &RunResult) + Send,
-) -> Vec<(Result<RunResult, SimError>, u32)> {
-    let cells = expand(specs);
-    let tallies: Vec<Tally> = cells
-        .iter()
-        .map(|cell| Tally {
-            phase: AtomicU8::new(FRESH),
-            fault: OnceLock::new(),
-            outcomes: cell.items.iter().map(|_| Mutex::default()).collect(),
-            pending: AtomicUsize::new(cell.items.len()),
-        })
-        .collect();
-    let items: Vec<(usize, usize)> = cells
-        .iter()
-        .enumerate()
-        .flat_map(|(c, cell)| (0..cell.items.len()).map(move |i| (c, i)))
-        .collect();
+) -> (Vec<Attempted>, usize) {
+    let leaders = sst_leaders(specs);
+    let mut cells = expand(specs);
     let progress = Mutex::new(progress);
     let abort = AtomicBool::new(false);
     let attempts = max_retries.saturating_add(1);
     let fault = |c: usize| if cell_faults { cell_fault(c) } else { None };
 
-    pre_par::par_map(&items, |&(c, i)| {
-        let (cell, tally) = (&cells[c], &tallies[c]);
-        let begin = if fail_fast && abort.load(SeqCst) {
-            SKIPPED
-        } else {
-            RUNNING
-        };
-        let phase = match tally.phase.compare_exchange(FRESH, begin, SeqCst, SeqCst) {
-            // This item begins the cell's first attempt.
-            Ok(_) if begin == RUNNING => {
-                if let Some(e) = fault(c) {
-                    let _ = tally.fault.set(e);
-                }
+    // One pool call over the items of the cells `which`, returning each
+    // cell's `(index, (outcome, attempts))`.
+    let run = |cells: &[Cell], which: &[usize]| {
+        let tallies: Vec<Tally> = cells.iter().map(Tally::new).collect();
+        let items: Vec<(usize, usize)> = which
+            .iter()
+            .flat_map(|&c| (0..cells[c].items.len()).map(move |i| (c, i)))
+            .collect();
+        pre_par::par_map(&items, |&(c, i)| {
+            let (cell, tally) = (&cells[c], &tallies[c]);
+            let begin = if fail_fast && abort.load(SeqCst) {
+                SKIPPED
+            } else {
                 RUNNING
+            };
+            let phase = match tally.phase.compare_exchange(FRESH, begin, SeqCst, SeqCst) {
+                // This item begins the cell's first attempt.
+                Ok(_) if begin == RUNNING => {
+                    if let Some(e) = fault(c) {
+                        let _ = tally.fault.set(e);
+                    }
+                    RUNNING
+                }
+                Ok(_) => SKIPPED,
+                Err(decided) => decided,
+            };
+            if phase == RUNNING && tally.fault.get().is_none() {
+                *lock(&tally.outcomes[i]) = Some(run_item(&cell.items[i]));
             }
-            Ok(_) => SKIPPED,
-            Err(decided) => decided,
+            if tally.pending.fetch_sub(1, SeqCst) != 1 {
+                return None;
+            }
+            // The last item of the cell: fold it, retrying on this worker.
+            if phase == SKIPPED {
+                return Some((c, (Err(SimError::Skipped), 0)));
+            }
+            let mut outcome = match tally.fault.get() {
+                Some(e) => Err(e.clone()),
+                None => cell.fold(
+                    &specs[c],
+                    tally.outcomes.iter().map(|slot| {
+                        lock(slot)
+                            .take()
+                            .expect("every item of a running cell without a fault has run")
+                    }),
+                ),
+            };
+            let mut attempt = 1;
+            while outcome.is_err() && attempt < attempts {
+                attempt += 1;
+                outcome = fault(c).map_or_else(|| run_serially(&specs[c]), Err);
+            }
+            match &outcome {
+                Ok(result) => (*lock(&progress))(c, result),
+                Err(_) => abort.store(true, SeqCst),
+            }
+            Some((c, (outcome, attempt)))
+        })
+        .into_iter()
+        .flatten()
+        .collect::<Vec<_>>()
+    };
+
+    let (members, firsts): (Vec<usize>, Vec<usize>) =
+        (0..specs.len()).partition(|&c| leaders[c].is_some());
+    let mut outcomes: Vec<Option<Attempted>> = specs.iter().map(|_| None).collect();
+    for (c, outcome) in run(&cells, &firsts) {
+        outcomes[c] = Some(outcome);
+    }
+    for &c in &members {
+        let Some((Ok(leader), _)) = leaders[c].and_then(|l| outcomes[l].as_ref()) else {
+            continue;
         };
-        if phase == RUNNING && tally.fault.get().is_none() {
-            *lock(&tally.outcomes[i]) = Some(run_item(&cell.items[i]));
+        if let Some(result) = from_sst_leader(&specs[c], leader) {
+            let item = Item::Sibling(Box::new(specs[c].clone()), Box::new(result));
+            cells[c].items = vec![item];
         }
-        if tally.pending.fetch_sub(1, SeqCst) != 1 {
-            return None;
+    }
+    for (c, outcome) in run(&cells, &members) {
+        outcomes[c] = Some(outcome);
+    }
+    // A sibling's first attempt either hits its own cache entry or takes
+    // the leader's result; a retry simulates it.
+    let from_siblings = members
+        .iter()
+        .filter(|&&c| matches!(cells[c].items[..], [Item::Sibling(..)]))
+        .filter(|&&c| matches!(&outcomes[c], Some((Ok(r), 1)) if !r.cache_hit))
+        .count();
+    let outcomes = outcomes
+        .into_iter()
+        .map(|o| o.expect("every cell is folded or skipped exactly once"))
+        .collect();
+    (outcomes, from_siblings)
+}
+
+impl Tally {
+    /// A fresh tally for `cell`.
+    fn new(cell: &Cell) -> Tally {
+        Tally {
+            phase: AtomicU8::new(FRESH),
+            fault: OnceLock::new(),
+            outcomes: cell.items.iter().map(|_| Mutex::default()).collect(),
+            pending: AtomicUsize::new(cell.items.len()),
         }
-        // The last item of the cell: fold it, retrying on this worker.
-        if phase == SKIPPED {
-            return Some((Err(SimError::Skipped), 0));
+    }
+}
+
+/// The SST leader of each spec of `specs` that has one (see [`run_batch`]):
+/// `Some(l)` for a member whose group's leader is spec `l`, `None` for
+/// leaders and for specs without siblings. Compares specs only, so it
+/// builds and hashes no program.
+fn sst_leaders(specs: &[RunSpec]) -> Vec<Option<usize>> {
+    // Each group: its specs' configuration with the SST size zeroed, and
+    // their indices.
+    let mut groups: Vec<(SimConfig, Vec<usize>)> = Vec::new();
+    for (i, spec) in specs.iter().enumerate() {
+        if spec.sample.is_some() || spec.trace.is_some() {
+            continue;
         }
-        let mut outcome = match tally.fault.get() {
-            Some(e) => Err(e.clone()),
-            None => cell.fold(
-                &specs[c],
-                tally.outcomes.iter().map(|slot| {
-                    lock(slot)
-                        .take()
-                        .expect("every item of a running cell without a fault has run")
-                }),
-            ),
-        };
-        let mut attempt = 1;
-        while outcome.is_err() && attempt < attempts {
-            attempt += 1;
-            outcome = fault(c).map_or_else(|| run_serially(&specs[c]), Err);
+        let mut config = spec.config.clone();
+        config.runahead.sst_entries = 0;
+        match groups
+            .iter_mut()
+            .find(|(c, g)| same_run(&specs[g[0]], spec) && *c == config)
+        {
+            Some((_, group)) => group.push(i),
+            None => groups.push((config, vec![i])),
         }
-        match &outcome {
-            Ok(result) => (*lock(&progress))(c, result),
-            Err(_) => abort.store(true, SeqCst),
+    }
+    let mut leaders = vec![None; specs.len()];
+    for (_, group) in groups.iter().filter(|(_, g)| g.len() > 1) {
+        let sst = |i: usize| specs[i].config.runahead.sst_entries;
+        let leader = group
+            .iter()
+            .copied()
+            .min_by_key(|&i| (std::cmp::Reverse(sst(i)), i))
+            .expect("a group has specs");
+        for &i in group.iter().filter(|&&i| i != leader) {
+            leaders[i] = Some(leader);
         }
-        Some((outcome, attempt))
+    }
+    leaders
+}
+
+/// `true` when plain specs `a` and `b` (no sampling, no trace) are equal
+/// in every field but `config`.
+fn same_run(a: &RunSpec, b: &RunSpec) -> bool {
+    // Destructured so that a new field of `RunSpec` must be judged here.
+    let RunSpec {
+        workload,
+        technique,
+        config: _,
+        params,
+        max_uops,
+        max_cycles,
+        trace: _,
+        warmup_uops,
+        warm_window,
+        sample: _,
+        use_result_cache,
+    } = a;
+    *workload == b.workload
+        && *technique == b.technique
+        && *params == b.params
+        && *max_uops == b.max_uops
+        && *max_cycles == b.max_cycles
+        && *warmup_uops == b.warmup_uops
+        && *warm_window == b.warm_window
+        && *use_result_cache == b.use_result_cache
+}
+
+/// `member`'s result taken from its SST leader's, when the leader's own
+/// counters certify that the member's SST would have executed identically
+/// (see [`run_batch`]); `None` otherwise. A deadlocked leader answered
+/// from the cache carries no watchdog diagnostics to pass on, so it
+/// certifies nothing.
+fn from_sst_leader(member: &RunSpec, leader: &RunResult) -> Option<RunResult> {
+    let stats = &leader.stats;
+    let exact = stats.sst_evictions == 0
+        && stats.sst_inserts <= member.config.runahead.sst_entries as u64
+        && leader.deadlocked == leader.watchdog.is_some()
+        && member.config.validate().is_ok();
+    exact.then(|| RunResult {
+        energy: EnergyModel::default().evaluate(stats, &member.config),
+        cache_hit: false,
+        ..leader.clone()
     })
-    // Items are in cell order and only the item that finishes a cell
-    // returns its outcome, so the outcomes come out in spec order.
-    .into_iter()
-    .flatten()
-    .collect()
 }
 
 #[cfg(test)]

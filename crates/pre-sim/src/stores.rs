@@ -58,6 +58,7 @@ use pre_workloads::{Workload, WorkloadParams};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -198,8 +199,13 @@ fn body_checksum(body: &str) -> u64 {
 /// Frames `body` with the integrity header:
 /// `pre-cache v2 <kind> <body-bytes> <fnv1a-checksum>`.
 pub fn encode_cache_file(kind: &str, body: &str) -> String {
+    format!("{}{body}", cache_header(kind, body))
+}
+
+/// The integrity header line [`encode_cache_file`] puts before `body`.
+fn cache_header(kind: &str, body: &str) -> String {
     format!(
-        "{CACHE_MAGIC} {kind} {} {:016x}\n{body}",
+        "{CACHE_MAGIC} {kind} {} {:016x}\n",
         body.len(),
         body_checksum(body)
     )
@@ -252,12 +258,13 @@ pub fn decode_cache_file<'a>(kind: &str, text: &'a str) -> Result<&'a str, Strin
     Ok(body)
 }
 
-/// Writes `contents` to `path` atomically: a uniquely-named temp file in the
-/// same directory, then `rename`. Readers (and concurrent writers racing on
-/// the same key) observe either the old file or the whole new one, never a
-/// torn write; whichever rename lands last wins, and both payloads are
-/// deterministic for one key so either winner is correct.
-fn write_atomic(path: &Path, contents: &str) -> Result<(), String> {
+/// Writes the concatenation of `parts` to `path` atomically: a
+/// uniquely-named temp file in the same directory, then `rename`. Readers
+/// (and concurrent writers racing on the same key) observe either the old
+/// file or the whole new one, never a torn write; whichever rename lands
+/// last wins, and both payloads are deterministic for one key so either
+/// winner is correct.
+fn write_atomic(path: &Path, parts: &[&str]) -> Result<(), String> {
     static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
     let dir = path.parent().ok_or("cache path has no parent directory")?;
     std::fs::create_dir_all(dir).map_err(|e| format!("create_dir_all: {e}"))?;
@@ -270,7 +277,9 @@ fn write_atomic(path: &Path, contents: &str) -> Result<(), String> {
         std::process::id(),
         TMP_SEQ.fetch_add(1, Ordering::Relaxed)
     ));
-    std::fs::write(&tmp, contents).map_err(|e| format!("write {}: {e}", tmp.display()))?;
+    std::fs::File::create(&tmp)
+        .and_then(|mut file| parts.iter().try_for_each(|p| file.write_all(p.as_bytes())))
+        .map_err(|e| format!("write {}: {e}", tmp.display()))?;
     std::fs::rename(&tmp, path).map_err(|e| {
         let _ = std::fs::remove_file(&tmp);
         format!("rename {} -> {}: {e}", tmp.display(), path.display())
@@ -352,15 +361,15 @@ impl Tier {
         }
     }
 
-    /// Writes entry `key` (framed, atomic), then applies this tier's armed
-    /// `PRE_FAULT` damage, if any.
+    /// Writes entry `key` (framed as [`encode_cache_file`] frames it, without
+    /// copying `body`; atomic), then applies this tier's armed `PRE_FAULT`
+    /// damage, if any.
     fn write(self, dir: &Path, key: u64, body: &str) -> Result<(), SimError> {
         let path = self.path(dir, key);
-        write_atomic(&path, &encode_cache_file(self.kind(), body)).map_err(|detail| {
-            SimError::Cache {
-                path: path.display().to_string(),
-                detail,
-            }
+        let header = cache_header(self.kind(), body);
+        write_atomic(&path, &[&header, body]).map_err(|detail| SimError::Cache {
+            path: path.display().to_string(),
+            detail,
         })?;
         match self {
             Tier::Snapshot if crate::fault::should_truncate_snapshot() => inject_truncation(&path),
@@ -488,7 +497,10 @@ pub fn snapshot_publish(
 ) -> Arc<SimSnapshot> {
     let (key, desc) = snapshot_key(program, warmup_uops, window);
     if let Some(dir) = disk_dir {
-        let body = format!("keydesc {desc}\n{}", snap.to_text());
+        // The warm-up text of a large program runs to megabytes: build it
+        // once, in place after the key line.
+        let mut body = format!("keydesc {desc}\n");
+        snap.write_text(&mut body);
         if let Err(e) = Tier::Snapshot.write(dir, key, &body) {
             eprintln!("warning: cannot persist snapshot: {e}");
         }
@@ -932,6 +944,22 @@ mod tests {
         );
         let corrupt = PathBuf::from(format!("{}.corrupt", path.display()));
         assert!(corrupt.exists(), "truncated snapshot was quarantined");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn published_snapshot_file_is_the_framed_body() {
+        let _stores = lock_stores();
+        let program = Workload::ComputeBound.build(&WorkloadParams::short(80));
+        let (key, desc) = snapshot_key(&program, 300, 300);
+        let dir = std::env::temp_dir().join(format!("pre-snap-frame-{key:016x}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        clear_stores();
+        let snap = SimSnapshot::capture_windowed(&program, 300, 300);
+        let body = format!("keydesc {desc}\n{}", snap.to_text());
+        snapshot_publish(&program, 300, 300, snap, Some(&dir));
+        let written = std::fs::read_to_string(Tier::Snapshot.path(&dir, key)).unwrap();
+        assert_eq!(written, encode_cache_file("snapshot", &body));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

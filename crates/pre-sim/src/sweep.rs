@@ -24,7 +24,7 @@
 // unwinding.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::runner::{run_batch, RunResult, RunSpec};
+use crate::runner::{schedule, RunResult, RunSpec};
 use crate::sample::SampleSpec;
 use pre_model::config::SimConfig;
 use pre_model::error::SimError;
@@ -157,7 +157,8 @@ pub struct GridDim {
 impl FromStr for GridDim {
     type Err = ParseGridError;
 
-    /// Parses `dim=v1,v2,...` (e.g. `emq=192,384,768`).
+    /// Parses `dim=v1,v2,...` (e.g. `emq=192,384,768`). A value listed
+    /// twice is an error: it would run the same point twice.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let (name, list) = s
             .split_once('=')
@@ -170,6 +171,13 @@ impl FromStr for GridDim {
             .map_err(|_| ParseGridError(format!("bad value list in `{s}`")))?;
         if values.is_empty() {
             return Err(ParseGridError(format!("empty value list in `{s}`")));
+        }
+        if let Some(v) = values
+            .iter()
+            .enumerate()
+            .find_map(|(i, v)| values[..i].contains(v).then_some(v))
+        {
+            return Err(ParseGridError(format!("value {v} listed twice in `{s}`")));
         }
         Ok(GridDim { dim, values })
     }
@@ -238,6 +246,10 @@ pub struct SweepRun {
     pub failures: Vec<SweepFailure>,
     /// Total points in the grid (`points.len() + failures.len()`).
     pub total: usize,
+    /// Points answered from the simulation of a larger-SST sibling rather
+    /// than simulated or read from the cache (see
+    /// [`run_batch`](crate::runner::run_batch)).
+    pub from_sst_siblings: usize,
 }
 
 impl SweepRun {
@@ -294,8 +306,9 @@ pub struct Sweep {
     /// scheduling-dependent (deterministic under `PRE_THREADS=1`).
     pub fail_fast: bool,
     /// Re-run a failed point up to this many extra times before recording
-    /// the failure. Retries cover panics too (see [`run_batch`]); a
-    /// deterministic failure simply fails every attempt.
+    /// the failure. Retries cover panics too (see
+    /// [`run_batch`](crate::runner::run_batch)); a deterministic failure
+    /// simply fails every attempt.
     pub max_retries: u32,
     /// The grid dimensions.
     pub dims: Vec<GridDim>,
@@ -367,22 +380,30 @@ impl Sweep {
             .collect()
     }
 
-    /// Runs every point through [`run_batch`] with failure isolation: a
-    /// point that errors or panics (after `max_retries` extra attempts) is
-    /// recorded in [`SweepRun::failures`] while the rest of the grid
-    /// completes and stays bit-identical to a clean run. With `fail_fast`,
-    /// points not yet launched when the first failure lands are skipped.
-    /// `progress` fires as points complete; the returned points are in grid
-    /// order. [`SweepRun::into_result`] gives all-or-nothing behaviour.
+    /// Runs every point through [`run_batch`](crate::runner::run_batch)
+    /// with failure isolation: a point that errors or panics (after
+    /// `max_retries` extra attempts) is recorded in [`SweepRun::failures`]
+    /// while the rest of the grid completes and stays bit-identical to a
+    /// clean run. With `fail_fast`, points not yet launched when the first
+    /// failure lands are skipped. `progress` fires as points complete; the
+    /// returned points are in grid order. [`SweepRun::into_result`] gives
+    /// all-or-nothing behaviour. Points of an SST-size dimension share one
+    /// simulation whenever the largest size's table never evicted.
     pub fn run_isolated(&self, mut progress: impl FnMut(&SweepPoint) + Send) -> SweepRun {
         let (settings, specs): (Vec<_>, Vec<_>) = self.specs().into_iter().unzip();
-        let outcomes = run_batch(&specs, self.fail_fast, self.max_retries, |i, result| {
-            progress(&SweepPoint {
-                settings: settings[i].clone(),
-                spec: specs[i].clone(),
-                result: result.clone(),
-            });
-        });
+        let (outcomes, from_sst_siblings) = schedule(
+            &specs,
+            self.fail_fast,
+            self.max_retries,
+            true,
+            |i, result| {
+                progress(&SweepPoint {
+                    settings: settings[i].clone(),
+                    spec: specs[i].clone(),
+                    result: result.clone(),
+                });
+            },
+        );
         let total = outcomes.len();
         let mut points = Vec::new();
         let mut failures = Vec::new();
@@ -406,6 +427,7 @@ impl Sweep {
             points,
             failures,
             total,
+            from_sst_siblings,
         }
     }
 }
@@ -509,6 +531,14 @@ mod tests {
         assert!("nope=1,2".parse::<GridDim>().is_err());
         let spaced: GridDim = " sst = 4 , 8 ".parse().expect("tolerates spaces");
         assert_eq!(spaced.values, vec![4, 8]);
+    }
+
+    #[test]
+    fn grid_rejects_a_value_listed_twice() {
+        let err = "sst=16,64,16".parse::<GridDim>().unwrap_err();
+        assert!(err.to_string().contains("16 listed twice"), "{err}");
+        assert!("sst=16, 16".parse::<GridDim>().is_err());
+        assert!("sst=16,64".parse::<GridDim>().is_ok());
     }
 
     #[test]
@@ -648,6 +678,7 @@ mod tests {
                 },
             ],
             total: 2,
+            from_sst_siblings: 0,
         };
         assert!(!run.is_complete());
         assert!(matches!(

@@ -178,3 +178,24 @@ fn sweep_help_prints_usage_and_exits_0() {
         assert!(String::from_utf8_lossy(&out.stdout).starts_with("usage: sweep"));
     }
 }
+
+#[test]
+fn sweep_refuses_a_repeated_dimension_or_value() {
+    let exe = env!("CARGO_BIN_EXE_sweep");
+    let base = [
+        "--workload",
+        "lbm-like",
+        "--technique",
+        "pre",
+        "--budget",
+        "2000",
+    ];
+    for grid in [
+        &["--grid", "sst=16", "--grid", "sst=64"][..],
+        &["--grid", "sst=16,16"][..],
+        &["--grid", "rob=128", "--grid", "sst=8", "--grid", "rob=192"][..],
+    ] {
+        let args: Vec<&str> = base.iter().chain(grid).copied().collect();
+        assert_usage_error(exe, &args);
+    }
+}

@@ -219,6 +219,53 @@ fn sweep_fail_fast_skips_points_after_the_first_failure() {
 }
 
 #[test]
+fn sst_siblings_take_cell_faults_as_their_own_cells() {
+    let _guard = lock();
+    let _env = EnvGuard::set(&[("PRE_FAULT", None), ("PRE_CACHE_DIR", None)]);
+    let mut sweep = Sweep::new(Workload::LbmLike, Technique::Pre)
+        .with_dim("sst=16,64,256".parse().expect("grid"));
+    sweep.budget = 20_000;
+    let clean = sweep.run_isolated(|_| {});
+    assert_eq!(
+        clean.from_sst_siblings, 2,
+        "both smaller tables are derived"
+    );
+    let clean = clean.into_result().expect("clean grid");
+
+    // A fault on a derived member fails that cell alone, on each of its
+    // attempts; the other member is still derived.
+    let _fault = EnvGuard::set(&[("PRE_FAULT", Some("panic:cell=1"))]);
+    sweep.max_retries = 1;
+    let run = sweep.run_isolated(|_| {});
+    assert_eq!(run.failures.len(), 1, "exactly the faulted member failed");
+    assert_eq!(run.failures[0].index, 1);
+    assert_eq!(run.failures[0].attempts, 2);
+    assert!(matches!(run.failures[0].error, SimError::Panic { .. }));
+    assert_eq!(run.from_sst_siblings, 1);
+    for p in &run.points {
+        let i = if p.spec.config.runahead.sst_entries == 16 {
+            0
+        } else {
+            2
+        };
+        assert_eq!(p.result.stats.to_kv(), clean[i].result.stats.to_kv());
+    }
+
+    // A fault on the leader leaves its members nothing to derive from:
+    // they are simulated, and still match the clean grid.
+    let _fault = EnvGuard::set(&[("PRE_FAULT", Some("panic:cell=2"))]);
+    sweep.max_retries = 0;
+    let run = sweep.run_isolated(|_| {});
+    assert_eq!(run.failures.len(), 1);
+    assert_eq!(run.failures[0].index, 2);
+    assert_eq!(run.from_sst_siblings, 0);
+    for (p, c) in run.points.iter().zip(&clean) {
+        assert_eq!(p.result.stats.to_kv(), c.result.stats.to_kv());
+        assert_eq!(p.result.energy, c.result.energy);
+    }
+}
+
+#[test]
 fn corrupt_cache_fault_quarantines_then_recomputes_bit_identically() {
     let _guard = lock();
     let dir = fresh_dir("corrupt-cache");

@@ -19,12 +19,6 @@
 //! Slots carry a generation counter so wakeup tokens and ready-queue keys
 //! that outlive their entry (squash, runahead exit) are dropped lazily
 //! without walking any list eagerly.
-//!
-//! The queue also supports a *reference mode* (the
-//! `CoreConfig::reference_scheduler` oracle) in which none of the event structures are maintained and
-//! the pipeline falls back to scan-based select; both paths produce
-//! bit-identical statistics, which `pre-sim`'s `scheduler_equivalence` test
-//! asserts cell-by-cell.
 
 use pre_model::isa::{OpClass, StaticInst};
 use pre_model::reg::{PhysReg, RegClass};
@@ -178,7 +172,7 @@ struct Slot {
     /// Bumped every time the slot is freed; stale tokens/keys carry an older
     /// generation and are dropped on sight.
     gen: u32,
-    /// Unready source-operand occurrences remaining (event mode only).
+    /// Unready source-operand occurrences remaining.
     unready: u8,
     /// A live [`ReadyKey`] for this slot sits in a ready queue. Freeing the
     /// slot while set leaves a stale key behind (see `stale_ready_keys`).
@@ -203,9 +197,6 @@ pub struct IssueQueue {
     capacity: usize,
     writes: u64,
     peak_occupancy: usize,
-    /// When set, the event structures below are not maintained and the
-    /// pipeline uses the scan-based reference select.
-    reference: bool,
     /// Producer-indexed wakeup lists: `wakeup[class][phys reg] -> tokens`.
     /// Grown on demand to the physical register file size.
     wakeup: [Vec<Vec<WaitToken>>; 2],
@@ -223,9 +214,9 @@ pub struct IssueQueue {
     /// instead of probing all `OpClass::COUNT` queues per issue slot.
     ready_mask: u16,
     /// `readers[class][phys reg]`: source-operand occurrences of the
-    /// register among the waiting entries (both scheduler modes). Lets the
-    /// eager drain ask "does a waiting micro-op still read this register?"
-    /// without walking the queue. Grown on demand like `wakeup`.
+    /// register among the waiting entries. Lets the eager drain ask "does a
+    /// waiting micro-op still read this register?" without walking the
+    /// queue. Grown on demand like `wakeup`.
     readers: [Vec<u16>; 2],
 }
 
@@ -244,7 +235,6 @@ impl IssueQueue {
             capacity,
             writes: 0,
             peak_occupancy: 0,
-            reference: false,
             wakeup: [Vec::new(), Vec::new()],
             ready: std::array::from_fn(|_| BinaryHeap::new()),
             agen: VecDeque::new(),
@@ -252,21 +242,6 @@ impl IssueQueue {
             ready_mask: 0,
             readers: [Vec::new(), Vec::new()],
         }
-    }
-
-    /// Switches the queue into reference mode (scan-based select, no event
-    /// structures). Must be called while the queue is empty.
-    pub fn set_reference_mode(&mut self, reference: bool) {
-        assert!(
-            self.is_empty(),
-            "scheduler mode is fixed after dispatch begins"
-        );
-        self.reference = reference;
-    }
-
-    /// `true` when the queue runs in reference (scan-based) mode.
-    pub fn is_reference_mode(&self) -> bool {
-        self.reference
     }
 
     /// `true` when no further micro-op can be dispatched.
@@ -322,32 +297,30 @@ impl IssueQueue {
             counts[reg.index()] += 1;
         }
         let mut unready = 0u8;
-        if !self.reference {
-            for (i, &(class, reg)) in entry.srcs.as_slice().iter().enumerate() {
-                if !ready(class, reg) {
-                    unready += 1;
-                    self.register_token(class, reg, slot_idx as u32, gen, i as u8, true);
+        for (i, &(class, reg)) in entry.srcs.as_slice().iter().enumerate() {
+            if !ready(class, reg) {
+                unready += 1;
+                self.register_token(class, reg, slot_idx as u32, gen, i as u8, true);
+            }
+        }
+        if entry.class == OpClass::Store && !entry.store_addr_ready {
+            if let Some((class, reg)) = entry.srcs.first() {
+                if ready(class, reg) {
+                    self.agen.push_back((slot_idx as u32, gen));
                 }
             }
-            if entry.class == OpClass::Store && !entry.store_addr_ready {
-                if let Some((class, reg)) = entry.srcs.first() {
-                    if ready(class, reg) {
-                        self.agen.push_back((slot_idx as u32, gen));
-                    }
-                }
-            }
-            if unready == 0 {
-                self.ready_mask |= 1 << entry.class.index();
-                self.ready[entry.class.index()].push(Reverse(ReadyKey {
-                    id: entry.id,
-                    slot: slot_idx as u32,
-                    gen,
-                }));
-            }
+        }
+        if unready == 0 {
+            self.ready_mask |= 1 << entry.class.index();
+            self.ready[entry.class.index()].push(Reverse(ReadyKey {
+                id: entry.id,
+                slot: slot_idx as u32,
+                gen,
+            }));
         }
         let slot = &mut self.slots[slot_idx];
         slot.unready = unready;
-        slot.ready_queued = !self.reference && unready == 0;
+        slot.ready_queued = unready == 0;
         slot.entry = Some(entry);
         self.len += 1;
         self.peak_occupancy = self.peak_occupancy.max(self.len);
@@ -380,9 +353,6 @@ impl IssueQueue {
     /// queues, and stores whose base operand woke enqueue for address
     /// generation.
     pub fn wake(&mut self, class: RegClass, reg: PhysReg) {
-        if self.reference {
-            return;
-        }
         let ci = class_idx(class);
         if reg.index() >= self.wakeup[ci].len() {
             return;
@@ -425,10 +395,9 @@ impl IssueQueue {
     /// Re-registers a popped-but-no-longer-ready entry. This covers a rare
     /// PRE-mode hazard: a source register can be reclaimed through the PRDQ
     /// and re-allocated to a younger runahead micro-op *after* this entry
-    /// consumed its wakeup, clearing the ready bit again. The reference
-    /// scheduler re-observes the cleared bit on its next scan; the event
-    /// scheduler re-plants wakeup tokens here so the entry waits for the new
-    /// producer — keeping both schedulers in lockstep.
+    /// consumed its wakeup, clearing the ready bit again. Re-planting its
+    /// wakeup tokens here makes the entry wait for the new producer instead
+    /// of issuing with a stale operand.
     pub fn reregister(&mut self, key: ReadyKey, ready: impl Fn(RegClass, PhysReg) -> bool) {
         let slot_idx = key.slot as usize;
         debug_assert_eq!(
@@ -600,11 +569,6 @@ impl IssueQueue {
         self.slots.iter().filter_map(|s| s.entry.as_ref())
     }
 
-    /// Mutable iteration in slot order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut IqEntry> {
-        self.slots.iter_mut().filter_map(|s| s.entry.as_mut())
-    }
-
     /// How many source operands of waiting micro-ops read `reg` (an entry
     /// naming it twice counts twice). Zero means no waiting micro-op reads
     /// it.
@@ -638,16 +602,6 @@ impl IssueQueue {
     /// and ready keys die against the bumped generation.
     pub fn remove_slot(&mut self, slot: u32) -> IqEntry {
         self.free_slot(slot as usize)
-    }
-
-    /// Removes the entry for micro-op `id` (it issued or was squashed).
-    /// Returns the removed entry.
-    pub fn remove(&mut self, id: u64) -> Option<IqEntry> {
-        let idx = self
-            .slots
-            .iter()
-            .position(|s| s.entry.as_ref().is_some_and(|e| e.id == id))?;
-        Some(self.free_slot(idx))
     }
 
     /// Removes every entry matching the predicate and returns how many were
@@ -729,8 +683,8 @@ mod tests {
         iq.insert(entry(1, false), all_ready);
         iq.insert(entry(2, false), all_ready);
         assert_eq!(iq.len(), 2);
-        assert!(iq.remove(1).is_some());
-        assert!(iq.remove(1).is_none());
+        assert_eq!(iq.remove_where(|e| e.id == 1), 1);
+        assert_eq!(iq.remove_where(|e| e.id == 1), 0);
         assert_eq!(iq.len(), 1);
     }
 
@@ -740,7 +694,7 @@ mod tests {
         for id in 1..=5 {
             iq.insert(entry(id, false), all_ready);
         }
-        iq.remove(3);
+        iq.remove_where(|e| e.id == 3);
         let mut ids: Vec<_> = iq.iter().map(|e| e.id).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![1, 2, 4, 5]);
@@ -862,7 +816,7 @@ mod tests {
         let mut iq = IssueQueue::new(8);
         iq.insert(entry(1, false), all_ready);
         iq.insert(entry(2, false), all_ready);
-        iq.remove(1);
+        iq.remove_where(|e| e.id == 1);
         // Slot of id 1 is reused by id 5; the stale ready key for id 1 must
         // not resurface as id 5's.
         iq.insert(entry(5, false), all_ready);
@@ -933,16 +887,5 @@ mod tests {
         iq.insert(twice, all_ready);
         iq.clear();
         assert_eq!(iq.readers(RegClass::Int, r), 0);
-    }
-
-    #[test]
-    fn reference_mode_maintains_no_event_state() {
-        let mut iq = IssueQueue::new(8);
-        iq.set_reference_mode(true);
-        iq.insert(entry(1, false), all_ready);
-        assert!(iq.pop_ready(&NOP_PORTS).is_none());
-        assert!(iq.pop_agen().is_none());
-        assert!(iq.select_idle());
-        assert_eq!(iq.len(), 1);
     }
 }

@@ -15,7 +15,7 @@
 mod runahead;
 mod stages;
 
-use crate::iq::{IqEntry, IssueQueue, ReadyKey};
+use crate::iq::{IssueQueue, ReadyKey};
 use crate::lsq::LoadStoreQueue;
 use crate::regfile::PhysRegFile;
 use crate::rename::{RenameCheckpoint, RenameSubsystem};
@@ -243,15 +243,12 @@ pub struct OooCore {
     /// asserts [`SimStats`] stay bit-identical with and without a tracer.
     pub(crate) tracer: Option<Box<dyn Tracer>>,
 
-    // Reusable scratch buffers so the per-cycle event path performs no heap
-    // allocation and the reference path reuses capacity. Runahead entry
-    // still allocates, once per interval: the RAS snapshot, the PRE rename
-    // checkpoint's free lists, the flush-style invalidation list and the
-    // runahead buffer's window, chain and INV register list.
+    // Reusable scratch buffer so the per-cycle path performs no heap
+    // allocation. Runahead entry still allocates, once per interval: the
+    // RAS snapshot, the PRE rename checkpoint's free lists, the flush-style
+    // invalidation list and the runahead buffer's window, chain and INV
+    // register list.
     pub(crate) issue_retry: Vec<ReadyKey>,
-    pub(crate) ref_candidates: Vec<IqEntry>,
-    pub(crate) ref_issued: Vec<u64>,
-    pub(crate) ref_agen_updates: Vec<(u64, Option<u64>, Option<u64>)>,
 }
 
 impl OooCore {
@@ -355,8 +352,6 @@ impl OooCore {
             &arf,
         );
         let entry_policy = technique.entry_policy(&cfg.runahead);
-        let mut iq = IssueQueue::new(core_cfg.iq_entries);
-        iq.set_reference_mode(core_cfg.reference_scheduler);
         OooCore {
             mem_hier: warmed.mem_hier,
             func_mem,
@@ -374,7 +369,7 @@ impl OooCore {
             next_dispatch_pc: pc,
             rename,
             rob: ReorderBuffer::new(core_cfg.rob_entries),
-            iq,
+            iq: IssueQueue::new(core_cfg.iq_entries),
             lsq: LoadStoreQueue::new(core_cfg.lq_entries, core_cfg.sq_entries),
             in_flight: EventQueue::new(),
             next_id: 1,
@@ -401,9 +396,6 @@ impl OooCore {
             commit_ring: CommitRing::new(COMMIT_RING_CAPACITY),
             tracer: None,
             issue_retry: Vec::new(),
-            ref_candidates: Vec::new(),
-            ref_issued: Vec::new(),
-            ref_agen_updates: Vec::new(),
             cfg: cfg.clone(),
             technique,
             insts: program.insts.as_slice().into(),
@@ -528,15 +520,16 @@ impl OooCore {
     /// have elapsed, or the program retires completely; then folds structure
     /// counters into the statistics.
     ///
-    /// With the event-driven scheduler (the default), quiescent stretches —
-    /// cycles during which every pipeline stage is provably a no-op, e.g. a
-    /// full-window stall on an off-chip load — are fast-forwarded in bulk:
-    /// the clock jumps to the next completion event and the per-cycle stall
-    /// statistics are accumulated arithmetically. The resulting [`SimStats`]
-    /// are bit-identical to ticking cycle by cycle (asserted by the
-    /// `scheduler_equivalence` suite against the reference scheduler).
+    /// With `CoreConfig::fast_forward` set (the default), quiescent
+    /// stretches — cycles during which every pipeline stage is provably a
+    /// no-op, e.g. a full-window stall on an off-chip load — are
+    /// fast-forwarded in bulk: the clock jumps to the next completion event
+    /// and the per-cycle stall statistics are accumulated arithmetically.
+    /// With it cleared the loop ticks every cycle. The resulting
+    /// [`SimStats`] are bit-identical either way (asserted by the facade's
+    /// `stats_corpus` suite, which checks both against a checked-in corpus).
     pub fn run(&mut self, max_uops: u64, max_cycles: u64) -> &SimStats {
-        let fast_forward = !self.cfg.core.reference_scheduler;
+        let fast_forward = self.cfg.core.fast_forward;
         while !self.halted
             && !self.deadlocked
             && self.stats.committed_uops < max_uops
@@ -548,7 +541,7 @@ impl OooCore {
             }
             // Only fast-forward when the loop will keep ticking; advancing
             // the clock after the final tick would diverge from the
-            // cycle-by-cycle reference.
+            // tick-every-cycle run.
             if fast_forward && self.stats.committed_uops < max_uops && self.cycle < max_cycles {
                 self.fast_forward_quiescent(max_cycles);
             }
@@ -562,8 +555,8 @@ impl OooCore {
             self.trace_sample_now();
         }
         // Record how the run ended. Purely a function of simulated machine
-        // state and the budget, so it is bit-identical across the event and
-        // reference schedulers (and across cached vs recomputed results).
+        // state and the budget, so it is bit-identical with fast-forward on
+        // and off (and across cached vs recomputed results).
         self.stats.terminated = if self.deadlocked {
             TerminationKind::Watchdog
         } else if self.halted || self.stats.committed_uops >= max_uops {
@@ -895,7 +888,7 @@ impl OooCore {
     /// are accumulated here exactly as `tick` would. The jump target is the
     /// next `in_flight` completion, additionally capped by the deadlock
     /// watchdog and the caller's cycle limit so aborted runs stop at the
-    /// same cycle as the reference scheduler.
+    /// same cycle as the tick-every-cycle run.
     fn fast_forward_normal(&mut self, max_cycles: u64) {
         debug_assert!(self.pending_recovery.is_none());
         debug_assert!(self.interval.is_none());
@@ -926,7 +919,7 @@ impl OooCore {
         let now = self.cycle;
         // Earliest future cycle at which any stage can make progress again,
         // capped so deadlocked and budget-bounded runs stop exactly where
-        // the cycle-by-cycle reference stops.
+        // the tick-every-cycle run stops.
         let mut target = (self.last_progress_cycle + DEADLOCK_WINDOW + 1).min(max_cycles);
         if let Some(next_completion) = self.in_flight.next_completion() {
             debug_assert!(next_completion > now, "unprocessed completion event");

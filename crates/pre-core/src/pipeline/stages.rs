@@ -258,10 +258,6 @@ impl OooCore {
     /// the ready bits set by previous completions, so issuing one candidate
     /// cannot make another ready within the same cycle.
     pub(crate) fn issue_stage(&mut self, now: u64) {
-        if self.cfg.core.reference_scheduler {
-            self.issue_stage_reference(now);
-            return;
-        }
         self.process_store_agen();
 
         let mut remaining = self.cfg.core.issue_width;
@@ -276,8 +272,7 @@ impl OooCore {
             };
             if !self.sources_ready(&entry) {
                 // A source register was reclaimed (PRDQ) and re-allocated
-                // after this entry's wakeup: wait for the new producer, as
-                // the reference scan would.
+                // after this entry's wakeup: wait for the new producer.
                 let rename = &self.rename;
                 self.iq
                     .reregister(key, |class, reg| rename.prf(class).is_ready(reg));
@@ -311,63 +306,6 @@ impl OooCore {
             self.iq.requeue_ready(key);
         }
         self.issue_retry = retry;
-    }
-
-    /// Reference select (the `CoreConfig::reference_scheduler` oracle): rescans
-    /// the whole queue for ready candidates every cycle, exactly like the
-    /// pre-event-scheduler pipeline. Must stay bit-identical to
-    /// [`OooCore::issue_stage`]; the `scheduler_equivalence` suite asserts
-    /// it.
-    fn issue_stage_reference(&mut self, now: u64) {
-        self.generate_store_addresses_scan();
-
-        let mut candidates = std::mem::take(&mut self.ref_candidates);
-        candidates.clear();
-        candidates.extend(self.iq.iter().filter(|e| self.sources_ready(e)).copied());
-        // Slot order is arbitrary; select works in age (= id) order.
-        candidates.sort_unstable_by_key(|e| e.id);
-
-        let mut remaining = self.cfg.core.issue_width;
-        let mut ports: [usize; OpClass::COUNT] =
-            std::array::from_fn(|i| self.cfg.core.fu.ports_for(OpClass::ALL[i]));
-        let mut issued = std::mem::take(&mut self.ref_issued);
-        debug_assert!(issued.is_empty());
-
-        for entry in &candidates {
-            if remaining == 0 {
-                break;
-            }
-            let port = &mut ports[entry.class.index()];
-            if *port == 0 {
-                continue;
-            }
-            match self.try_execute(entry, now) {
-                IssueOutcome::Issued => {
-                    *port -= 1;
-                    remaining -= 1;
-                    issued.push(entry.id);
-                    self.stats.issued_uops += 1;
-                    if self.mode == Mode::RunaheadPre && !entry.is_runahead {
-                        self.pre_eager_rescan = true;
-                    }
-                    self.count_issue_class(entry.class);
-                    if self.pending_recovery.is_some() {
-                        break;
-                    }
-                }
-                IssueOutcome::NotIssued => {}
-            }
-        }
-        for id in issued.drain(..) {
-            let Some(entry) = self.iq.remove(id) else {
-                continue;
-            };
-            if self.mode == Mode::RunaheadPre && !entry.is_runahead {
-                self.recheck_eager_sources(&entry);
-            }
-        }
-        self.ref_candidates = candidates;
-        self.ref_issued = issued;
     }
 
     /// An issued normal micro-op left the issue queue during precise
@@ -420,49 +358,6 @@ impl OooCore {
                 }
             }
         }
-    }
-
-    /// Scan-based store address generation for the reference scheduler:
-    /// sweeps the whole queue every cycle, as the pre-event pipeline did.
-    fn generate_store_addresses_scan(&mut self) {
-        let mut updates = std::mem::take(&mut self.ref_agen_updates);
-        updates.clear();
-        for e in self.iq.iter() {
-            if e.class != OpClass::Store || e.store_addr_ready {
-                continue;
-            }
-            let base = e.srcs.first();
-            let data = e.srcs.get(1);
-            let addr = match base {
-                Some((class, reg)) if self.prf(class).is_ready(reg) => {
-                    Some(e.inst.effective_address(self.prf(class).peek(reg)))
-                }
-                _ => None,
-            };
-            if addr.is_none() {
-                continue;
-            }
-            let value = match data {
-                Some((class, reg)) if self.prf(class).is_ready(reg) => {
-                    let mask = e.inst.opcode.store_width().expect("agen on a store").mask();
-                    Some(self.prf(class).peek(reg) & mask)
-                }
-                _ => None,
-            };
-            updates.push((e.id, addr, value));
-        }
-        for (id, addr, value) in updates.drain(..) {
-            if let Some(a) = addr {
-                self.lsq.set_store_addr(id, a);
-                if let Some(e) = self.iq.iter_mut().find(|e| e.id == id) {
-                    e.store_addr_ready = true;
-                }
-            }
-            if let Some(v) = value {
-                self.lsq.set_store_value(id, v);
-            }
-        }
-        self.ref_agen_updates = updates;
     }
 
     fn sources_ready(&self, entry: &IqEntry) -> bool {

@@ -295,12 +295,12 @@ fn eager_tracker_follows_random_window_events() {
                     let ready: Vec<_> = iq
                         .iter()
                         .filter(|e| e.srcs.iter().all(|&(c, p)| r.prf(c).is_ready(p)))
-                        .map(|e| (e.id, e.rob_slot))
+                        .copied()
                         .collect();
                     if !ready.is_empty() {
-                        let (id, slot) = ready[rng.gen_range_usize(0..ready.len())];
-                        let entry = iq.remove(id).expect("picked from the queue");
-                        issue_in_rob(&mut rob, slot, id);
+                        let entry = ready[rng.gen_range_usize(0..ready.len())];
+                        assert_eq!(iq.remove_where(|e| e.id == entry.id), 1);
+                        issue_in_rob(&mut rob, entry.rob_slot, entry.id);
                         for &(class, reg) in entry.srcs.iter() {
                             if iq.readers(class, reg) == 0 {
                                 r.recheck_eager(class, reg, &iq);

@@ -141,11 +141,12 @@ pub struct CoreConfig {
     pub fu: FuConfig,
     /// Execution latencies.
     pub latencies: LatencyConfig,
-    /// Escape hatch: use the reference (cycle-by-cycle, scan-based) issue
-    /// scheduler instead of the event-driven wakeup/select scheduler with
-    /// quiescent-cycle fast-forward. Both produce bit-identical statistics;
-    /// the reference path exists for equivalence testing and debugging.
-    pub reference_scheduler: bool,
+    /// Skip quiescent cycles in bulk (`true`, the default): when every
+    /// pipeline stage is provably idle the clock jumps to the next event.
+    /// With `false` the core ticks every cycle. Both produce bit-identical
+    /// statistics (only the fast-forward split differs); the
+    /// tick-every-cycle run exists as the oracle for fast-forward.
+    pub fast_forward: bool,
 }
 
 impl Default for CoreConfig {
@@ -165,7 +166,7 @@ impl Default for CoreConfig {
             fp_phys_regs: 168,
             fu: FuConfig::default(),
             latencies: LatencyConfig::default(),
-            reference_scheduler: false,
+            fast_forward: true,
         }
     }
 }

@@ -194,15 +194,17 @@ impl Default for PercentHistogram {
     }
 }
 
-/// Cycles the event-driven scheduler skipped in bulk (quiescent-cycle
-/// fast-forward) instead of ticking one by one, split by pipeline mode.
+/// Cycles the core skipped in bulk (quiescent-cycle fast-forward) instead
+/// of ticking one by one, split by pipeline mode.
 ///
 /// This is *simulator performance* accounting, not an architectural
 /// statistic: a fast-forwarded run models exactly the same machine as the
-/// cycle-by-cycle reference, it merely spends less host time doing so. To
-/// keep that guarantee checkable — [`SimStats`] equality between a
-/// fast-forwarded run and the reference-scheduler oracle — `PartialEq`
-/// deliberately treats any two values as equal.
+/// tick-every-cycle run (`CoreConfig::fast_forward = false`), it merely
+/// spends less host time doing so. To keep that guarantee checkable —
+/// [`SimStats`] equality between a fast-forwarded run and the
+/// tick-every-cycle oracle — `PartialEq` deliberately treats any two values
+/// as equal. (The kv text still carries the split, so a checked-in corpus
+/// pins it.)
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FfCycles {
     /// Normal-mode cycles skipped in bulk (full-window stalls).
@@ -214,7 +216,8 @@ pub struct FfCycles {
 
 impl PartialEq for FfCycles {
     /// Always `true`: how many cycles were fast-forwarded is a property of
-    /// the scheduler, not of the simulated machine (see the type docs).
+    /// the simulator's clock, not of the simulated machine (see the type
+    /// docs).
     fn eq(&self, _other: &Self) -> bool {
         true
     }
@@ -224,8 +227,8 @@ impl PartialEq for FfCycles {
 ///
 /// Unlike [`FfCycles`] this participates in real [`SimStats`] equality: how a
 /// run terminates is a property of the simulated machine and its budget, not
-/// of the scheduler, so it must be bit-identical across the event-driven and
-/// reference paths (and across cached vs recomputed results).
+/// of fast-forward, so it must be bit-identical with fast-forward on and off
+/// (and across cached vs recomputed results).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TerminationKind {
     /// The run finished its work: the program halted or the uop budget was
@@ -368,7 +371,7 @@ pub struct SimStats {
     // ---- time -------------------------------------------------------------
     /// Total simulated core cycles.
     pub cycles: u64,
-    /// Cycles the event scheduler fast-forwarded in bulk rather than ticking
+    /// Cycles the core fast-forwarded in bulk rather than ticking
     /// (simulator-performance accounting; excluded from equality — see
     /// [`FfCycles`]).
     pub ff_cycles: FfCycles,
@@ -636,7 +639,7 @@ impl SimStats {
         self.runahead_interval_hist.mean()
     }
 
-    /// Normal-mode cycles the scheduler actually ticked one by one (total
+    /// Normal-mode cycles the core actually ticked one by one (total
     /// normal-mode cycles minus the bulk fast-forwarded ones).
     pub fn normal_cycles_simulated(&self) -> u64 {
         self.cycles
@@ -644,7 +647,7 @@ impl SimStats {
             .saturating_sub(self.ff_cycles.normal)
     }
 
-    /// Runahead-mode cycles the scheduler actually ticked one by one.
+    /// Runahead-mode cycles the core actually ticked one by one.
     pub fn runahead_cycles_simulated(&self) -> u64 {
         self.runahead_cycles.saturating_sub(self.ff_cycles.runahead)
     }

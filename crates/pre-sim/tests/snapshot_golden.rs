@@ -4,7 +4,8 @@
 //! forking a shared snapshot, restoring a serialized snapshot, or answering
 //! from the cache must be bit-identical to doing the work from scratch —
 //! never "close enough". These tests pin that contract across the mixed
-//! workload matrix, every technique and both scheduler implementations.
+//! workload matrix, every technique and both clock paths (quiescent-cycle
+//! fast-forward on and off).
 
 use pre_core::{OooCore, WarmedState};
 use pre_model::config::SimConfig;
@@ -37,10 +38,10 @@ fn fresh_end_to_end(spec: &RunSpec) -> pre_model::stats::SimStats {
 }
 
 #[test]
-fn snapshot_fork_matches_cold_capture_across_matrix_and_schedulers() {
-    for reference_scheduler in [false, true] {
+fn snapshot_fork_matches_cold_capture_across_matrix_and_clock_paths() {
+    for fast_forward in [true, false] {
         let mut config = SimConfig::haswell_like();
-        config.core.reference_scheduler = reference_scheduler;
+        config.core.fast_forward = fast_forward;
         for (workload, technique) in Suite::Mixed.quick_cells() {
             let spec = RunSpec::new(workload, technique)
                 .with_budget(BUDGET)
@@ -55,11 +56,11 @@ fn snapshot_fork_matches_cold_capture_across_matrix_and_schedulers() {
             let cell = spec.cell_name();
             assert_eq!(
                 first.stats, reference,
-                "{cell} (ref_sched={reference_scheduler}): store-built run diverged from fresh capture"
+                "{cell} (fast_forward={fast_forward}): store-built run diverged from fresh capture"
             );
             assert_eq!(
                 second.stats, reference,
-                "{cell} (ref_sched={reference_scheduler}): forked run diverged from fresh capture"
+                "{cell} (fast_forward={fast_forward}): forked run diverged from fresh capture"
             );
             // Cell-by-cell including the histogram/average fields the struct
             // equality treats loosely: the serialized form must match too.

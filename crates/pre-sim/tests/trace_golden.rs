@@ -3,8 +3,8 @@
 //! The load-bearing guarantee of `pre-trace` is that attaching a tracer
 //! cannot change simulation results: `SimStats` must be bit-identical with
 //! tracing on and off for every cell of the mixed matrix, under all five
-//! techniques, on both scheduler paths (event-driven and the reference
-//! scan-based escape hatch). On top of that, traced runs must be
+//! techniques, on both clock paths (quiescent-cycle fast-forward on, and
+//! off so the core ticks every cycle). On top of that, traced runs must be
 //! deterministic (byte-identical files across repeats) and the emitted
 //! streams must be well-formed (pipeview validates, Chrome JSON parses,
 //! the commit log round-trips).
@@ -37,9 +37,9 @@ fn full_spec(dir: &std::path::Path) -> TraceSpec {
 fn stats_bit_identical_with_tracing_on_and_off() {
     let dir = tmp_dir("golden");
     let trace_spec = full_spec(&dir);
-    for reference_scheduler in [false, true] {
+    for fast_forward in [true, false] {
         let mut config = SimConfig::haswell_like();
-        config.core.reference_scheduler = reference_scheduler;
+        config.core.fast_forward = fast_forward;
         for (workload, technique) in Suite::Mixed.cells() {
             let spec = RunSpec::new(workload, technique)
                 .with_budget(2_000)
@@ -47,7 +47,7 @@ fn stats_bit_identical_with_tracing_on_and_off() {
             let plain = run_one(&spec).expect("untraced run");
             let cell = format!(
                 "{}-{}",
-                if reference_scheduler { "ref" } else { "evt" },
+                if fast_forward { "ff" } else { "tick" },
                 spec.cell_name()
             );
             let session = TraceSession::create(&trace_spec, &cell).expect("trace files");

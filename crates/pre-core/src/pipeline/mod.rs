@@ -33,8 +33,8 @@ use pre_model::reg::{ArchReg, PhysReg, RegClass, NUM_ARCH_REGS};
 use pre_model::snapshot::SimSnapshot;
 use pre_model::stats::{SimStats, TerminationKind};
 use pre_runahead::{
-    ChainReplayEngine, EntryDecision, EntryPolicy, ExtendedMicroOpQueue, RunaheadBuffer,
-    StallingSliceTable, Technique,
+    ChainReplayEngine, EntryPolicy, ExtendedMicroOpQueue, RunaheadBuffer, StallingSliceTable,
+    Technique,
 };
 use pre_trace::{CommitRing, CommittedUop, FfMode, Sample, Tracer};
 use std::error::Error;
@@ -848,348 +848,123 @@ impl OooCore {
     // ---------------------------------------------------------------------
 
     /// Jumps the clock over cycles during which every pipeline stage is
-    /// provably a no-op, bulk-accumulating the per-cycle stall statistics so
-    /// the resulting [`SimStats`] are bit-identical to ticking cycle by
-    /// cycle. Dispatches to a per-mode fast-forward path; the runahead-buffer
-    /// mode never fast-forwards because its chain replay does real work every
-    /// cycle.
-    pub(crate) fn fast_forward_quiescent(&mut self, max_cycles: u64) {
-        if self.halted || self.deadlocked {
-            return;
-        }
-        match self.mode {
-            Mode::Normal => self.fast_forward_normal(max_cycles),
-            Mode::RunaheadFlush(FlushKind::Traditional) => {
-                self.fast_forward_runahead_flush(max_cycles);
-            }
-            Mode::RunaheadPre => self.fast_forward_runahead_pre(max_cycles),
-            Mode::RunaheadFlush(FlushKind::Buffer) => {}
-        }
-    }
-
-    /// Normal-mode fast-forward.
+    /// provably a no-op, bulk-accumulating the per-cycle statistics so the
+    /// resulting [`SimStats`] are bit-identical to ticking cycle by cycle.
     ///
     /// The quiescence conditions (all must hold; anything else falls back to
     /// normal ticking):
     ///
+    /// * the core is running and not in runahead-buffer mode (its chain
+    ///   replay does real work every cycle), and in PRE mode no eager-drain
+    ///   seed pass is pending (the cycle hook would run one);
     /// * nothing ready or pending in the issue stage (select and store
     ///   address generation idle);
-    /// * the ROB head exists and has not executed (commit blocked; an empty
-    ///   or committing ROB makes progress);
-    /// * dispatch has nothing it could dispatch (no front micro-op, or a
-    ///   back-end resource is exhausted);
-    /// * fetch and decode cannot act before the jump target (the target is
-    ///   capped at `fetch_stall_until` and the delay pipe's next-ready
-    ///   cycle).
+    /// * the back end blocked, per mode:
+    ///   - normal mode: the ROB head exists and has not executed, and
+    ///     dispatch has nothing it could dispatch (no front micro-op, or a
+    ///     back-end resource is exhausted);
+    ///   - flush-style runahead: the same, except that an empty ROB also
+    ///     quiesces (pseudo-retirement never halts the run);
+    ///   - PRE: the decode filter blocked — the micro-op queue empty, the
+    ///     EMQ full, or the head micro-op an SST hit waiting for resources.
+    ///     Such a head performs one mutating SST lookup per skipped cycle,
+    ///     replayed through [`StallingSliceTable::record_bulk_hits`];
+    /// * fetch and decode unable to act before the jump target (the target
+    ///   is capped at `fetch_stall_until`, unless a full EMQ stalls fetch
+    ///   first, and at the delay pipe's next-ready cycle).
     ///
-    /// Under those conditions the only per-cycle effects are the
-    /// full-window-stall counters (plus the runahead entry-skip counters for
-    /// runahead techniques) and the front-end stall counter, all of which
-    /// are accumulated here exactly as `tick` would. The jump target is the
-    /// next `in_flight` completion, additionally capped by the deadlock
-    /// watchdog and the caller's cycle limit so aborted runs stop at the
-    /// same cycle as the tick-every-cycle run.
-    fn fast_forward_normal(&mut self, max_cycles: u64) {
+    /// The jump target is the next `in_flight` completion, capped by the
+    /// caller's cycle limit and a horizon: the deadlock watchdog in normal
+    /// mode, so aborted runs stop at the same cycle as the tick-every-cycle
+    /// run, and the interval's expected return in runahead, so the exit
+    /// check happens on a real tick. (The stalling load's own completion
+    /// event comes no later than that return, so the runahead cap is a
+    /// safety net rather than a binding limit.)
+    pub(crate) fn fast_forward_quiescent(&mut self, max_cycles: u64) {
+        let pre = self.mode == Mode::RunaheadPre;
+        if self.halted
+            || self.deadlocked
+            || self.mode == Mode::RunaheadFlush(FlushKind::Buffer)
+            || (pre && self.pre_eager_rescan)
+            || !self.iq.select_idle()
+        {
+            return;
+        }
         debug_assert!(self.pending_recovery.is_none());
-        debug_assert!(self.interval.is_none());
-        if !self.iq.select_idle() {
-            return;
-        }
-        let Some(head) = self.rob.head() else {
-            return;
-        };
-        if head.executed {
-            return;
-        }
-        let head_id = head.id;
-        let head_completion = head.completion_cycle;
-        let head_blocking = head.is_load && head.issued && head.mem_level == Some(HitLevel::Memory);
-        let front = if !self.emq.is_empty() {
-            self.emq.peek().copied()
-        } else {
-            self.uop_queue.front().copied()
-        };
+        debug_assert_eq!(self.interval.is_some(), self.mode != Mode::Normal);
         let mut dispatch_would_block = false;
-        if let Some(uop) = front {
-            if self.dispatch_resources_available(&uop) {
-                return;
-            }
-            dispatch_would_block = true;
-        }
-        let now = self.cycle;
-        // Earliest future cycle at which any stage can make progress again,
-        // capped so deadlocked and budget-bounded runs stop exactly where
-        // the tick-every-cycle run stops.
-        let mut target = (self.last_progress_cycle + DEADLOCK_WINDOW + 1).min(max_cycles);
-        if let Some(next_completion) = self.in_flight.next_completion() {
-            debug_assert!(next_completion > now, "unprocessed completion event");
-            target = target.min(next_completion);
-        }
-        if !self.fetch_done && !self.delay_pipe.is_full() {
-            // Fetch resumes (or discovers the end of the program) once the
-            // instruction-cache stall expires.
-            if self.fetch_stall_until <= now + 1 {
-                return;
-            }
-            target = target.min(self.fetch_stall_until);
-        }
-        if !self.uop_queue.is_full() {
-            if let Some(ready_at) = self.delay_pipe.next_ready_at() {
-                if ready_at <= now + 1 {
-                    return;
-                }
-                target = target.min(ready_at);
-            }
-        }
-        if target <= now + 1 {
-            return;
-        }
-
-        // Emulate the per-cycle statistics of the skipped cycles
-        // `now+1 ..= target-1`; `tick` itself runs cycle `target`.
-        //
-        // The commit stage of skipped cycle `t` observes `dispatch_blocked`
-        // as set by cycle `t-1`'s dispatch stage: the first skipped cycle
-        // sees the current flag, later ones see the value the (no-op)
-        // dispatch stages would recompute.
-        let rob_full = self.rob.is_full();
-        let head_may_stall =
-            head_blocking && (rob_full || self.dispatch_blocked || dispatch_would_block);
-        let mut end = target - 1;
-        if head_may_stall {
-            let is_runahead = self.technique.is_runahead();
-            let already = self.runahead_done_for == Some(head_id);
-            let (mut free_int, mut free_fp) = (
-                self.rename.num_free(RegClass::Int),
-                self.rename.num_free(RegClass::Fp),
-            );
-            if is_runahead && self.entry_policy.needs_free_reg_counts() {
-                let (int_reclaimable, fp_reclaimable) =
-                    self.rename.count_eager_reclaimable(&self.rob, &self.iq);
-                free_int += int_reclaimable;
-                free_fp += fp_reclaimable;
-            }
-            let mut t = now + 1;
-            while t <= end {
-                let blocked_last_cycle = if t == now + 1 {
-                    self.dispatch_blocked
-                } else {
-                    dispatch_would_block
-                };
-                if !(rob_full || blocked_last_cycle) {
-                    t += 1;
-                    continue;
-                }
-                if is_runahead {
-                    let expected_remaining = head_completion.saturating_sub(t);
-                    match self
-                        .entry_policy
-                        .decide(expected_remaining, already, free_int, free_fp)
-                    {
-                        EntryDecision::Enter => {
-                            // The real tick at `t` must perform the entry
-                            // (and account that cycle's stall statistics
-                            // itself).
-                            end = t - 1;
-                            break;
-                        }
-                        EntryDecision::SkipShortInterval => {
-                            self.stats.runahead_entries_skipped_short += 1;
-                        }
-                        EntryDecision::SkipOverlap => {
-                            self.stats.runahead_entries_skipped_overlap += 1;
-                        }
-                        EntryDecision::SkipNoFreeRegs => {
-                            self.stats.runahead_entries_skipped_no_regs += 1;
-                        }
-                    }
-                }
-                self.stats.full_window_stall_cycles += 1;
-                if let Some(tr) = self.tracer.as_deref_mut() {
-                    tr.window_stall_cycles(t, 1);
-                }
-                if self.last_stall_head_id != Some(head_id) {
-                    self.last_stall_head_id = Some(head_id);
-                    self.stats.full_window_stalls += 1;
-                    self.stats
-                        .int_free_at_stall_hist
-                        .record_fraction(self.rename.free_fraction(RegClass::Int));
-                    self.stats
-                        .fp_free_at_stall_hist
-                        .record_fraction(self.rename.free_fraction(RegClass::Fp));
-                }
-                t += 1;
-            }
-        }
-        if end <= now {
-            return;
-        }
-        // The skipped dispatch stages each recomputed the blocked flag; the
-        // tick at `target` must observe the final value.
-        self.dispatch_blocked = dispatch_would_block;
-        if !self.fetch_done {
-            // Skipped cycles with `t < fetch_stall_until` would each have
-            // counted one front-end stall cycle.
-            let stalled_until = end.min(self.fetch_stall_until.saturating_sub(1));
-            self.stats.frontend_stall_cycles += stalled_until.saturating_sub(now);
-        }
-        self.stats.ff_cycles.normal += end - now;
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.fast_forward(now, end, FfMode::Normal);
-        }
-        self.cycle = end;
-    }
-
-    /// Fast-forward for traditional (flush-style) runahead.
-    ///
-    /// In this mode the pipeline stays fully active — the front end keeps
-    /// fetching, dispatch renames into the preserved structures and the
-    /// window drains through pseudo-retirement — so quiescence means every
-    /// stage is blocked waiting on an in-flight completion, exactly as in
-    /// normal mode with two differences: commit is quiescent when the ROB
-    /// head has not executed *or* the ROB is empty (pseudo-retirement never
-    /// halts the run or detects full-window stalls), and each skipped cycle
-    /// counts as a runahead cycle that marks progress, so no entry-skip or
-    /// stall counters can advance. The jump target is additionally capped at
-    /// the interval's expected return so the tick at the target performs the
-    /// exit check itself.
-    fn fast_forward_runahead_flush(&mut self, max_cycles: u64) {
-        debug_assert!(self.pending_recovery.is_none());
-        if !self.iq.select_idle() {
-            return;
-        }
-        // Pseudo-retirement makes progress on an executed head.
-        if self.rob.head().is_some_and(|h| h.executed) {
-            return;
-        }
-        // Flush-style techniques never use the EMQ, so dispatch peeks the
-        // micro-op queue only.
-        debug_assert!(self.emq.is_empty());
-        let mut dispatch_would_block = false;
-        if let Some(uop) = self.uop_queue.front().copied() {
-            if self.dispatch_resources_available(&uop) {
-                return;
-            }
-            dispatch_would_block = true;
-        }
-        let now = self.cycle;
-        let expected_return = self
-            .interval
-            .as_ref()
-            .expect("runahead mode has an active interval")
-            .expected_return;
-        let mut target = expected_return.min(max_cycles);
-        if let Some(next_completion) = self.in_flight.next_completion() {
-            debug_assert!(next_completion > now, "unprocessed completion event");
-            target = target.min(next_completion);
-        }
-        if !self.fetch_done && !self.delay_pipe.is_full() {
-            if self.fetch_stall_until <= now + 1 {
-                return;
-            }
-            target = target.min(self.fetch_stall_until);
-        }
-        if !self.uop_queue.is_full() {
-            if let Some(ready_at) = self.delay_pipe.next_ready_at() {
-                if ready_at <= now + 1 {
-                    return;
-                }
-                target = target.min(ready_at);
-            }
-        }
-        if target <= now + 1 {
-            return;
-        }
-        let end = target - 1;
-        let skipped = end - now;
-        // The cycle hook counts every skipped cycle as runahead progress
-        // (runahead mode never trips the deadlock watchdog).
-        self.stats.runahead_cycles += skipped;
-        self.last_progress_cycle = end;
-        self.dispatch_blocked = dispatch_would_block;
-        if !self.fetch_done {
-            let stalled_until = end.min(self.fetch_stall_until.saturating_sub(1));
-            self.stats.frontend_stall_cycles += stalled_until.saturating_sub(now);
-        }
-        self.stats.ff_cycles.runahead += skipped;
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.fast_forward(now, end, FfMode::Runahead);
-        }
-        self.cycle = end;
-    }
-
-    /// Fast-forward for precise runahead.
-    ///
-    /// Commit is architecturally paused in this mode, so quiescence reduces
-    /// to:
-    ///
-    /// * the issue stage idle (select and store address generation);
-    /// * the eager-drain machinery settled — the rescan flag clear (the
-    ///   hook runs no seed pass) and the PRDQ head not drainable,
-    ///   which the cycle hook that just ran guarantees until the next
-    ///   completion event;
-    /// * the PRE decode filter blocked: the micro-op queue empty, or the EMQ
-    ///   full (zero SST lookups either way), or the head micro-op an SST hit
-    ///   waiting for back-end resources — that head performs exactly one
-    ///   mutating SST lookup per skipped cycle, replayed in bulk through
-    ///   [`StallingSliceTable::record_bulk_hits`];
-    /// * fetch and decode unable to act before the jump target (with a full
-    ///   EMQ the fetch stage instead counts one EMQ-full stall cycle per
-    ///   cycle, accumulated in bulk).
-    ///
-    /// The jump target is capped at the next in-flight completion and the
-    /// interval's expected return, so runahead wake-ups and the exit check
-    /// both happen on real ticks.
-    fn fast_forward_runahead_pre(&mut self, max_cycles: u64) {
-        debug_assert!(self.pending_recovery.is_none());
-        debug_assert!(!self.dispatch_blocked);
-        if self.pre_eager_rescan {
-            // The hook runs an eager-drain seed pass every cycle until one
-            // completes with PRDQ room; its effects cannot be bulk-replayed.
-            return;
-        }
-        if !self.iq.select_idle() {
-            return;
-        }
-        // The hook's PRDQ drain just ran: anything drainable was drained,
-        // so the per-cycle drain stays a no-op until the next completion.
-        debug_assert!(
-            self.rename
-                .prdq()
-                .iter()
-                .next()
-                .map_or(true, |e| !e.executed),
-            "drainable PRDQ head at fast-forward"
-        );
-        let emq_blocked = self.use_emq && self.emq.is_full();
+        let mut emq_blocked = false;
         let mut blocked_hit_pc = None;
-        if !emq_blocked {
-            if let Some(&uop) = self.uop_queue.front() {
+        // `(id, completion)` of an off-chip load at the ROB head in normal
+        // mode: the commit stage may count full-window stalls behind it.
+        let mut stall_head = None;
+        if pre {
+            debug_assert!(!self.dispatch_blocked);
+            // The hook's PRDQ drain just ran: anything drainable was
+            // drained, so the per-cycle drain stays a no-op until the next
+            // completion.
+            debug_assert!(
+                self.rename
+                    .prdq()
+                    .iter()
+                    .next()
+                    .map_or(true, |e| !e.executed),
+                "drainable PRDQ head at fast-forward"
+            );
+            emq_blocked = self.use_emq && self.emq.is_full();
+            if let Some(&uop) = self.uop_queue.front().filter(|_| !emq_blocked) {
                 // An SST miss at the queue head pops every cycle; a hit with
                 // free resources executes. Both are real per-cycle work.
-                if !self.sst.contains(uop.pc) {
-                    return;
-                }
-                if self.pre_runahead_resources_available(&uop) {
+                if !self.sst.contains(uop.pc) || self.pre_runahead_resources_available(&uop) {
                     return;
                 }
                 blocked_hit_pc = Some(uop.pc);
             }
+        } else {
+            match self.rob.head() {
+                // Commit (or pseudo-retirement) makes progress.
+                Some(head) if head.executed => return,
+                // An empty window ends the run or refills in normal mode.
+                None if self.mode == Mode::Normal => return,
+                Some(head)
+                    if self.mode == Mode::Normal
+                        && head.is_load
+                        && head.issued
+                        && head.mem_level == Some(HitLevel::Memory) =>
+                {
+                    stall_head = Some((head.id, head.completion_cycle));
+                }
+                _ => {}
+            }
+            // Flush-style runahead never uses the EMQ, so this peeks the
+            // micro-op queue there, as its dispatch stage does.
+            debug_assert!(self.mode == Mode::Normal || self.emq.is_empty());
+            let front = if self.emq.is_empty() {
+                self.uop_queue.front().copied()
+            } else {
+                self.emq.peek().copied()
+            };
+            if let Some(uop) = front {
+                if self.dispatch_resources_available(&uop) {
+                    return;
+                }
+                dispatch_would_block = true;
+            }
         }
+
         let now = self.cycle;
-        let expected_return = self
-            .interval
-            .as_ref()
-            .expect("runahead mode has an active interval")
-            .expected_return;
-        let mut target = expected_return.min(max_cycles);
+        let horizon = match &self.interval {
+            Some(interval) => interval.expected_return,
+            None => self.last_progress_cycle + DEADLOCK_WINDOW + 1,
+        };
+        let mut target = horizon.min(max_cycles);
         if let Some(next_completion) = self.in_flight.next_completion() {
             debug_assert!(next_completion > now, "unprocessed completion event");
             target = target.min(next_completion);
         }
-        // With a full EMQ the fetch stage stalls before its instruction
-        // cache check, so the fetch-resume cap only applies otherwise.
-        // Decode drains the delay pipe regardless of the EMQ.
+        // Fetch resumes (or discovers the end of the program) once the
+        // instruction-cache stall expires; a full EMQ stalls it before that
+        // check. Decode drains the delay pipe regardless of the EMQ.
         if !emq_blocked && !self.fetch_done && !self.delay_pipe.is_full() {
             if self.fetch_stall_until <= now + 1 {
                 return;
@@ -1207,11 +982,45 @@ impl OooCore {
         if target <= now + 1 {
             return;
         }
-        let end = target - 1;
+
+        // Skip cycles `now+1 ..= end`; `tick` itself runs cycle `end + 1`.
+        let mut end = target - 1;
+        if let Some((head_id, head_completion)) = stall_head {
+            // The commit stage of skipped cycle `t` counts a stall when the
+            // ROB is full or cycle `t-1`'s dispatch stage blocked: the first
+            // skipped cycle sees the current flag, later ones the value the
+            // (no-op) dispatch stages recompute.
+            let rob_full = self.rob.is_full();
+            let first = if rob_full || self.dispatch_blocked {
+                now + 1
+            } else {
+                now + 2
+            };
+            let last = if rob_full || dispatch_would_block {
+                end
+            } else {
+                now + 1
+            };
+            let free =
+                (first <= last && self.technique.is_runahead()).then(|| self.runahead_free_regs());
+            for t in first..=last {
+                if let Some(free) = free {
+                    let remaining = head_completion.saturating_sub(t);
+                    if self.runahead_entry_decision(head_id, remaining, free) {
+                        // The real tick at `t` performs the entry and counts
+                        // that cycle's stall itself.
+                        end = t - 1;
+                        break;
+                    }
+                }
+                self.count_window_stall_cycle(t, head_id);
+            }
+        }
+        if end <= now {
+            return;
+        }
         let skipped = end - now;
         if let Some(pc) = blocked_hit_pc {
-            // The filter re-looks-up the blocked head once per skipped
-            // cycle; replay those hitting lookups in bulk.
             self.sst.record_bulk_hits(pc, skipped);
         }
         if emq_blocked && !self.fetch_done {
@@ -1220,14 +1029,27 @@ impl OooCore {
                 t.emq_full_cycles(now + 1, skipped);
             }
         } else if !self.fetch_done {
+            // Skipped cycles with `t < fetch_stall_until` would each have
+            // counted one front-end stall cycle.
             let stalled_until = end.min(self.fetch_stall_until.saturating_sub(1));
             self.stats.frontend_stall_cycles += stalled_until.saturating_sub(now);
         }
-        self.stats.runahead_cycles += skipped;
-        self.last_progress_cycle = end;
-        self.stats.ff_cycles.runahead += skipped;
+        // The tick at `end + 1` must observe the flag the skipped dispatch
+        // stages recomputed.
+        self.dispatch_blocked = dispatch_would_block;
+        let ff_mode = if self.mode == Mode::Normal {
+            self.stats.ff_cycles.normal += skipped;
+            FfMode::Normal
+        } else {
+            // The cycle hook counts every skipped runahead cycle as progress
+            // (runahead mode never trips the deadlock watchdog).
+            self.stats.runahead_cycles += skipped;
+            self.last_progress_cycle = end;
+            self.stats.ff_cycles.runahead += skipped;
+            FfMode::Runahead
+        };
         if let Some(t) = self.tracer.as_deref_mut() {
-            t.fast_forward(now, end, FfMode::Runahead);
+            t.fast_forward(now, end, ff_mode);
         }
         self.cycle = end;
     }

@@ -18,24 +18,40 @@ impl OooCore {
     /// load that missed in the LLC. We use the slightly more general
     /// condition "dispatch is blocked on a back-end resource while the ROB
     /// head is an outstanding off-chip load", which reduces to the paper's
-    /// definition when the ROB is the binding resource (see DESIGN.md).
+    /// definition when the ROB is the binding resource. The generalisation
+    /// matters when the issue queue, the LSQ or a register class runs out
+    /// before the ROB does: the window is then just as stalled behind the
+    /// miss, and runahead has just as much to gain from it.
+    ///
+    /// The quiescent-cycle fast-forward replays this per-cycle policy over
+    /// skipped cycles through the same three helpers below.
     pub(crate) fn detect_full_window_stall(&mut self, now: u64) {
-        let window_blocked = self.rob.is_full() || self.dispatch_blocked;
-        if !window_blocked {
+        if !(self.rob.is_full() || self.dispatch_blocked) {
             return;
         }
-        let (head_id, head_pc, head_completion, blocking) = match self.rob.head() {
-            Some(head) => (
-                head.id,
-                head.pc,
-                head.completion_cycle,
-                head.is_blocking_long_latency_load(now),
-            ),
-            None => return,
+        let Some(head) = self.rob.head() else {
+            return;
         };
-        if !blocking {
+        if !head.is_blocking_long_latency_load(now) {
             return;
         }
+        let (head_id, head_pc, head_completion) = (head.id, head.pc, head.completion_cycle);
+        self.count_window_stall_cycle(now, head_id);
+        if !self.technique.is_runahead() {
+            return;
+        }
+        let free = self.runahead_free_regs();
+        if self.runahead_entry_decision(head_id, head_completion.saturating_sub(now), free) {
+            self.enter_runahead(now, head_id, head_pc, head_completion);
+        }
+    }
+
+    /// Counts cycle `now` as one full-window stall behind ROB head
+    /// `head_id`. The first such cycle behind a new head also counts a new
+    /// stall and records the per-class free-register occupancy — the
+    /// paper's §3.4 premise ("~51 % of integer registers free") that the
+    /// integer-only asm kernels violate.
+    pub(crate) fn count_window_stall_cycle(&mut self, now: u64, head_id: u64) {
         self.stats.full_window_stall_cycles += 1;
         if let Some(t) = self.tracer.as_deref_mut() {
             t.window_stall_cycles(now, 1);
@@ -43,9 +59,6 @@ impl OooCore {
         if self.last_stall_head_id != Some(head_id) {
             self.last_stall_head_id = Some(head_id);
             self.stats.full_window_stalls += 1;
-            // Per-class free-register occupancy at the stall — the paper's
-            // §3.4 premise ("~51 % of integer registers free") that the
-            // integer-only asm kernels violate.
             self.stats
                 .int_free_at_stall_hist
                 .record_fraction(self.rename.free_fraction(RegClass::Int));
@@ -53,39 +66,47 @@ impl OooCore {
                 .fp_free_at_stall_hist
                 .record_fraction(self.rename.free_fraction(RegClass::Fp));
         }
-        if !self.technique.is_runahead() {
-            return;
-        }
-        let expected_remaining = head_completion.saturating_sub(now);
-        let already = self.runahead_done_for == Some(head_id);
-        // The free-register gate counts what the eager drain could release,
-        // so it only refuses entry when runahead renaming would stay starved
-        // even after reclamation.
-        let (mut free_int, mut free_fp) = (
+    }
+
+    /// The `(int, fp)` free-register counts the entry policy judges. The
+    /// gate counts what the eager drain could release, so it only refuses
+    /// entry when runahead renaming would stay starved even after
+    /// reclamation.
+    pub(crate) fn runahead_free_regs(&mut self) -> (usize, usize) {
+        let mut free = (
             self.rename.num_free(RegClass::Int),
             self.rename.num_free(RegClass::Fp),
         );
         if self.entry_policy.needs_free_reg_counts() {
             let (int_reclaimable, fp_reclaimable) =
                 self.rename.count_eager_reclaimable(&self.rob, &self.iq);
-            free_int += int_reclaimable;
-            free_fp += fp_reclaimable;
+            free.0 += int_reclaimable;
+            free.1 += fp_reclaimable;
         }
-        match self
+        free
+    }
+
+    /// Asks the entry policy whether to enter runahead behind ROB head
+    /// `head_id`, whose data returns in `expected_remaining` cycles. A
+    /// refusal is counted under its reason; `true` means enter now.
+    pub(crate) fn runahead_entry_decision(
+        &mut self,
+        head_id: u64,
+        expected_remaining: u64,
+        (free_int, free_fp): (usize, usize),
+    ) -> bool {
+        let already = self.runahead_done_for == Some(head_id);
+        let skipped = match self
             .entry_policy
             .decide(expected_remaining, already, free_int, free_fp)
         {
-            EntryDecision::Enter => self.enter_runahead(now, head_id, head_pc, head_completion),
-            EntryDecision::SkipShortInterval => {
-                self.stats.runahead_entries_skipped_short += 1;
-            }
-            EntryDecision::SkipOverlap => {
-                self.stats.runahead_entries_skipped_overlap += 1;
-            }
-            EntryDecision::SkipNoFreeRegs => {
-                self.stats.runahead_entries_skipped_no_regs += 1;
-            }
-        }
+            EntryDecision::Enter => return true,
+            EntryDecision::SkipShortInterval => &mut self.stats.runahead_entries_skipped_short,
+            EntryDecision::SkipOverlap => &mut self.stats.runahead_entries_skipped_overlap,
+            EntryDecision::SkipNoFreeRegs => &mut self.stats.runahead_entries_skipped_no_regs,
+        };
+        *skipped += 1;
+        false
     }
 
     // ---------------------------------------------------------------------
@@ -230,18 +251,21 @@ impl OooCore {
         ));
         // The window is discarded, as in traditional runahead; the back-end
         // resources are then used exclusively by the chain replay.
-        if self.tracer.is_some() {
-            let ids: Vec<u64> = self.rob.iter_slots().map(|(_, e)| e.id).collect();
-            if let Some(t) = self.tracer.as_deref_mut() {
-                for id in ids {
-                    t.uop_squashed(id, now);
-                }
+        self.squash_window(now);
+        FlushKind::Buffer
+    }
+
+    /// Discards the whole window: every ROB micro-op is reported squashed,
+    /// and the ROB, issue queue and LSQ are emptied.
+    fn squash_window(&mut self, now: u64) {
+        if let Some(t) = self.tracer.as_deref_mut() {
+            for (_, entry) in self.rob.iter_slots() {
+                t.uop_squashed(entry.id, now);
             }
         }
         let squashed = self.rob.clear() + self.iq.clear();
         self.stats.squashed_uops += squashed as u64;
         self.lsq.clear();
-        FlushKind::Buffer
     }
 
     /// PRE entry: seed the SST with the stalling load and its producers,
@@ -443,17 +467,7 @@ impl OooCore {
             self.stats.runahead_buffer_replays += engine.uops_executed();
         }
 
-        if self.tracer.is_some() {
-            let ids: Vec<u64> = self.rob.iter_slots().map(|(_, e)| e.id).collect();
-            if let Some(t) = self.tracer.as_deref_mut() {
-                for id in ids {
-                    t.uop_squashed(id, now);
-                }
-            }
-        }
-        let squashed = self.rob.clear() + self.iq.clear();
-        self.stats.squashed_uops += squashed as u64;
-        self.lsq.clear();
+        self.squash_window(now);
         self.in_flight.clear();
         self.delay_pipe.flush();
         self.uop_queue.clear();

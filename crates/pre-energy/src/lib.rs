@@ -2,8 +2,7 @@
 //!
 //! The paper reports energy with McPAT (22 nm) plus CACTI 6.5 for the SST,
 //! PRDQ and EMQ. Neither tool can be embedded here, so this crate implements
-//! the standard event-based substitution (see DESIGN.md §3): total energy is
-//! the sum of
+//! the standard event-based substitution: total energy is the sum of
 //!
 //! * per-event dynamic energies (fetch, decode, rename, issue-queue, ROB,
 //!   physical-register-file, LSQ and functional-unit activity, cache and

@@ -557,6 +557,11 @@ pub fn warmed_for(
 /// are unchanged — the warm-trace window and the sampling parameters.
 /// Sampled (extrapolated) results therefore cache independently of full
 /// runs of the same cell.
+///
+/// `CoreConfig::fast_forward` stays in the key with the rest of the
+/// configuration: it leaves the simulated machine alone but not the
+/// `SimStats` record, whose `ff_cycles` counts the skipped cycles (0 when
+/// every cycle is ticked) and is part of the stored text.
 pub fn result_key(spec: &RunSpec, program: &Program) -> (u64, String) {
     let mut desc = format!(
         "result v1 workload={} program={:016x} technique={} budget={} cycles={} warmup={} config={:?}",
@@ -973,9 +978,13 @@ mod tests {
         let mut cfg_spec = spec.clone();
         cfg_spec.config.runahead.sst_entries = 16;
         let (k4, _) = result_key(&cfg_spec, &program);
+        let mut tick_spec = spec.clone();
+        tick_spec.config.core.fast_forward = false;
+        let (k5, _) = result_key(&tick_spec, &program);
         assert_ne!(k1, k2);
         assert_ne!(k1, k3);
         assert_ne!(k1, k4);
+        assert_ne!(k1, k5);
     }
 
     #[test]

@@ -7,15 +7,17 @@
 //! off so the core ticks every cycle). On top of that, traced runs must be
 //! deterministic (byte-identical files across repeats) and the emitted
 //! streams must be well-formed (pipeview validates, Chrome JSON parses,
-//! the commit log round-trips).
+//! the commit log round-trips), and the bulk-accumulated stall and
+//! fast-forward events add up to the counters they mirror.
 
 use pre_model::config::SimConfig;
 use pre_runahead::Technique;
 use pre_sim::experiments::Suite;
 use pre_sim::runner::{run_one, run_one_traced, RunSpec};
 use pre_trace::commitlog::CommitLogReader;
-use pre_trace::{chrome, pipeview, TraceSession, TraceSpec};
+use pre_trace::{chrome, pipeview, FfMode, TraceSession, TraceSpec, Tracer};
 use pre_workloads::Workload;
+use std::any::Any;
 use std::fs;
 use std::path::PathBuf;
 
@@ -69,6 +71,95 @@ fn stats_bit_identical_with_tracing_on_and_off() {
         }
     }
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// Sums the tracer events that mirror `SimStats` counters and keeps every
+/// fast-forward jump as `(from, to, mode)`.
+#[derive(Debug, Default)]
+struct CountingTracer {
+    window_stall_cycles: u64,
+    emq_full_cycles: u64,
+    jumps: Vec<(u64, u64, FfMode)>,
+}
+
+impl Tracer for CountingTracer {
+    fn fast_forward(&mut self, from: u64, to: u64, mode: FfMode) {
+        self.jumps.push((from, to, mode));
+    }
+
+    fn emq_full_cycles(&mut self, _cycle: u64, count: u64) {
+        self.emq_full_cycles += count;
+    }
+
+    fn window_stall_cycles(&mut self, _cycle: u64, count: u64) {
+        self.window_stall_cycles += count;
+    }
+
+    fn into_any(self: Box<Self>) -> Box<dyn Any> {
+        self
+    }
+}
+
+#[test]
+fn tracer_events_add_up_to_the_counters_they_mirror() {
+    let mut runahead_jumps = 0;
+    for fast_forward in [true, false] {
+        let mut config = SimConfig::haswell_like();
+        config.core.fast_forward = fast_forward;
+        for (workload, technique) in Suite::Mixed.cells() {
+            let spec = RunSpec::new(workload, technique)
+                .with_budget(6_000)
+                .with_config(config.clone());
+            let cell = format!("{} (fast_forward={fast_forward})", spec.cell_name());
+            let (result, tracer) =
+                run_one_traced(&spec, Box::<CountingTracer>::default()).expect("traced run");
+            let counts = tracer
+                .into_any()
+                .downcast::<CountingTracer>()
+                .expect("tracer is the counter attached above");
+            let stats = &result.stats;
+            assert_eq!(
+                counts.window_stall_cycles, stats.full_window_stall_cycles,
+                "{cell}: window-stall events"
+            );
+            assert_eq!(
+                counts.emq_full_cycles, stats.emq_full_stall_cycles,
+                "{cell}: EMQ-full events"
+            );
+            let skipped = |mode: FfMode| -> u64 {
+                counts
+                    .jumps
+                    .iter()
+                    .filter(|jump| jump.2 == mode)
+                    .map(|&(from, to, _)| to - from)
+                    .sum()
+            };
+            assert_eq!(skipped(FfMode::Normal), stats.ff_cycles.normal, "{cell}");
+            assert_eq!(
+                skipped(FfMode::Runahead),
+                stats.ff_cycles.runahead,
+                "{cell}"
+            );
+            // Jump `(from, to)` skips cycles `from+1..=to`: each skips at
+            // least one cycle and starts no earlier than the last one ended.
+            assert!(
+                counts.jumps.iter().all(|&(from, to, _)| from < to),
+                "{cell}"
+            );
+            for pair in counts.jumps.windows(2) {
+                assert!(pair[0].1 <= pair[1].0, "{cell}: overlapping jumps {pair:?}");
+            }
+            runahead_jumps += counts
+                .jumps
+                .iter()
+                .filter(|jump| jump.2 == FfMode::Runahead)
+                .count();
+        }
+    }
+    assert!(
+        runahead_jumps > 0,
+        "the matrix never fast-forwarded a runahead interval"
+    );
 }
 
 #[test]

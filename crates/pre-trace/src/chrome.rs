@@ -156,11 +156,12 @@ impl ChromeTrace {
         });
     }
 
-    /// Records a fast-forward jump over `from..=to`.
+    /// Records a fast-forward jump that skipped cycles `from+1..=to`, on the
+    /// same time base as the stall spans covering those cycles.
     pub fn fast_forward(&mut self, name: &str, from: u64, to: u64) {
         self.events.push(ChromeEvent {
             dur: Some(to - from),
-            ..ChromeEvent::new(name, "ff", 'X', from, TID_FF)
+            ..ChromeEvent::new(name, "ff", 'X', from + 1, TID_FF)
         });
     }
 
@@ -277,6 +278,22 @@ mod tests {
         assert_eq!(stalls.len(), 2);
         assert_eq!((stalls[0].ts, stalls[0].dur), (10, Some(6)));
         assert_eq!((stalls[1].ts, stalls[1].dur), (40, Some(2)));
+    }
+
+    #[test]
+    fn fast_forward_span_covers_the_skipped_cycles() {
+        // A jump from cycle 10 to 20 skipped cycles 11..=20, exactly the
+        // cycles of the EMQ-full stall the same jump accumulated.
+        let mut trace = ChromeTrace::new();
+        trace.fast_forward("ff-runahead", 10, 20);
+        trace.emq_full(11, 10);
+        let events = parse(&trace.finish(100)).unwrap();
+        let span = |cat: &str| {
+            let e = events.iter().find(|e| e.cat == cat).unwrap();
+            (e.ts, e.dur)
+        };
+        assert_eq!(span("ff"), (11, Some(10)));
+        assert_eq!(span("ff"), span("stall"));
     }
 
     #[test]

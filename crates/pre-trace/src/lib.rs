@@ -47,8 +47,8 @@ use pre_model::stats::RunaheadEvent;
 use std::any::Any;
 use std::fmt;
 
-/// Which fast-forward path skipped the cycles of a [`Tracer::fast_forward`]
-/// jump.
+/// The mode the core was in when a [`Tracer::fast_forward`] jump skipped
+/// its cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FfMode {
     /// Normal-mode quiescence (full-window stall on an off-chip load).
@@ -218,8 +218,8 @@ pub trait Tracer: fmt::Debug + Send {
     /// spanned `entered_at..ev.cycle`.
     fn runahead_exit(&mut self, _ev: &RunaheadEvent, _entered_at: u64, _stalling_pc: u32) {}
 
-    /// The event scheduler fast-forwarded the clock from `from` to `to`
-    /// (exclusive of the tick that runs at `to + 1`).
+    /// The event scheduler fast-forwarded the clock from `from` to `to`:
+    /// cycles `from+1..=to` were skipped, and the next tick runs `to + 1`.
     fn fast_forward(&mut self, _from: u64, _to: u64, _mode: FfMode) {}
 
     /// One cycle (or `count` bulk-accumulated cycles) during which fetch

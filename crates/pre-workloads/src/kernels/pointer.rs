@@ -227,7 +227,8 @@ mod tests {
         // The fraction of loop-body micro-ops that write an integer register
         // must stay below 136/192 ≈ 0.71, otherwise the physical register
         // file (and not the ROB) limits the window and PRE has no registers
-        // to run ahead with (see DESIGN.md).
+        // to run ahead with: a 192-entry ROB full of such micro-ops would
+        // need more than the 136 renamable integer registers.
         let p = pointer_chase(&spec(), 10, 1);
         let body: Vec<_> = p.insts.iter().skip_while(|i| !i.opcode.is_load()).collect();
         let with_dest = body.iter().filter(|i| i.dest.is_some()).count();

@@ -10,8 +10,8 @@
 //! generation is strided, indexed or pointer-chasing — together with the
 //! approximate memory intensity (LLC misses per kilo-instruction).
 //!
-//! See `DESIGN.md` §3 for the substitution rationale and the per-workload
-//! descriptions in [`Workload::description`].
+//! Each generator's stalling-slice shape is described in
+//! [`Workload::description`].
 //!
 //! Alongside the synthetic generators, the suite carries the **assembled
 //! RISC-V kernels** from `pre-asm` ([`Workload::ASM_SUITE`], names prefixed

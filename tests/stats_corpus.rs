@@ -1,4 +1,4 @@
-//! Golden corpus: the statistics of 122 cells are checked in as text
+//! Golden corpus: the statistics of 128 cells are checked in as text
 //! (`tests/golden/stats.kv`), and every run of those cells must reproduce
 //! them bit for bit.
 //!
@@ -10,7 +10,10 @@
 //!
 //! The cells are the mixed (synthetic + asm) matrix under every technique at
 //! 6 000 micro-ops, eight long runs at 40 000 across contrasting behaviours,
-//! and `asm-chase-large` under every runahead technique at 20 000.
+//! `asm-chase-large` under every runahead technique at 20 000, `milc-like`
+//! under every technique at 20 000 after a 200 000 micro-op warm-up (warm
+//! replay into the caches), and one sampled `milc-like` PRE cell (3 slices
+//! of 20 000 over 200 000, forked from windowed snapshots).
 //!
 //! Two runs are checked against it:
 //! - the default, fast-forwarded runs: kv text and energy bits must match
@@ -34,6 +37,7 @@ use precise_runahead::runahead::Technique;
 use precise_runahead::sim::experiments::Suite;
 use precise_runahead::sim::matrix::EvaluationMatrix;
 use precise_runahead::sim::runner::{RunResult, RunSpec};
+use precise_runahead::sim::sample::SampleSpec;
 use precise_runahead::workloads::{Workload, WorkloadParams};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -103,6 +107,23 @@ fn cells(config: &SimConfig) -> Vec<(String, RunSpec)> {
             cells.push((label(&budget.to_string(), &spec), spec));
         }
     }
+
+    // Warmed starts. The warm-up overflows the L1s, so what its replay
+    // leaves in L2 and L3 (fills on the way back, dirty L1 write-backs)
+    // reaches the detailed run of every technique. The sampled cell forks
+    // its slices from windowed snapshots taken mid-run.
+    for technique in Technique::ALL {
+        let spec = RunSpec::new(Workload::MilcLike, technique)
+            .with_budget(20_000)
+            .with_warmup(200_000)
+            .with_config(config.clone());
+        cells.push((label("warm200000", &spec), spec));
+    }
+    let spec = RunSpec::new(Workload::MilcLike, Technique::Pre)
+        .with_budget(200_000)
+        .with_config(config.clone())
+        .sampled(SampleSpec::new(3, 20_000));
+    cells.push((label("sampled", &spec), spec));
     cells
 }
 

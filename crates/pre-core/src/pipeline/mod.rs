@@ -1001,19 +1001,20 @@ impl OooCore {
             } else {
                 now + 1
             };
-            let free =
-                (first <= last && self.technique.is_runahead()).then(|| self.runahead_free_regs());
-            for t in first..=last {
-                if let Some(free) = free {
-                    let remaining = head_completion.saturating_sub(t);
-                    if self.runahead_entry_decision(head_id, remaining, free) {
-                        // The real tick at `t` performs the entry and counts
-                        // that cycle's stall itself.
-                        end = t - 1;
-                        break;
-                    }
+            if first <= last {
+                let cycles = last - first + 1;
+                let enter = self.technique.is_runahead() && {
+                    let free = self.runahead_free_regs();
+                    let remaining = head_completion.saturating_sub(first);
+                    self.runahead_entry_decision(head_id, remaining, free, cycles)
+                };
+                if enter {
+                    // The real tick at `first` performs the entry and counts
+                    // that cycle's stall itself.
+                    end = first - 1;
+                } else {
+                    self.count_window_stall_cycles(first, head_id, cycles);
                 }
-                self.count_window_stall_cycle(t, head_id);
             }
         }
         if end <= now {

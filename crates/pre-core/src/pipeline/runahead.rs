@@ -23,8 +23,9 @@ impl OooCore {
     /// before the ROB does: the window is then just as stalled behind the
     /// miss, and runahead has just as much to gain from it.
     ///
-    /// The quiescent-cycle fast-forward replays this per-cycle policy over
-    /// skipped cycles through the same three helpers below.
+    /// The quiescent-cycle fast-forward applies this per-cycle policy to a
+    /// whole run of skipped cycles at once through the same three helpers
+    /// below.
     pub(crate) fn detect_full_window_stall(&mut self, now: u64) {
         if !(self.rob.is_full() || self.dispatch_blocked) {
             return;
@@ -36,25 +37,25 @@ impl OooCore {
             return;
         }
         let (head_id, head_pc, head_completion) = (head.id, head.pc, head.completion_cycle);
-        self.count_window_stall_cycle(now, head_id);
+        self.count_window_stall_cycles(now, head_id, 1);
         if !self.technique.is_runahead() {
             return;
         }
         let free = self.runahead_free_regs();
-        if self.runahead_entry_decision(head_id, head_completion.saturating_sub(now), free) {
+        if self.runahead_entry_decision(head_id, head_completion.saturating_sub(now), free, 1) {
             self.enter_runahead(now, head_id, head_pc, head_completion);
         }
     }
 
-    /// Counts cycle `now` as one full-window stall behind ROB head
-    /// `head_id`. The first such cycle behind a new head also counts a new
-    /// stall and records the per-class free-register occupancy — the
-    /// paper's §3.4 premise ("~51 % of integer registers free") that the
-    /// integer-only asm kernels violate.
-    pub(crate) fn count_window_stall_cycle(&mut self, now: u64, head_id: u64) {
-        self.stats.full_window_stall_cycles += 1;
+    /// Counts the `cycles` consecutive cycles from `first` on as full-window
+    /// stall cycles behind ROB head `head_id`. The first such cycle behind a
+    /// new head also counts a new stall and records the per-class
+    /// free-register occupancy — the paper's §3.4 premise ("~51 % of
+    /// integer registers free") that the integer-only asm kernels violate.
+    pub(crate) fn count_window_stall_cycles(&mut self, first: u64, head_id: u64, cycles: u64) {
+        self.stats.full_window_stall_cycles += cycles;
         if let Some(t) = self.tracer.as_deref_mut() {
-            t.window_stall_cycles(now, 1);
+            t.window_stall_cycles(first, cycles);
         }
         if self.last_stall_head_id != Some(head_id) {
             self.last_stall_head_id = Some(head_id);
@@ -87,25 +88,41 @@ impl OooCore {
     }
 
     /// Asks the entry policy whether to enter runahead behind ROB head
-    /// `head_id`, whose data returns in `expected_remaining` cycles. A
-    /// refusal is counted under its reason; `true` means enter now.
+    /// `head_id` on each of `cycles` consecutive stalled cycles, the first
+    /// of which expects the data back in `expected_remaining` cycles.
+    /// `true` means enter on the first; otherwise every cycle's refusal is
+    /// counted under the one reason.
+    ///
+    /// The first cycle decides for the whole run: the head, its overlap
+    /// mark and the free-register counts are fixed, and the remaining
+    /// latency only shrinks, so a skip stays a skip for the same reason (a
+    /// technique's policy gates on the interval length or on free
+    /// registers, never on both).
     pub(crate) fn runahead_entry_decision(
         &mut self,
         head_id: u64,
         expected_remaining: u64,
         (free_int, free_fp): (usize, usize),
+        cycles: u64,
     ) -> bool {
         let already = self.runahead_done_for == Some(head_id);
-        let skipped = match self
-            .entry_policy
-            .decide(expected_remaining, already, free_int, free_fp)
-        {
+        let decide = |remaining| {
+            self.entry_policy
+                .decide(remaining, already, free_int, free_fp)
+        };
+        let decision = decide(expected_remaining);
+        debug_assert!(
+            decision.should_enter()
+                || decision == decide(expected_remaining.saturating_sub(cycles - 1)),
+            "entry decision changed inside a stall run"
+        );
+        let skipped = match decision {
             EntryDecision::Enter => return true,
             EntryDecision::SkipShortInterval => &mut self.stats.runahead_entries_skipped_short,
             EntryDecision::SkipOverlap => &mut self.stats.runahead_entries_skipped_overlap,
             EntryDecision::SkipNoFreeRegs => &mut self.stats.runahead_entries_skipped_no_regs,
         };
-        *skipped += 1;
+        *skipped += cycles;
         false
     }
 

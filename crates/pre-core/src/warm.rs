@@ -9,10 +9,12 @@
 //! forked from the snapshot ([`crate::OooCore::from_snapshot`]), so a
 //! 20-point ROB/EMQ/SST sweep replays the trace once, not 20 times.
 //!
-//! Warming never touches statistics: the warm replay APIs in `pre-mem`
-//! change only tags, LRU order and dirty bits, and the predictor is trained
-//! through its non-misprediction update path. A warmed run therefore reports
-//! exactly the work it did after the snapshot point.
+//! Warming leaves no statistics behind: `pre-mem`'s warm replay runs each
+//! event through the same cache lookup and install as a demand access, then
+//! restores the statistics it saved before the replay, so only tags, LRU
+//! order and dirty bits change. The predictor is trained through its
+//! non-misprediction update path. A warmed run therefore reports exactly
+//! the work it did after the snapshot point.
 
 use pre_frontend::BranchPredictorUnit;
 use pre_mem::MemoryHierarchy;
@@ -23,7 +25,7 @@ use pre_model::snapshot::WarmTrace;
 /// configuration, derived from a snapshot's [`WarmTrace`].
 #[derive(Debug, Clone)]
 pub struct WarmedState {
-    /// The warmed cache hierarchy (statistics untouched, no fills in
+    /// The warmed cache hierarchy (statistics restored to zero, no fills in
     /// flight).
     pub mem_hier: MemoryHierarchy,
     /// The warmed branch predictor (direction counters, BTB and history

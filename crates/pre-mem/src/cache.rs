@@ -138,6 +138,12 @@ impl Cache {
         self.stats
     }
 
+    /// Puts back statistics saved with [`Cache::stats`], so accesses made
+    /// since (a warm-up replay) leave no trace in them.
+    pub(crate) fn restore_stats(&mut self, stats: CacheStats) {
+        self.stats = stats;
+    }
+
     /// Hit latency in cycles.
     pub fn latency(&self) -> u64 {
         self.cfg.latency
@@ -264,82 +270,6 @@ impl Cache {
             dirty,
             prefetched,
             ready_at,
-            fill_level,
-            lru: lru_clock,
-        };
-        eviction
-    }
-
-    /// Warm-up lookup: refreshes LRU (and optionally dirtiness) of the line
-    /// containing `addr` exactly like [`Cache::access`], but records **no
-    /// statistics** — warmed-up state must change what the caches contain,
-    /// never what a run reports having done. Returns whether the line was
-    /// present.
-    pub fn warm_touch(&mut self, addr: u64, mark_dirty: bool) -> bool {
-        self.lru_clock += 1;
-        let set = self.set_index(addr);
-        let tag = self.tag(addr);
-        let lru_clock = self.lru_clock;
-        match self
-            .set_mut(set)
-            .iter_mut()
-            .find(|l| l.valid && l.tag == tag)
-        {
-            Some(line) => {
-                line.lru = lru_clock;
-                if mark_dirty {
-                    line.dirty = true;
-                }
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Warm-up install: fills the line containing `addr` exactly like
-    /// [`Cache::fill`] — same victim selection, same refill semantics — but
-    /// records no statistics, and the line is immediately ready
-    /// (`ready_at = 0`, no fill in flight). Returns the eviction, if a valid
-    /// line was displaced, so the caller can propagate dirty victims down
-    /// the hierarchy.
-    pub fn warm_fill(&mut self, addr: u64, fill_level: HitLevel, dirty: bool) -> Option<Eviction> {
-        self.lru_clock += 1;
-        let set = self.set_index(addr);
-        let tag = self.tag(addr);
-        let lru_clock = self.lru_clock;
-        if let Some(line) = self
-            .set_mut(set)
-            .iter_mut()
-            .find(|l| l.valid && l.tag == tag)
-        {
-            line.ready_at = 0;
-            line.dirty |= dirty;
-            line.lru = lru_clock;
-            return None;
-        }
-        let victim_idx = self
-            .set(set)
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| if l.valid { l.lru } else { 0 })
-            .map(|(i, _)| i)
-            .expect("cache set has at least one way");
-        let victim = self.set(set)[victim_idx];
-        let eviction = if victim.valid {
-            Some(Eviction {
-                line_addr: victim.tag * self.num_sets as u64 * self.cfg.line_bytes as u64
-                    + set as u64 * self.cfg.line_bytes as u64,
-                dirty: victim.dirty,
-            })
-        } else {
-            None
-        };
-        self.set_mut(set)[victim_idx] = Line {
-            tag,
-            valid: true,
-            dirty,
-            prefetched: false,
-            ready_at: 0,
             fill_level,
             lru: lru_clock,
         };
@@ -501,47 +431,5 @@ mod tests {
     fn align_masks_offset_bits() {
         let c = small_cache();
         assert_eq!(c.align(0x1234), 0x1200);
-    }
-
-    #[test]
-    fn warm_fill_and_touch_record_no_stats() {
-        let mut c = small_cache();
-        assert!(!c.warm_touch(0x100, false));
-        c.warm_fill(0x100, HitLevel::Memory, false);
-        assert!(c.warm_touch(0x100, true));
-        assert_eq!(c.stats(), CacheStats::default());
-        // Line is resident, immediately ready and dirty.
-        let probe = c.probe(0x100).expect("warmed line present");
-        assert_eq!(probe.ready_at, 0);
-        // A later detailed-mode store eviction writes the dirty line back.
-        c.warm_fill(0x180, HitLevel::L2, false);
-        let ev = c.warm_fill(0x200, HitLevel::L2, false).expect("eviction");
-        assert_eq!(ev.line_addr, 0x100);
-        assert!(ev.dirty);
-        assert_eq!(c.stats(), CacheStats::default());
-    }
-
-    #[test]
-    fn warm_fill_matches_fill_replacement_behavior() {
-        // Same fill/touch sequence through the warm and the detailed APIs
-        // must leave the same lines resident.
-        let mut warm = small_cache();
-        let mut cold = small_cache();
-        let seq: &[u64] = &[0x000, 0x080, 0x100, 0x000, 0x180, 0x080];
-        for &addr in seq {
-            if !warm.warm_touch(addr, false) {
-                warm.warm_fill(addr, HitLevel::Memory, false);
-            }
-            if cold.access(addr, true, false).is_none() {
-                cold.fill(addr, 0, HitLevel::Memory, false, false);
-            }
-        }
-        for &addr in seq {
-            assert_eq!(
-                warm.probe(addr).is_some(),
-                cold.probe(addr).is_some(),
-                "residency diverged at {addr:#x}"
-            );
-        }
     }
 }

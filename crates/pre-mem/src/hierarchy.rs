@@ -96,7 +96,6 @@ pub struct MemoryHierarchy {
     l2_mshr: MshrFile,
     l3_mshr: MshrFile,
     dram: Dram,
-    prefetch_fill_l1: bool,
     prefetches_issued: u64,
     demand_loads: u64,
     demand_stores: u64,
@@ -121,7 +120,6 @@ impl MemoryHierarchy {
             l2_mshr: MshrFile::new(cfg.l2.mshrs),
             l3_mshr: MshrFile::new(cfg.l3.mshrs),
             dram: Dram::new(cfg.dram, cfg.core.freq_ghz),
-            prefetch_fill_l1: cfg.runahead.prefetch_fill_l1,
             prefetches_issued: 0,
             demand_loads: 0,
             demand_stores: 0,
@@ -130,8 +128,8 @@ impl MemoryHierarchy {
     }
 
     /// Issues a data-side load. `kind` distinguishes demand loads from
-    /// runahead prefetches (prefetches optionally skip the L1 fill and set
-    /// the prefetched bit on installed lines).
+    /// runahead prefetches (prefetches set the prefetched bit on the lines
+    /// they install).
     pub fn load(&mut self, addr: u64, now: u64, kind: AccessKind) -> MemAccess {
         match kind {
             AccessKind::Demand => self.demand_loads += 1,
@@ -194,74 +192,66 @@ impl MemoryHierarchy {
         )
     }
 
-    /// Warm-up data access: walks the hierarchy with the same inclusion,
-    /// replacement and dirty-victim propagation as a demand access, but
-    /// records no statistics, allocates no MSHRs and leaves no fill in
-    /// flight (all warmed lines are immediately ready). This is how a
-    /// [`pre_model::snapshot::WarmTrace`] turns into warmed cache contents
-    /// for an arbitrary hierarchy geometry.
-    pub fn warm_data(&mut self, addr: u64, is_store: bool) {
-        if self.l1d.warm_touch(addr, is_store) {
-            return;
-        }
-        let level = if self.l2.warm_touch(addr, false) {
-            HitLevel::L2
-        } else {
-            let level = if self.l3.warm_touch(addr, false) {
-                HitLevel::L3
-            } else {
-                self.l3.warm_fill(addr, HitLevel::Memory, false);
-                HitLevel::Memory
-            };
-            if let Some(ev) = self.l2.warm_fill(addr, level, false) {
-                if ev.dirty {
-                    self.l3.warm_fill(ev.line_addr, HitLevel::L2, true);
-                }
-            }
-            level
-        };
-        if let Some(ev) = self.l1d.warm_fill(addr, level, is_store) {
-            if ev.dirty {
-                self.l2.warm_fill(ev.line_addr, HitLevel::L1, true);
-            }
-        }
-    }
-
-    /// Warm-up instruction fetch: like [`MemoryHierarchy::warm_data`] but
-    /// entering through the L1 instruction cache (never dirty).
-    pub fn warm_ifetch(&mut self, addr: u64) {
-        if self.l1i.warm_touch(addr, false) {
-            return;
-        }
-        let level = if self.l2.warm_touch(addr, false) {
-            HitLevel::L2
-        } else {
-            let level = if self.l3.warm_touch(addr, false) {
-                HitLevel::L3
-            } else {
-                self.l3.warm_fill(addr, HitLevel::Memory, false);
-                HitLevel::Memory
-            };
-            if let Some(ev) = self.l2.warm_fill(addr, level, false) {
-                if ev.dirty {
-                    self.l3.warm_fill(ev.line_addr, HitLevel::L2, true);
-                }
-            }
-            level
-        };
-        self.l1i.warm_fill(addr, level, false);
-    }
-
     /// Replays a warm-up trace in program order, deriving this geometry's
-    /// warmed cache contents. Statistics stay at zero; only tags, LRU order
-    /// and dirty bits change.
+    /// warmed cache contents. Each event is the lookup and install a demand
+    /// access performs, with every line immediately ready. The caches'
+    /// statistics are saved before the replay and restored after it, so
+    /// only tags, LRU order and dirty bits change; no MSHR is allocated and
+    /// DRAM is never touched.
     pub fn warm_replay(&mut self, trace: &pre_model::snapshot::WarmTrace) {
+        use pre_model::snapshot::WarmEvent;
+        let saved = [&self.l1i, &self.l1d, &self.l2, &self.l3].map(Cache::stats);
         for event in &trace.events {
             match *event {
-                pre_model::snapshot::WarmEvent::Ifetch(addr) => self.warm_ifetch(addr),
-                pre_model::snapshot::WarmEvent::Load(addr) => self.warm_data(addr, false),
-                pre_model::snapshot::WarmEvent::Store(addr) => self.warm_data(addr, true),
+                WarmEvent::Ifetch(addr) => self.warm(addr, EntryPoint::Instruction, false),
+                WarmEvent::Load(addr) => self.warm(addr, EntryPoint::Data, false),
+                WarmEvent::Store(addr) => self.warm(addr, EntryPoint::Data, true),
             }
+        }
+        for (cache, stats) in [&mut self.l1i, &mut self.l1d, &mut self.l2, &mut self.l3]
+            .into_iter()
+            .zip(saved)
+        {
+            cache.restore_stats(stats);
+        }
+    }
+
+    /// One warm-up access entering through `entry`: the hit/miss walk and
+    /// fills of [`MemoryHierarchy::walk`] without its timing, MSHRs or DRAM.
+    /// Fills arrive at cycle 0. An L1I victim is never dirty, so both L1s
+    /// share the dirty write-back into L2.
+    fn warm(&mut self, addr: u64, entry: EntryPoint, is_store: bool) {
+        if self.l1(entry).0.access(addr, false, is_store).is_some() {
+            return;
+        }
+        let level = if self.l2.access(addr, false, false).is_some() {
+            HitLevel::L2
+        } else {
+            let level = if self.l3.access(addr, false, false).is_some() {
+                HitLevel::L3
+            } else {
+                self.l3.fill(addr, 0, HitLevel::Memory, false, false);
+                HitLevel::Memory
+            };
+            if let Some(ev) = self.l2.fill(addr, 0, level, false, false) {
+                if ev.dirty {
+                    self.l3.fill(ev.line_addr, 0, HitLevel::L2, false, true);
+                }
+            }
+            level
+        };
+        if let Some(ev) = self.l1(entry).0.fill(addr, 0, level, false, is_store) {
+            if ev.dirty {
+                self.l2.fill(ev.line_addr, 0, HitLevel::L1, false, true);
+            }
+        }
+    }
+
+    /// The L1 cache `entry` enters through, with its MSHR file.
+    fn l1(&mut self, entry: EntryPoint) -> (&mut Cache, &mut MshrFile) {
+        match entry {
+            EntryPoint::Instruction => (&mut self.l1i, &mut self.l1i_mshr),
+            EntryPoint::Data => (&mut self.l1d, &mut self.l1d_mshr),
         }
     }
 
@@ -277,10 +267,7 @@ impl MemoryHierarchy {
         let prefetched = kind == AccessKind::Prefetch;
 
         // ---- level 1 -------------------------------------------------------
-        let (l1, l1_mshr) = match entry {
-            EntryPoint::Instruction => (&mut self.l1i, &mut self.l1i_mshr),
-            EntryPoint::Data => (&mut self.l1d, &mut self.l1d_mshr),
-        };
+        let (l1, l1_mshr) = self.l1(entry);
         let l1_latency = l1.latency();
         let l1_line = l1.align(addr);
         let l1_done = now + l1_latency;
@@ -362,21 +349,15 @@ impl MemoryHierarchy {
                 (completion, level, first_use, initiated)
             };
 
-        // Fill L1 on the way back (prefetches may be configured not to).
-        let fill_l1 = !prefetched || self.prefetch_fill_l1;
-        if fill_l1 {
-            let (l1, l1_mshr) = match entry {
-                EntryPoint::Instruction => (&mut self.l1i, &mut self.l1i_mshr),
-                EntryPoint::Data => (&mut self.l1d, &mut self.l1d_mshr),
-            };
-            if !l1_mshr.is_full(now) {
-                l1_mshr.allocate(l1_line, now, completion);
-            }
-            if let Some(ev) = l1.fill(addr, completion, level, prefetched, is_store) {
-                if ev.dirty {
-                    self.l2
-                        .fill(ev.line_addr, completion, HitLevel::L1, false, true);
-                }
+        // Fill L1 on the way back; dirty L1 victims are written back to L2.
+        let (l1, l1_mshr) = self.l1(entry);
+        if !l1_mshr.is_full(now) {
+            l1_mshr.allocate(l1_line, now, completion);
+        }
+        if let Some(ev) = l1.fill(addr, completion, level, prefetched, is_store) {
+            if ev.dirty {
+                self.l2
+                    .fill(ev.line_addr, completion, HitLevel::L1, false, true);
             }
         }
 

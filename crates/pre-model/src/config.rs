@@ -324,13 +324,6 @@ pub struct RunaheadConfig {
     /// runahead mode when the stalling load is expected to return within
     /// this many cycles (Mutlu et al. short-interval optimization).
     pub min_expected_runahead_cycles: u64,
-    /// Whether runahead prefetches fill the L1 data cache (in addition to L2
-    /// and L3).
-    pub prefetch_fill_l1: bool,
-    /// Number of SST read ports (8) — modelled for energy accounting.
-    pub sst_read_ports: usize,
-    /// Number of SST write ports (2).
-    pub sst_write_ports: usize,
     /// PRE entry gate: refuse to enter runahead mode unless at least this
     /// many integer physical registers are free (counting registers the
     /// eager PRDQ drain can release at entry). Zero disables the gate.
@@ -348,9 +341,6 @@ impl Default for RunaheadConfig {
             emq_entries: 768,
             runahead_buffer_chain_max: 32,
             min_expected_runahead_cycles: 20,
-            prefetch_fill_l1: true,
-            sst_read_ports: 8,
-            sst_write_ports: 2,
             min_free_int_regs: 0,
             min_free_fp_regs: 0,
         }

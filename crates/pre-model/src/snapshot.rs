@@ -167,10 +167,13 @@ impl WarmTrace {
 /// A serializable warmed-up simulation start: architectural registers, PC,
 /// functional-memory image and the warm-up trace.
 ///
-/// Captured once per (workload, params, warmup-uops) by
-/// [`SimSnapshot::capture`] and forked (cloned) per sweep point; the
-/// configuration-dependent warmed structures (caches, branch predictor) are
-/// derived from [`SimSnapshot::trace`] by the consumer.
+/// Captured once per (workload, params, warmup-uops) and forked (cloned) per
+/// sweep point; the configuration-dependent warmed structures (caches,
+/// branch predictor) are derived from [`SimSnapshot::trace`] by the
+/// consumer. Every snapshot is built by [`SimSnapshot::advance`]:
+/// [`SimSnapshot::capture`] and [`SimSnapshot::capture_windowed`] advance a
+/// fresh interpreter, and sampled runs advance one interpreter through all
+/// their representative offsets.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimSnapshot {
     /// The requested warm-up budget in micro-ops.
@@ -207,22 +210,34 @@ impl SimSnapshot {
     /// architectural state is exact regardless of the window, while cache
     /// and predictor warming come from the most recent window only.
     /// `trace_window ≥ warmup_uops` is equivalent to a full-trace capture.
+    /// This is [`SimSnapshot::advance`] on a fresh interpreter.
     pub fn capture_windowed(program: &Program, warmup_uops: u64, trace_window: u64) -> SimSnapshot {
-        let mut interp = Interpreter::new(program);
-        let mut trace = WarmTrace::new();
+        SimSnapshot::advance(&mut Interpreter::new(program), warmup_uops, trace_window)
+    }
+
+    /// Runs `interp` on until it has retired `warmup_uops` micro-ops in
+    /// total (or halts), tracing only those of the final `trace_window`
+    /// that it has not already retired, and captures the state there.
+    ///
+    /// Every snapshot is captured here. One interpreter advanced through
+    /// increasing offsets yields, at each offset, the snapshot
+    /// [`SimSnapshot::capture_windowed`] takes from a fresh one, provided
+    /// each window starts at or after the previous offset; so a sampled
+    /// run's representatives cost one functional pass. The snapshot shares
+    /// the interpreter's memory pages copy-on-write, so the interpreter can
+    /// run on without copying its image.
+    pub fn advance(interp: &mut Interpreter, warmup_uops: u64, trace_window: u64) -> SimSnapshot {
         let untraced = warmup_uops.saturating_sub(trace_window);
-        let mut executed = interp.run(untraced);
-        executed += interp.run_warm(warmup_uops - executed, &mut trace);
-        let halted = interp.halted();
-        let pc = interp.pc();
-        let regs = *interp.regs();
+        interp.run(untraced.saturating_sub(interp.retired()));
+        let mut trace = WarmTrace::new();
+        interp.run_warm(warmup_uops.saturating_sub(interp.retired()), &mut trace);
         SimSnapshot {
             warmup_uops,
-            executed,
-            halted,
-            regs,
-            pc,
-            mem: interp.into_memory(),
+            executed: interp.retired(),
+            halted: interp.halted(),
+            regs: *interp.regs(),
+            pc: interp.pc(),
+            mem: interp.memory().clone(),
             trace,
         }
     }
@@ -450,6 +465,28 @@ mod tests {
         // A window at least as large as the warm-up is a full capture.
         let wide = SimSnapshot::capture_windowed(&program, 120, 500);
         assert_eq!(wide, full);
+    }
+
+    #[test]
+    fn advancing_one_interpreter_matches_fresh_captures() {
+        // Offsets in increasing order with windows that start at or after
+        // the previous offset; the last one runs past the program's end.
+        let program = looping_program();
+        let points = [(40, 20), (100, 60), (1_000, 30)];
+        let mut interp = Interpreter::new(&program);
+        let snaps: Vec<SimSnapshot> = points
+            .iter()
+            .map(|&(offset, window)| SimSnapshot::advance(&mut interp, offset, window))
+            .collect();
+        // Compared only now, so later stores by the interpreter would show
+        // if they leaked into the snapshots it already took.
+        for (snap, (offset, window)) in snaps.iter().zip(points) {
+            assert_eq!(
+                *snap,
+                SimSnapshot::capture_windowed(&program, offset, window)
+            );
+        }
+        assert!(snaps[2].halted && snaps[2].executed < 1_000);
     }
 
     #[test]

@@ -306,7 +306,12 @@ fn build_core(spec: &RunSpec, program: &pre_model::Program) -> Result<OooCore, S
     let window = spec
         .warm_window
         .map_or(spec.warmup_uops, |w| w.min(spec.warmup_uops));
-    let snap = crate::stores::snapshot_for_windowed(program, spec.warmup_uops, window);
+    let snap = crate::stores::snapshot_for(
+        program,
+        spec.warmup_uops,
+        window,
+        crate::stores::env_cache_dir().as_deref(),
+    );
     let warmed = crate::stores::warmed_for(&spec.config, program, spec.warmup_uops, window, &snap);
     OooCore::from_snapshot(&spec.config, program, spec.technique, &snap, &warmed)
         .map_err(SimError::from)

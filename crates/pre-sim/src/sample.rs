@@ -43,7 +43,7 @@ use pre_model::profile::{
     cluster_intervals, profile_intervals, Clustering, IntervalProfile, Representative,
 };
 use pre_model::program::{Interpreter, Program};
-use pre_model::snapshot::{SimSnapshot, WarmTrace};
+use pre_model::snapshot::SimSnapshot;
 use pre_model::stats::SimStats;
 use std::collections::HashMap;
 use std::fmt;
@@ -286,23 +286,10 @@ fn capture_representative_snapshots(
         return;
     }
     let mut interp = Interpreter::new(program);
-    let mut executed = 0u64;
     for &(offset, window) in &wanted {
-        // Run untraced up to the window start, then traced to the offset.
         // Windows never overlap: consecutive representative offsets differ
         // by at least one interval, and windows are at most one interval.
-        executed += interp.run(offset - window - executed.min(offset - window));
-        let mut trace = WarmTrace::new();
-        executed += interp.run_warm(offset - executed, &mut trace);
-        let snap = SimSnapshot {
-            warmup_uops: offset,
-            executed,
-            halted: interp.halted(),
-            regs: *interp.regs(),
-            pc: interp.pc(),
-            mem: interp.clone().into_memory(),
-            trace,
-        };
+        let snap = SimSnapshot::advance(&mut interp, offset, window);
         crate::stores::snapshot_publish(program, offset, window, snap, disk.as_deref());
     }
 }

@@ -427,33 +427,21 @@ fn parse_snapshot(body: &str) -> Result<(String, SimSnapshot), String> {
     Ok((desc.to_string(), SimSnapshot::from_text(text)?))
 }
 
-/// The warm-up snapshot for (`program`, `warmup_uops`) with a full warm
-/// trace, captured on first request and shared (via `Arc`) afterwards.
-/// Consults the on-disk cache (`PRE_CACHE_DIR`) before capturing; see
-/// [`snapshot_for_with_dir`].
-pub fn snapshot_for(program: &Program, warmup_uops: u64) -> Arc<SimSnapshot> {
-    snapshot_for_windowed(program, warmup_uops, warmup_uops)
-}
-
-/// [`snapshot_for`] with a bounded warm-trace window: the snapshot's warm
-/// trace covers only the final `window` uops of the warm-up. Sampled runs
-/// fork mid-execution representatives this way (one interval of warm
-/// history); `window == warmup_uops` is exactly [`snapshot_for`].
-pub fn snapshot_for_windowed(program: &Program, warmup_uops: u64, window: u64) -> Arc<SimSnapshot> {
-    snapshot_for_with_dir(program, warmup_uops, window, env_cache_dir().as_deref())
-}
-
-/// [`snapshot_for_windowed`] with an explicit disk directory (`None` =
-/// memory only).
+/// The warm-up snapshot of `program` after `warmup_uops` micro-ops whose
+/// warm trace covers only the final `window` of them (`window ==
+/// warmup_uops` traces the whole warm-up; sampled runs fork mid-execution
+/// representatives with one interval of warm history). Captured on first
+/// request and shared (via `Arc`) afterwards.
 ///
-/// Lookup order: in-memory store, then `disk_dir`, then a fresh capture.
-/// A disk entry that fails the integrity or parse checks is quarantined and
-/// the snapshot is re-captured cold — bit-identical to the persisted one by
-/// determinism, so a truncated snapshot file costs time, never correctness.
-/// Capture happens outside the store lock, so concurrent first requests may
-/// both capture; the result is deterministic, so whichever insertion wins is
-/// correct for both.
-pub fn snapshot_for_with_dir(
+/// Lookup order: in-memory store, then `disk_dir` (`None` = memory only;
+/// callers pass [`env_cache_dir`] for `PRE_CACHE_DIR`), then a fresh
+/// capture. A disk entry that fails the integrity or parse checks is
+/// quarantined and the snapshot is re-captured cold — bit-identical to the
+/// persisted one by determinism, so a truncated snapshot file costs time,
+/// never correctness. Capture happens outside the store lock, so concurrent
+/// first requests may both capture; the result is deterministic, so
+/// whichever insertion wins is correct for both.
+pub fn snapshot_for(
     program: &Program,
     warmup_uops: u64,
     window: u64,
@@ -511,19 +499,17 @@ pub fn snapshot_publish(
 fn warmed_key(cfg: &SimConfig, program: &Program, warmup_uops: u64, window: u64) -> (u64, String) {
     // Everything MemoryHierarchy::new and BranchPredictorUnit::new read:
     // the four cache geometries, DRAM timing, the core frequency (DRAM
-    // latency conversion), the prefetch-fill-L1 policy bit carried by the
-    // hierarchy, and the frontend (predictor) configuration. Core and
-    // runahead sizing parameters are deliberately absent so a ROB/IQ/EMQ/SST
-    // sweep shares one warmed state. The warm-trace window is present: a
-    // windowed trace warms different state than a full one.
+    // latency conversion) and the frontend (predictor) configuration. Core
+    // and runahead sizing parameters are deliberately absent so a
+    // ROB/IQ/EMQ/SST sweep shares one warmed state. The warm-trace window is
+    // present: a windowed trace warms different state than a full one.
     key_of(format!(
-        "warmed v2 program={:016x} warmup={} window={} mem={:016x} freq={:016x} fill_l1={} frontend={:016x}",
+        "warmed v2 program={:016x} warmup={} window={} mem={:016x} freq={:016x} frontend={:016x}",
         program.content_hash(),
         warmup_uops,
         window,
         stable_hash_of_debug(&(&cfg.l1i, &cfg.l1d, &cfg.l2, &cfg.l3, &cfg.dram)),
         cfg.core.freq_ghz.to_bits(),
-        cfg.runahead.prefetch_fill_l1,
         stable_hash_of_debug(&cfg.frontend),
     ))
 }
@@ -929,19 +915,19 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("pre-snap-test-{key:016x}"));
         let _ = std::fs::remove_dir_all(&dir);
         clear_stores();
-        let cold = snapshot_for_with_dir(&program, 300, 300, Some(&dir));
+        let cold = snapshot_for(&program, 300, 300, Some(&dir));
         let path = Tier::Snapshot.path(&dir, key);
         assert!(path.exists(), "snapshot persisted");
         // A fresh process (cleared stores) answers from disk, identically.
         clear_stores();
-        let from_disk = snapshot_for_with_dir(&program, 300, 300, Some(&dir));
+        let from_disk = snapshot_for(&program, 300, 300, Some(&dir));
         assert!(!Arc::ptr_eq(&cold, &from_disk));
         assert_eq!(from_disk.to_text(), cold.to_text());
         // Truncate the file: next lookup quarantines it and re-captures.
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
         clear_stores();
-        let refetched = snapshot_for_with_dir(&program, 300, 300, Some(&dir));
+        let refetched = snapshot_for(&program, 300, 300, Some(&dir));
         assert_eq!(
             refetched.to_text(),
             cold.to_text(),
@@ -1002,12 +988,12 @@ mod tests {
 
         // And the stores never cross-serve them.
         clear_stores();
-        let windowed = snapshot_for_with_dir(&program, 600, 200, None);
+        let windowed = snapshot_for(&program, 600, 200, None);
         assert!(
             snapshot_lookup(&program, 600, 600, None).is_none(),
             "full-window lookup must not hit the windowed entry"
         );
-        let full = snapshot_for_with_dir(&program, 600, 600, None);
+        let full = snapshot_for(&program, 600, 600, None);
         assert!(!Arc::ptr_eq(&windowed, &full));
         // Same architectural state, different trace coverage.
         assert_eq!(windowed.regs, full.regs);
@@ -1071,10 +1057,10 @@ mod tests {
         let _stores = lock_stores();
         clear_stores();
         let program = Workload::ComputeBound.build(&WorkloadParams::short(200));
-        let a = snapshot_for_with_dir(&program, 500, 500, None);
-        let b = snapshot_for_with_dir(&program, 500, 500, None);
+        let a = snapshot_for(&program, 500, 500, None);
+        let b = snapshot_for(&program, 500, 500, None);
         assert!(Arc::ptr_eq(&a, &b), "second request reuses the capture");
-        let c = snapshot_for_with_dir(&program, 600, 600, None);
+        let c = snapshot_for(&program, 600, 600, None);
         assert!(!Arc::ptr_eq(&a, &c), "different warm-up is a different key");
     }
 
@@ -1083,7 +1069,7 @@ mod tests {
         let _stores = lock_stores();
         clear_stores();
         let program = Workload::ComputeBound.build(&WorkloadParams::short(200));
-        let snap = snapshot_for_with_dir(&program, 500, 500, None);
+        let snap = snapshot_for(&program, 500, 500, None);
         let base = SimConfig::haswell_like();
         let mut resized = base.clone();
         resized.core.rob_entries = 128;

@@ -9,7 +9,7 @@ use pre_model::error::SimError;
 use pre_runahead::Technique;
 use pre_sim::matrix::EvaluationMatrix;
 use pre_sim::runner::{run_batch, run_one, RunSpec};
-use pre_sim::stores::{clear_stores, snapshot_for_with_dir};
+use pre_sim::stores::{clear_stores, snapshot_for};
 use pre_sim::sweep::Sweep;
 use pre_sim::SampleSpec;
 use pre_workloads::{Workload, WorkloadParams};
@@ -314,11 +314,11 @@ fn truncate_snapshot_fault_falls_back_to_a_cold_capture() {
         ("PRE_CACHE_DIR", None),
     ]);
     clear_stores();
-    let reference = snapshot_for_with_dir(&program, 300, 300, Some(&dir));
+    let reference = snapshot_for(&program, 300, 300, Some(&dir));
 
     let _disarm = EnvGuard::set(&[("PRE_FAULT", None)]);
     clear_stores();
-    let refetched = snapshot_for_with_dir(&program, 300, 300, Some(&dir));
+    let refetched = snapshot_for(&program, 300, 300, Some(&dir));
     assert_eq!(
         refetched.to_text(),
         reference.to_text(),

@@ -258,7 +258,9 @@ pub fn fold_store_checksum(checksum: u64, addr: u64, value: u64, seq: u64) -> u6
 /// In-order functional interpreter: the golden model.
 #[derive(Debug, Clone)]
 pub struct Interpreter {
-    program: Program,
+    /// The program's instructions (the PC of `insts[i]` is `i`). The initial
+    /// memory image is read once, into `mem`, and not kept.
+    insts: Box<[StaticInst]>,
     regs: [u64; NUM_ARCH_REGS],
     mem: FuncMem,
     pc: u32,
@@ -278,7 +280,7 @@ impl Interpreter {
             regs: program.build_registers(),
             mem: program.build_memory(),
             pc: program.entry,
-            program: program.clone(),
+            insts: program.insts.as_slice().into(),
             retired: 0,
             store_checksum: 0,
             stores: 0,
@@ -351,7 +353,7 @@ impl Interpreter {
         if self.halted {
             return false;
         }
-        let inst = match self.program.inst_at(self.pc) {
+        let inst = match self.insts.get(self.pc as usize) {
             Some(i) => *i,
             None => {
                 self.halted = true;
@@ -403,7 +405,7 @@ impl Interpreter {
         }
         self.pc = out.next_pc;
         self.retired += 1;
-        if self.pc as usize >= self.program.len() {
+        if self.pc as usize >= self.insts.len() {
             self.halted = true;
         }
         true

@@ -15,7 +15,7 @@
 //!    and frontend configuration. A ROB/IQ/EMQ/SST sweep shares one entry.
 //! 4. **Result cache** — finished [`RunResult`]s keyed by the full run
 //!    specification (config + technique + program + budget + warm-up),
-//!    in-memory always, and persisted as text files under a directory
+//!    in-memory always, and appended to a results log under a directory
 //!    (`PRE_CACHE_DIR`) when one is configured.
 //! 5. **Sampling plans** — profiles and clusterings (`crate::sample`).
 //!
@@ -25,19 +25,36 @@
 //! the run that produced them (the stats serialization round-trips exactly),
 //! which the golden tests assert.
 //!
-//! # Disk integrity
+//! # Disk layout and integrity
 //!
-//! Snapshots and results share one disk tier (`Tier`). Every on-disk entry
-//! is framed by a magic/version header carrying the body length and an
-//! FNV-1a checksum, and is written atomically (unique temp file in the same
-//! directory + `rename`), so concurrent sweeps sharing one `PRE_CACHE_DIR`
-//! never observe a half-written entry. A file that fails the header,
-//! checksum, length or parse check is **quarantined** — renamed to
-//! `<name>.corrupt` with a warning — and treated as a cache miss, so a
-//! corrupt or truncated entry (including pre-header `v1` files) degrades to
-//! recomputation, never to a wrong answer or an abort. Quarantined snapshot
-//! entries fall back to a cold re-capture, which is bit-identical by
-//! construction.
+//! Every on-disk entry is framed by a magic/version header carrying the
+//! body length and an FNV-1a checksum
+//! (`pre-cache v2 <kind> <len> <checksum>`), and its body starts with the
+//! entry's key description. Damage degrades to recomputation, never to a
+//! wrong answer or an abort:
+//!
+//! - **Snapshots** are few and large: one file per key,
+//!   `snapshot_<key:016x>.txt`, written atomically (unique temp file in the
+//!   same directory + `rename`), so concurrent sweeps sharing one
+//!   `PRE_CACHE_DIR` never observe a half-written one. A file that fails
+//!   the header, checksum, length or parse check is **quarantined** —
+//!   renamed to `<name>.corrupt` with a warning — and re-captured cold,
+//!   which is bit-identical by construction.
+//! - **Results** are many and small: each process appends them to its own
+//!   log, `results-<pid>.log`, opened once and written one frame per
+//!   `write_all` under a mutex (with one new file per result, creating
+//!   files took a large share of a cold sweep). An in-process index maps
+//!   each key to its latest whole frame (log, offset, length); a miss
+//!   rescans only the logs that grew since the last scan, so results that
+//!   other processes append still become visible. For one key the latest frame wins. A
+//!   frame that fails its magic, length, checksum or parse check is
+//!   quarantined: its bytes are copied to `<log>.<offset>.corrupt`, its
+//!   magic is overwritten in place so no later scan serves it, and the
+//!   lookup is a miss whose recomputation appends a new frame. An
+//!   incomplete frame at the end of a log is a miss and nothing more, since
+//!   its writer may still be appending; a scan resyncs on the next frame
+//!   magic. `result_<key>.txt` files of the earlier one-file-per-result
+//!   layout are not read: they miss once and are recomputed.
 
 // The degradation contract above is why unwrap/expect are banned here: every
 // failure on this path must surface as a typed error or a quarantine+miss,
@@ -58,7 +75,8 @@ use pre_workloads::{Workload, WorkloadParams};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::io::Write as _;
+use std::fs::{File, OpenOptions};
+use std::io::{Read, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -137,9 +155,14 @@ impl<V: Clone> Memo<V> {
 /// Hashes a key description into the `(key, description)` pair every memo
 /// and disk entry is addressed by.
 pub(crate) fn key_of(desc: String) -> (u64, String) {
+    (key_hash(&desc), desc)
+}
+
+/// The 64-bit key of a key description.
+fn key_hash(desc: &str) -> u64 {
     let mut h = StableHasher::new();
-    h.write_str(&desc);
-    (h.finish(), desc)
+    h.write_str(desc);
+    h.finish()
 }
 
 static PROGRAMS: Memo<Arc<Program>> = Memo::new();
@@ -148,14 +171,19 @@ static WARMED: Memo<Arc<WarmedState>> = Memo::new();
 static RESULTS: Memo<RunResult> = Memo::new();
 
 /// Empties every in-process memo (programs, snapshots, warmed state,
-/// results, sampling plans). Benches and golden tests call this to force
-/// cold paths; the on-disk cache is untouched.
+/// results, sampling plans) and drops the results logs' index and open
+/// logs, so the next disk lookup scans every log afresh. Benches and golden
+/// tests call this to force cold paths; the on-disk cache is untouched.
 pub fn clear_stores() {
     PROGRAMS.clear();
     SNAPSHOTS.clear();
     WARMED.clear();
     RESULTS.clear();
     crate::sample::PLANS.clear();
+    RESULT_LOGS
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clear();
 }
 
 /// Serializes the unit tests that empty the process-global stores and then
@@ -183,7 +211,7 @@ pub fn program_for(workload: Workload, params: &WorkloadParams) -> Arc<Program> 
 }
 
 // ---------------------------------------------------------------------------
-// Disk-cache integrity: framing, atomic writes, quarantine
+// Disk-cache integrity: framing, snapshot files, the result log
 // ---------------------------------------------------------------------------
 
 /// Magic + version of the framed on-disk cache format. Bumping the version
@@ -211,17 +239,9 @@ fn cache_header(kind: &str, body: &str) -> String {
     )
 }
 
-/// Verifies the framing written by [`encode_cache_file`] and returns the
-/// body.
-///
-/// # Errors
-///
-/// Returns a description of the first integrity violation (bad magic, wrong
-/// kind, truncated body, checksum mismatch).
-pub fn decode_cache_file<'a>(kind: &str, text: &'a str) -> Result<&'a str, String> {
-    let (header, body) = text
-        .split_once('\n')
-        .ok_or_else(|| "missing cache header line".to_string())?;
+/// Parses a header line (without its newline) of an entry of `kind` into
+/// the body length and checksum it declares.
+fn parse_header(header: &str, kind: &str) -> Result<(usize, u64), String> {
     let rest = header
         .strip_prefix(CACHE_MAGIC)
         .ok_or_else(|| format!("not a `{CACHE_MAGIC}` file"))?;
@@ -243,6 +263,21 @@ pub fn decode_cache_file<'a>(kind: &str, text: &'a str) -> Result<&'a str, Strin
     if parts.next().is_some() {
         return Err("trailing fields in cache header".to_string());
     }
+    Ok((len, checksum))
+}
+
+/// Verifies the framing written by [`encode_cache_file`] and returns the
+/// body.
+///
+/// # Errors
+///
+/// Returns a description of the first integrity violation (bad magic, wrong
+/// kind, truncated body, checksum mismatch).
+pub fn decode_cache_file<'a>(kind: &str, text: &'a str) -> Result<&'a str, String> {
+    let (header, body) = text
+        .split_once('\n')
+        .ok_or_else(|| "missing cache header line".to_string())?;
+    let (len, checksum) = parse_header(header, kind)?;
     if body.len() != len {
         return Err(format!(
             "truncated cache entry: header says {len} bytes, file has {}",
@@ -263,7 +298,9 @@ pub fn decode_cache_file<'a>(kind: &str, text: &'a str) -> Result<&'a str, Strin
 /// (and concurrent writers racing on the same key) observe either the old
 /// file or the whole new one, never a torn write; whichever rename lands
 /// last wins, and both payloads are deterministic for one key so either
-/// winner is correct.
+/// winner is correct. Only snapshots are written this way: results go to
+/// the append-only results log, because creating a file per result took a
+/// large share of a cold sweep.
 fn write_atomic(path: &Path, parts: &[&str]) -> Result<(), String> {
     static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
     let dir = path.parent().ok_or("cache path has no parent directory")?;
@@ -277,7 +314,7 @@ fn write_atomic(path: &Path, parts: &[&str]) -> Result<(), String> {
         std::process::id(),
         TMP_SEQ.fetch_add(1, Ordering::Relaxed)
     ));
-    std::fs::File::create(&tmp)
+    File::create(&tmp)
         .and_then(|mut file| parts.iter().try_for_each(|p| file.write_all(p.as_bytes())))
         .map_err(|e| format!("write {}: {e}", tmp.display()))?;
     std::fs::rename(&tmp, path).map_err(|e| {
@@ -286,8 +323,8 @@ fn write_atomic(path: &Path, parts: &[&str]) -> Result<(), String> {
     })
 }
 
-/// Quarantines a corrupt cache entry: renames it to `<name>.corrupt` (so it
-/// stops matching lookups and is preserved for inspection) and logs a
+/// Quarantines a corrupt snapshot file: renames it to `<name>.corrupt` (so
+/// it stops matching lookups and is preserved for inspection) and logs a
 /// warning. Every caller then proceeds as a cache miss.
 fn quarantine(path: &Path, detail: &str) {
     let mut target = path.as_os_str().to_owned();
@@ -306,90 +343,56 @@ fn quarantine(path: &Path, detail: &str) {
     }
 }
 
-/// The framed disk tier: one file per entry, `<kind>_<key:016x>.txt`, whose
-/// body starts with the entry's key description.
-#[derive(Debug, Clone, Copy)]
-enum Tier {
-    Snapshot,
-    Result,
+/// The file of snapshot `key`: `snapshot_<key:016x>.txt`, whose body starts
+/// with the snapshot's key description.
+fn snapshot_path(dir: &Path, key: u64) -> PathBuf {
+    dir.join(format!("snapshot_{key:016x}.txt"))
 }
 
-impl Tier {
-    fn kind(self) -> &'static str {
-        match self {
-            Tier::Snapshot => "snapshot",
-            Tier::Result => "result",
+/// Reads snapshot `key` from `dir`. A missing file, or one stored under
+/// another description (a hash collision), is a miss; an I/O failure is a
+/// warning and a miss; anything failing the framing, checksum or parse is
+/// quarantined and a miss.
+fn read_snapshot_file(dir: &Path, key: u64, desc: &str) -> Option<SimSnapshot> {
+    let path = snapshot_path(dir, key);
+    let text = match std::fs::read_to_string(&path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
+        Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+            // Not UTF-8: bit rot, not a transient I/O failure.
+            quarantine(&path, "cache entry is not valid UTF-8");
+            return None;
         }
-    }
-
-    fn path(self, dir: &Path, key: u64) -> PathBuf {
-        dir.join(format!("{}_{key:016x}.txt", self.kind()))
-    }
-
-    /// Reads entry `key` and parses its body into `(stored description,
-    /// value)`. A missing file, or one stored under another description (a
-    /// hash collision), is a miss; an I/O failure is a warning and a miss;
-    /// anything failing the framing, checksum or parse is quarantined and a
-    /// miss.
-    fn read<V>(
-        self,
-        dir: &Path,
-        key: u64,
-        desc: &str,
-        parse: impl FnOnce(&str) -> Result<(String, V), String>,
-    ) -> Option<V> {
-        let path = self.path(dir, key);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                // Not UTF-8: bit rot, not a transient I/O failure.
-                quarantine(&path, "cache entry is not valid UTF-8");
-                return None;
-            }
-            Err(e) => {
-                eprintln!("warning: cannot read cache entry {}: {e}", path.display());
-                return None;
-            }
-        };
-        match decode_cache_file(self.kind(), &text).and_then(parse) {
-            Ok((stored, value)) => (stored == desc).then_some(value),
-            Err(detail) => {
-                quarantine(&path, &detail);
-                None
-            }
+        Err(e) => {
+            eprintln!("warning: cannot read cache entry {}: {e}", path.display());
+            return None;
         }
-    }
-
-    /// Writes entry `key` (framed as [`encode_cache_file`] frames it, without
-    /// copying `body`; atomic), then applies this tier's armed `PRE_FAULT`
-    /// damage, if any.
-    fn write(self, dir: &Path, key: u64, body: &str) -> Result<(), SimError> {
-        let path = self.path(dir, key);
-        let header = cache_header(self.kind(), body);
-        write_atomic(&path, &[&header, body]).map_err(|detail| SimError::Cache {
-            path: path.display().to_string(),
-            detail,
-        })?;
-        match self {
-            Tier::Snapshot if crate::fault::should_truncate_snapshot() => inject_truncation(&path),
-            Tier::Result if crate::fault::should_corrupt_cache(key) => inject_corruption(&path),
-            _ => {}
+    };
+    match decode_cache_file("snapshot", &text).and_then(parse_snapshot) {
+        Ok((stored, snap)) => (stored == desc).then_some(snap),
+        Err(detail) => {
+            quarantine(&path, &detail);
+            None
         }
-        Ok(())
     }
 }
 
-/// `corrupt-cache` fault: overwrites a span in the middle of the file so the
-/// checksum no longer matches (deliberately not atomic — it models a torn or
-/// bit-rotted entry).
-fn inject_corruption(path: &Path) {
-    if let Ok(mut bytes) = std::fs::read(path) {
-        let mid = bytes.len() / 2;
-        for b in bytes.iter_mut().skip(mid).take(16) {
-            *b = b'X';
-        }
-        let _ = std::fs::write(path, bytes);
+/// Writes snapshot `key` under `dir` (key line, then the snapshot text,
+/// framed as [`encode_cache_file`] frames it; atomic), then applies an
+/// armed `truncate-snapshot` fault. Best-effort: a failure is a warning.
+fn write_snapshot_file(dir: &Path, key: u64, desc: &str, snap: &SimSnapshot) {
+    // The warm-up text of a large program runs to megabytes: build it once,
+    // in place after the key line, and frame it without copying.
+    let mut body = format!("keydesc {desc}\n");
+    snap.write_text(&mut body);
+    let path = snapshot_path(dir, key);
+    match write_atomic(&path, &[&cache_header("snapshot", &body), &body]) {
+        Ok(()) if crate::fault::should_truncate_snapshot() => inject_truncation(&path),
+        Ok(()) => {}
+        Err(detail) => eprintln!(
+            "warning: cannot persist snapshot {}: {detail}",
+            path.display()
+        ),
     }
 }
 
@@ -399,6 +402,299 @@ fn inject_truncation(path: &Path) {
     if let Ok(bytes) = std::fs::read(path) {
         let _ = std::fs::write(path, &bytes[..bytes.len() / 2]);
     }
+}
+
+/// How every frame starts, whatever its format version ([`CACHE_MAGIC`]
+/// without the version number). A scan of a results log finds frames by it
+/// and resyncs on it past damage; a frame of another version is quarantined.
+const FRAME_MAGIC: &str = "pre-cache v";
+
+/// This process's results log in `dir`.
+fn own_log(dir: &Path) -> PathBuf {
+    dir.join(format!("results-{}.log", std::process::id()))
+}
+
+/// Where one whole frame sits: its log, its offset, and its length with the
+/// header.
+#[derive(Debug, Clone)]
+struct FrameLoc {
+    log: Arc<Path>,
+    offset: u64,
+    len: usize,
+}
+
+/// This process's view of the results logs in one cache directory.
+#[derive(Debug, Default)]
+struct ResultLogs {
+    /// This process's own log, opened for appending by its first store.
+    writer: Option<File>,
+    /// How many bytes of each log the scans have consumed.
+    scanned: HashMap<Arc<Path>, u64>,
+    /// The latest whole frame of each key.
+    frames: HashMap<u64, FrameLoc>,
+}
+
+/// The results logs of every cache directory this process has used. One
+/// lock covers the appends and the scans; frames are read outside it.
+static RESULT_LOGS: Mutex<Vec<(PathBuf, ResultLogs)>> = Mutex::new(Vec::new());
+
+/// Runs `f` on the results logs of `dir` under the lock (recovering from
+/// poisoning, as [`Memo::map`] does).
+fn with_result_logs<T>(dir: &Path, f: impl FnOnce(&mut ResultLogs) -> T) -> T {
+    let mut all = RESULT_LOGS.lock().unwrap_or_else(PoisonError::into_inner);
+    let i = match all.iter().position(|(d, _)| d == dir) {
+        Some(i) => i,
+        None => {
+            all.push((dir.to_path_buf(), ResultLogs::default()));
+            all.len() - 1
+        }
+    };
+    f(&mut all[i].1)
+}
+
+impl ResultLogs {
+    /// Forgets every scanned frame, so the next scan reads every log afresh.
+    fn forget(&mut self) {
+        self.scanned.clear();
+        self.frames.clear();
+    }
+
+    /// Appends `key`'s `frame` to this process's `log`, opening it on first
+    /// use and reopening it when it was unlinked (its directory deleted and
+    /// recreated). Returns the frame's offset.
+    fn append(
+        &mut self,
+        dir: &Path,
+        log: &Arc<Path>,
+        key: u64,
+        frame: &[u8],
+    ) -> std::io::Result<u64> {
+        if self.writer.is_some() && !log.exists() {
+            // Whatever was indexed here went with the old directory.
+            self.writer = None;
+            self.forget();
+        }
+        let writer = match &mut self.writer {
+            Some(writer) => writer,
+            slot => {
+                std::fs::create_dir_all(dir)?;
+                slot.insert(OpenOptions::new().create(true).append(true).open(log)?)
+            }
+        };
+        // Only this process appends to its log, so the end is where the
+        // frame goes.
+        let offset = writer.seek(SeekFrom::End(0))?;
+        writer.write_all(frame)?;
+        // Index the frame as a scan would, so no scan reads it again.
+        if self.scanned.get(log).copied().unwrap_or(0) == offset {
+            let len = frame.len();
+            self.scanned.insert(Arc::clone(log), offset + len as u64);
+            let loc = FrameLoc {
+                log: Arc::clone(log),
+                offset,
+                len,
+            };
+            self.frames.insert(key, loc);
+        }
+        Ok(offset)
+    }
+
+    /// Indexes the frames appended to the results logs in `dir` since the
+    /// last scan.
+    fn scan(&mut self, dir: &Path) {
+        let Ok(entries) = std::fs::read_dir(dir) else {
+            return;
+        };
+        for entry in entries.flatten() {
+            let name = entry.file_name();
+            let name = name.to_string_lossy();
+            if !(name.starts_with("results-") && name.ends_with(".log")) {
+                continue;
+            }
+            let Ok(len) = entry.metadata().map(|m| m.len()) else {
+                continue;
+            };
+            let log: Arc<Path> = entry.path().into();
+            let scanned = self.scanned.get(&log).copied().unwrap_or(0);
+            if len == scanned {
+                continue;
+            }
+            let from = if len < scanned {
+                // Shorter than it was: the log was replaced.
+                self.frames.retain(|_, loc| loc.log != log);
+                0
+            } else {
+                scanned
+            };
+            match self.scan_log(&log, from) {
+                Ok(to) => {
+                    self.scanned.insert(log, to);
+                }
+                Err(e) => eprintln!("warning: cannot read results log {}: {e}", log.display()),
+            }
+        }
+    }
+
+    /// Indexes the frames of `log` from byte `from` on, quarantining damaged
+    /// ones, and returns how far the scan got: past the last frame, or to
+    /// the start of an incomplete frame at the end, which a live writer may
+    /// still be appending.
+    fn scan_log(&mut self, log: &Arc<Path>, from: u64) -> std::io::Result<u64> {
+        let mut bytes = Vec::new();
+        let mut file = File::open(log)?;
+        file.seek(SeekFrom::Start(from))?;
+        file.read_to_end(&mut bytes)?;
+        let mut pos = 0;
+        while let Some(start) = find_frame(&bytes, pos) {
+            let offset = from + start as u64;
+            let parsed = parse_frame(&bytes[start..]);
+            if let Ok(Some((key, len))) = parsed {
+                let loc = FrameLoc {
+                    log: Arc::clone(log),
+                    offset,
+                    len,
+                };
+                self.frames.insert(key, loc);
+                pos = start + len;
+                continue;
+            }
+            let next = find_frame(&bytes, start + 1);
+            let detail = match (parsed, next) {
+                (Ok(_), None) => return Ok(offset),
+                (Ok(_), Some(_)) => "incomplete frame before the next one".to_string(),
+                (Err(detail), _) => detail,
+            };
+            pos = next.unwrap_or(bytes.len());
+            quarantine_frame(log, offset, &bytes[start..pos], &detail);
+        }
+        // Keep a tail that may be the start of a frame's magic for the next
+        // scan.
+        let tail = bytes.len().saturating_sub(FRAME_MAGIC.len() - 1);
+        Ok(from + tail.max(pos) as u64)
+    }
+}
+
+/// The position of the first frame magic in `bytes` at or after `from`.
+fn find_frame(bytes: &[u8], from: usize) -> Option<usize> {
+    let magic = FRAME_MAGIC.as_bytes();
+    bytes
+        .get(from..)?
+        .windows(magic.len())
+        .position(|w| w == magic)
+        .map(|i| from + i)
+}
+
+/// Reads the frame at the start of `bytes`: its key and length when it is
+/// whole, `None` when `bytes` end before it does, and the integrity
+/// violation when it is damaged.
+fn parse_frame(bytes: &[u8]) -> Result<Option<(u64, usize)>, String> {
+    let Some(eol) = bytes.iter().position(|&b| b == b'\n') else {
+        return Ok(None);
+    };
+    let header = std::str::from_utf8(&bytes[..eol]).map_err(|_| "cache header is not UTF-8")?;
+    let (len, _) = parse_header(header, "result")?;
+    let end = (eol + 1)
+        .checked_add(len)
+        .ok_or("bad body length in cache header")?;
+    let Some(frame) = bytes.get(..end) else {
+        return Ok(None);
+    };
+    let text = std::str::from_utf8(frame).map_err(|_| "cache entry is not valid UTF-8")?;
+    let body = decode_cache_file("result", text)?;
+    let desc = body
+        .lines()
+        .nth(1)
+        .and_then(|line| line.strip_prefix("keydesc "))
+        .ok_or("missing keydesc line")?;
+    Ok(Some((key_hash(desc), end)))
+}
+
+/// Reads the frame at `loc`.
+fn read_frame(loc: &FrameLoc) -> std::io::Result<Vec<u8>> {
+    let mut file = File::open(&loc.log)?;
+    file.seek(SeekFrom::Start(loc.offset))?;
+    let mut bytes = vec![0; loc.len];
+    file.read_exact(&mut bytes)?;
+    Ok(bytes)
+}
+
+/// Quarantines a damaged frame: copies its bytes to
+/// `<log>.<offset>.corrupt` and overwrites its magic in place, so no later
+/// scan, of this process or another, serves it or quarantines it again.
+/// Every caller then proceeds as a cache miss.
+fn quarantine_frame(log: &Path, offset: u64, bytes: &[u8], detail: &str) {
+    let target = PathBuf::from(format!("{}.{offset}.corrupt", log.display()));
+    let copied = OpenOptions::new()
+        .write(true)
+        .create_new(true)
+        .open(&target)
+        .and_then(|mut file| file.write_all(bytes));
+    let stomped = overwrite(log, offset, &[b'X'; FRAME_MAGIC.len()]);
+    match copied.and(stomped) {
+        Ok(()) => eprintln!(
+            "warning: quarantined corrupt cache entry {} at byte {offset} -> {}: {detail}",
+            log.display(),
+            target.display()
+        ),
+        // Another scanner got there first.
+        Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {}
+        Err(e) => eprintln!(
+            "warning: corrupt cache entry {} at byte {offset} ({detail}); quarantine failed: {e}",
+            log.display()
+        ),
+    }
+}
+
+/// Overwrites `log` at `offset` with `bytes`, in place.
+fn overwrite(log: &Path, offset: u64, bytes: &[u8]) -> std::io::Result<()> {
+    let mut file = OpenOptions::new().write(true).open(log)?;
+    file.seek(SeekFrom::Start(offset))?;
+    file.write_all(bytes)
+}
+
+/// Reads the latest frame of `key` from the results logs in `dir` and
+/// parses it; a frame stored under another description (a hash collision)
+/// is a miss. When the index has no frame for `key`, the logs that grew are
+/// scanned first. When the indexed frame is no longer there (its directory
+/// was recreated, or it was damaged after the scan), every log is rescanned
+/// once.
+fn read_result(dir: &Path, key: u64, desc: &str) -> Option<RunResult> {
+    for rescan in [false, true] {
+        let loc = with_result_logs(dir, |logs| {
+            if rescan {
+                logs.forget();
+            }
+            if !logs.frames.contains_key(&key) {
+                logs.scan(dir);
+            }
+            logs.frames.get(&key).cloned()
+        })?;
+        let Ok(bytes) = read_frame(&loc) else {
+            continue;
+        };
+        let Ok(body) = std::str::from_utf8(&bytes)
+            .map_err(|e| e.to_string())
+            .and_then(|text| decode_cache_file("result", text))
+        else {
+            continue;
+        };
+        return match result_from_text(body) {
+            Ok((stored, result)) => (stored == desc).then_some(result),
+            Err(detail) => {
+                quarantine_frame(&loc.log, loc.offset, &bytes, &detail);
+                with_result_logs(dir, |logs| logs.frames.remove(&key));
+                None
+            }
+        };
+    }
+    None
+}
+
+/// `corrupt-cache` fault: overwrites 16 bytes in the middle of the `len`-byte
+/// frame just appended at `offset`, so its checksum no longer matches
+/// (deliberately in place: it models a bit-rotted entry).
+fn inject_corruption(log: &Path, offset: u64, len: usize) {
+    let _ = overwrite(log, offset + len as u64 / 2, &[b'X'; 16]);
 }
 
 // ---------------------------------------------------------------------------
@@ -438,20 +734,43 @@ fn parse_snapshot(body: &str) -> Result<(String, SimSnapshot), String> {
 /// capture. A disk entry that fails the integrity or parse checks is
 /// quarantined and the snapshot is re-captured cold — bit-identical to the
 /// persisted one by determinism, so a truncated snapshot file costs time,
-/// never correctness. Capture happens outside the store lock, so concurrent
-/// first requests may both capture; the result is deterministic, so
-/// whichever insertion wins is correct for both.
+/// never correctness. Concurrent first requests for one key read the disk
+/// and capture once: the others wait in the store's slot. A fresh capture
+/// is written to disk after it is shared in memory, so the waiting requests
+/// start at once.
 pub fn snapshot_for(
     program: &Program,
     warmup_uops: u64,
     window: u64,
     disk_dir: Option<&Path>,
 ) -> Arc<SimSnapshot> {
-    if let Some(snap) = snapshot_lookup(program, warmup_uops, window, disk_dir) {
-        return snap;
+    let (key, desc) = snapshot_key(program, warmup_uops, window);
+    let mut captured = false;
+    let snap = SNAPSHOTS.get_or_insert_with(key, &desc, || {
+        if let Some(snap) = disk_dir.and_then(|dir| read_snapshot_file(dir, key, &desc)) {
+            return Arc::new(snap);
+        }
+        #[cfg(test)]
+        count_capture(key);
+        captured = true;
+        Arc::new(SimSnapshot::capture_windowed(program, warmup_uops, window))
+    });
+    if let (true, Some(dir)) = (captured, disk_dir) {
+        write_snapshot_file(dir, key, &desc, &snap);
     }
-    let snap = SimSnapshot::capture_windowed(program, warmup_uops, window);
-    snapshot_publish(program, warmup_uops, window, snap, disk_dir)
+    snap
+}
+
+/// How many times [`snapshot_for`] captured each snapshot key.
+#[cfg(test)]
+static CAPTURES: Mutex<Vec<u64>> = Mutex::new(Vec::new());
+
+#[cfg(test)]
+fn count_capture(key: u64) {
+    CAPTURES
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .push(key);
 }
 
 /// Probes the snapshot store (memory, then `disk_dir`) without capturing on
@@ -467,15 +786,16 @@ pub fn snapshot_lookup(
     if let Some(snap) = SNAPSHOTS.get(key, &desc) {
         return Some(snap);
     }
-    let snap = Tier::Snapshot.read(disk_dir?, key, &desc, parse_snapshot)?;
+    let snap = read_snapshot_file(disk_dir?, key, &desc)?;
     Some(SNAPSHOTS.get_or_insert_with(key, &desc, || Arc::new(snap)))
 }
 
-/// Inserts an externally-captured snapshot into the store (and, best-effort,
-/// onto disk), returning the shared entry. The sampling batch-capture pass
-/// publishes per-interval snapshots through this; the snapshot must be
-/// bit-identical to what [`SimSnapshot::capture_windowed`] would produce for
-/// the same key, which the batch pass guarantees by construction.
+/// Inserts an externally-captured snapshot into the store and then,
+/// best-effort, onto disk, returning the shared entry. The sampling
+/// batch-capture pass publishes per-interval snapshots through this; the
+/// snapshot must be bit-identical to what [`SimSnapshot::capture_windowed`]
+/// would produce for the same key, which the batch pass guarantees by
+/// construction.
 pub fn snapshot_publish(
     program: &Program,
     warmup_uops: u64,
@@ -484,16 +804,11 @@ pub fn snapshot_publish(
     disk_dir: Option<&Path>,
 ) -> Arc<SimSnapshot> {
     let (key, desc) = snapshot_key(program, warmup_uops, window);
+    let shared = SNAPSHOTS.get_or_insert_with(key, &desc, || Arc::new(snap));
     if let Some(dir) = disk_dir {
-        // The warm-up text of a large program runs to megabytes: build it
-        // once, in place after the key line.
-        let mut body = format!("keydesc {desc}\n");
-        snap.write_text(&mut body);
-        if let Err(e) = Tier::Snapshot.write(dir, key, &body) {
-            eprintln!("warning: cannot persist snapshot: {e}");
-        }
+        write_snapshot_file(dir, key, &desc, &shared);
     }
-    SNAPSHOTS.get_or_insert_with(key, &desc, || Arc::new(snap))
+    shared
 }
 
 fn warmed_key(cfg: &SimConfig, program: &Program, warmup_uops: u64, window: u64) -> (u64, String) {
@@ -575,14 +890,15 @@ pub fn env_cache_dir() -> Option<PathBuf> {
 }
 
 /// Looks up a finished result, consulting the in-memory store first and then
-/// `disk_dir` (if given). Disk hits are promoted into the in-memory store;
-/// disk entries that fail the integrity checks are quarantined and reported
-/// as a miss. The returned result has `cache_hit` set.
+/// the results logs under `disk_dir` (if given). Disk hits are promoted into
+/// the in-memory store; frames that fail the integrity checks are
+/// quarantined and reported as a miss. The returned result has `cache_hit`
+/// set.
 pub fn result_lookup(key: u64, desc: &str, disk_dir: Option<&Path>) -> Option<RunResult> {
     let mut hit = match RESULTS.get(key, desc) {
         Some(hit) => hit,
         None => {
-            let stored = Tier::Result.read(disk_dir?, key, desc, result_from_text)?;
+            let stored = read_result(disk_dir?, key, desc)?;
             RESULTS.get_or_insert_with(key, desc, || stored)
         }
     };
@@ -591,7 +907,8 @@ pub fn result_lookup(key: u64, desc: &str, disk_dir: Option<&Path>) -> Option<Ru
 }
 
 /// Stores a finished result in the in-memory store and, when `disk_dir` is
-/// given, as a framed text file under it. The disk write is best-effort (a
+/// given, as a frame appended to this process's results log under it. The
+/// disk write is best-effort (a
 /// failure leaves only the in-memory entry and logs a warning); use
 /// [`try_result_store_disk`] to surface the error instead.
 pub fn result_store(key: u64, desc: &str, result: &RunResult, disk_dir: Option<&Path>) {
@@ -605,19 +922,29 @@ pub fn result_store(key: u64, desc: &str, result: &RunResult, disk_dir: Option<&
     }
 }
 
-/// Persists one result under `dir` (framed, atomic), surfacing I/O failures
-/// as [`SimError::Cache`].
+/// Persists one result under `dir`: one framed append to this process's
+/// results log there, surfacing I/O failures as [`SimError::Cache`].
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Cache`] when the temp-file write or rename fails.
+/// Returns [`SimError::Cache`] when the log cannot be opened or written.
 pub fn try_result_store_disk(
     dir: &Path,
     key: u64,
     desc: &str,
     result: &RunResult,
 ) -> Result<(), SimError> {
-    Tier::Result.write(dir, key, &result_to_text(desc, result))
+    let frame = encode_cache_file("result", &result_to_text(desc, result));
+    let log: Arc<Path> = own_log(dir).into();
+    let offset = with_result_logs(dir, |logs| logs.append(dir, &log, key, frame.as_bytes()))
+        .map_err(|e| SimError::Cache {
+            path: log.display().to_string(),
+            detail: e.to_string(),
+        })?;
+    if crate::fault::should_corrupt_cache(key) {
+        inject_corruption(&log, offset, frame.len());
+    }
+    Ok(())
 }
 
 fn energy_field_names() -> [&'static str; 6] {
@@ -882,6 +1209,8 @@ mod tests {
         assert!(decode_cache_file("result", truncated).is_err());
         // Unframed v1-era file.
         assert!(decode_cache_file("result", body).is_err());
+        // A results-log scan finds frames of this version and of any other.
+        assert!(framed.starts_with(FRAME_MAGIC));
     }
 
     #[test]
@@ -916,7 +1245,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         clear_stores();
         let cold = snapshot_for(&program, 300, 300, Some(&dir));
-        let path = Tier::Snapshot.path(&dir, key);
+        let path = snapshot_path(&dir, key);
         assert!(path.exists(), "snapshot persisted");
         // A fresh process (cleared stores) answers from disk, identically.
         clear_stores();
@@ -949,7 +1278,7 @@ mod tests {
         let snap = SimSnapshot::capture_windowed(&program, 300, 300);
         let body = format!("keydesc {desc}\n{}", snap.to_text());
         snapshot_publish(&program, 300, 300, snap, Some(&dir));
-        let written = std::fs::read_to_string(Tier::Snapshot.path(&dir, key)).unwrap();
+        let written = std::fs::read_to_string(snapshot_path(&dir, key)).unwrap();
         assert_eq!(written, encode_cache_file("snapshot", &body));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1062,6 +1391,34 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "second request reuses the capture");
         let c = snapshot_for(&program, 600, 600, None);
         assert!(!Arc::ptr_eq(&a, &c), "different warm-up is a different key");
+    }
+
+    #[test]
+    fn concurrent_snapshot_misses_capture_once() {
+        use std::sync::Barrier;
+        let _stores = lock_stores();
+        clear_stores();
+        let program = Workload::ComputeBound.build(&WorkloadParams::short(210));
+        let (key, _) = snapshot_key(&program, 700, 700);
+        let captures = || {
+            let all = CAPTURES.lock().unwrap();
+            all.iter().filter(|&&k| k == key).count()
+        };
+        let before = captures();
+        let start = Barrier::new(4);
+        let snaps: Vec<Arc<SimSnapshot>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        snapshot_for(&program, 700, 700, None)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(captures() - before, 1, "one capture for four misses");
+        assert!(snaps.iter().all(|s| Arc::ptr_eq(s, &snaps[0])));
     }
 
     #[test]

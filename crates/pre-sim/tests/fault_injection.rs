@@ -282,7 +282,7 @@ fn corrupt_cache_fault_quarantines_then_recomputes_bit_identically() {
     assert!(!first.cache_hit);
 
     // Disarm and drop the in-memory copy: the next run must detect the
-    // corruption, quarantine the file and recompute identically.
+    // corruption, quarantine the frame and recompute identically.
     let _disarm = EnvGuard::set(&[("PRE_FAULT", None)]);
     clear_stores();
     let second = run_one(&spec).expect("recompute");

@@ -1,4 +1,4 @@
-//! Golden corpus: the statistics of 128 cells are checked in as text
+//! Golden corpus: the statistics of 131 cells are checked in as text
 //! (`tests/golden/stats.kv`), and every run of those cells must reproduce
 //! them bit for bit.
 //!
@@ -13,7 +13,10 @@
 //! `asm-chase-large` under every runahead technique at 20 000, `milc-like`
 //! under every technique at 20 000 after a 200 000 micro-op warm-up (warm
 //! replay into the caches), and one sampled `milc-like` PRE cell (3 slices
-//! of 20 000 over 200 000, forked from windowed snapshots).
+//! of 20 000 over 200 000, forked from windowed snapshots), `asm-box-blur`
+//! under PRE and PRE+EMQ with the free-register entry gate at 40 integer
+//! registers, and one `asm-chase-large` PRE+EMQ point forked after a
+//! 200 000 micro-op warm-up with a 256-entry ROB and a 768-entry EMQ.
 //!
 //! Two runs are checked against it:
 //! - the default, fast-forwarded runs: kv text and energy bits must match
@@ -124,6 +127,30 @@ fn cells(config: &SimConfig) -> Vec<(String, RunSpec)> {
         .with_config(config.clone())
         .sampled(SampleSpec::new(3, 20_000));
     cells.push((label("sampled", &spec), spec));
+
+    // The free-register entry gate: at 40 integer registers it admits some
+    // `asm-box-blur` stalls and refuses others, so its count of what the
+    // eager drain could release decides entries.
+    let mut gated = config.clone();
+    gated.runahead.min_free_int_regs = 40;
+    for technique in [Technique::Pre, Technique::PreEmq] {
+        let spec = RunSpec::new(asm_workload("asm-box-blur"), technique)
+            .with_budget(20_000)
+            .with_config(gated.clone());
+        cells.push((label("gate-int40", &spec), spec));
+    }
+
+    // One warm-forked long-window point of the PRE+EMQ sweep grid: a
+    // 256-entry ROB (every other cell has the Table 1 ROB of 192) behind
+    // which PRE enters often and reclaims a few registers per interval.
+    let mut long_window = config.clone();
+    long_window.core.rob_entries = 256;
+    long_window.runahead.emq_entries = 768;
+    let spec = RunSpec::new(asm_workload("asm-chase-large"), Technique::PreEmq)
+        .with_budget(4_000)
+        .with_warmup(200_000)
+        .with_config(long_window);
+    cells.push((label("fork-rob256-emq768", &spec), spec));
     cells
 }
 

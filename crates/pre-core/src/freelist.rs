@@ -10,11 +10,24 @@ use pre_model::reg::PhysReg;
 /// The allocation order lives in a stack; a membership bitmap beside it,
 /// kept in step by every operation, makes [`FreeList::is_free`] (and the
 /// double-free check in [`FreeList::free`]) a single indexed load.
+///
+/// [`FreeList::mark`] and [`FreeList::rollback`] checkpoint the list
+/// without copying it: between the two, allocations record only the
+/// registers they pop from below the marked depth, so the rollback costs
+/// what changed since the mark.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FreeList {
     capacity: usize,
     free: Vec<PhysReg>,
     is_free: Vec<bool>,
+    /// The lowest stack depth since the mark (0 when no mark is set, so
+    /// allocations record nothing).
+    low: usize,
+    /// Stack depth at the mark, while one is set.
+    mark: Option<usize>,
+    /// Registers popped from below the marked depth since the mark, in pop
+    /// order.
+    popped: Vec<PhysReg>,
 }
 
 impl FreeList {
@@ -39,6 +52,9 @@ impl FreeList {
                 .map(|i| PhysReg(i as u16))
                 .collect(),
             is_free,
+            low: 0,
+            mark: None,
+            popped: Vec::new(),
         }
     }
 
@@ -46,6 +62,10 @@ impl FreeList {
     pub fn allocate(&mut self) -> Option<PhysReg> {
         let reg = self.free.pop()?;
         self.is_free[reg.index()] = false;
+        if self.free.len() < self.low {
+            self.low = self.free.len();
+            self.popped.push(reg);
+        }
         Some(reg)
     }
 
@@ -85,19 +105,44 @@ impl FreeList {
         self.is_free[reg.index()]
     }
 
-    /// Snapshot of the free list (used by PRE to checkpoint rename state at
-    /// runahead entry).
+    /// A copy of the free list, in allocation order (the next register
+    /// allocated is the last one).
     pub fn snapshot(&self) -> Vec<PhysReg> {
         self.free.clone()
     }
 
-    /// Restores a previously captured snapshot.
-    pub fn restore(&mut self, snapshot: Vec<PhysReg>) {
-        self.is_free.fill(false);
-        for reg in &snapshot {
-            self.is_free[reg.index()] = true;
+    /// Marks the current state for [`FreeList::rollback`] (PRE's runahead
+    /// entry). Replaces any earlier mark.
+    pub fn mark(&mut self) {
+        self.low = self.free.len();
+        self.mark = Some(self.free.len());
+        self.popped.clear();
+    }
+
+    /// Puts the list back exactly — same registers, same allocation order —
+    /// as it was at the last [`FreeList::mark`], and clears the mark. Costs
+    /// the allocations and frees since the mark, not the list's length.
+    ///
+    /// The stack below the lowest depth reached since the mark was never
+    /// touched; above it sit registers freed since, and the rest of the
+    /// marked stack is in `popped`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no mark is set.
+    pub fn rollback(&mut self) {
+        let marked = self.mark.take().expect("rollback without a mark");
+        for reg in &self.free[self.low..] {
+            self.is_free[reg.index()] = false;
         }
-        self.free = snapshot;
+        self.free.truncate(self.low);
+        for &reg in self.popped.iter().rev() {
+            self.is_free[reg.index()] = true;
+            self.free.push(reg);
+        }
+        debug_assert_eq!(self.free.len(), marked, "rollback lost registers");
+        self.low = 0;
+        self.popped.clear();
     }
 }
 
@@ -139,11 +184,13 @@ mod tests {
     fn snapshot_restore_roundtrip() {
         let mut fl = FreeList::new(40, 32);
         let snap = fl.snapshot();
+        fl.mark();
         let a = fl.allocate().unwrap();
         let b = fl.allocate().unwrap();
         assert_eq!(fl.num_free(), 6);
         assert!(!fl.is_free(a));
-        fl.restore(snap);
+        fl.rollback();
+        assert_eq!(fl.snapshot(), snap);
         assert_eq!(fl.num_free(), 8);
         assert!(fl.is_free(a));
         assert!(fl.is_free(b));
@@ -157,11 +204,42 @@ mod tests {
         assert!(!fl.is_free(r));
         fl.free(r);
         assert!(fl.is_free(r));
-        let snap = fl.snapshot();
+        fl.mark();
         let all: Vec<_> = std::iter::from_fn(|| fl.allocate()).collect();
         assert!(all.iter().all(|&r| !fl.is_free(r)));
-        fl.restore(snap);
+        fl.rollback();
         assert!(all.iter().all(|&r| fl.is_free(r)));
+    }
+
+    #[test]
+    fn rollback_restores_the_marked_stack_exactly() {
+        let mut rng = pre_model::rng::SmallRng::seed_from_u64(0x5EED_00F1);
+        for _case in 0..64 {
+            let mut fl = FreeList::new(48, 32);
+            let mut held = Vec::new();
+            // Random history before the mark, so the stack is not sorted.
+            for _ in 0..rng.gen_range_usize(0..40) {
+                if rng.gen_below(2) == 0 {
+                    held.extend(fl.allocate());
+                } else if !held.is_empty() {
+                    fl.free(held.swap_remove(rng.gen_range_usize(0..held.len())));
+                }
+            }
+            let before = fl.clone();
+            fl.mark();
+            for _ in 0..rng.gen_range_usize(0..60) {
+                if rng.gen_below(2) == 0 {
+                    held.extend(fl.allocate());
+                } else if !held.is_empty() {
+                    fl.free(held.swap_remove(rng.gen_range_usize(0..held.len())));
+                }
+            }
+            fl.rollback();
+            assert_eq!(fl.snapshot(), before.snapshot(), "allocation order");
+            for i in 0..48 {
+                assert_eq!(fl.is_free(PhysReg(i)), before.is_free(PhysReg(i)));
+            }
+        }
     }
 
     #[test]

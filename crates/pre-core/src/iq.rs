@@ -218,6 +218,9 @@ pub struct IssueQueue {
     /// waiting micro-op still read this register?" without walking the
     /// queue. Grown on demand like `wakeup`.
     readers: [Vec<u16>; 2],
+    /// Bit `i` set ⇔ slot `i` holds a runahead micro-op, so a runahead exit
+    /// removes them without visiting the other slots.
+    runahead_slots: Vec<u64>,
 }
 
 impl IssueQueue {
@@ -241,6 +244,7 @@ impl IssueQueue {
             stale_ready_keys: 0,
             ready_mask: 0,
             readers: [Vec::new(), Vec::new()],
+            runahead_slots: vec![0; capacity.div_ceil(64)],
         }
     }
 
@@ -317,6 +321,9 @@ impl IssueQueue {
                 slot: slot_idx as u32,
                 gen,
             }));
+        }
+        if entry.is_runahead {
+            self.runahead_slots[slot_idx / 64] |= 1 << (slot_idx % 64);
         }
         let slot = &mut self.slots[slot_idx];
         slot.unready = unready;
@@ -587,6 +594,7 @@ impl IssueQueue {
         }
         slot.gen = slot.gen.wrapping_add(1);
         slot.unready = 0;
+        self.runahead_slots[slot_idx / 64] &= !(1 << (slot_idx % 64));
         if slot.ready_queued {
             // Its key stays behind in a ready queue; select must validate
             // heads until the stragglers are popped and discarded.
@@ -611,6 +619,22 @@ impl IssueQueue {
         for idx in 0..self.slots.len() {
             if self.slots[idx].entry.as_ref().is_some_and(&mut pred) {
                 self.free_slot(idx);
+                removed += 1;
+            }
+        }
+        removed
+    }
+
+    /// Removes every runahead micro-op (precise-runahead exit) and returns
+    /// how many there were. Slots are freed in ascending order, as
+    /// [`IssueQueue::remove_where`] frees them, but only runahead slots are
+    /// visited.
+    pub fn remove_runahead(&mut self) -> usize {
+        let mut removed = 0;
+        for w in 0..self.runahead_slots.len() {
+            while self.runahead_slots[w] != 0 {
+                let slot_idx = w * 64 + self.runahead_slots[w].trailing_zeros() as usize;
+                self.free_slot(slot_idx);
                 removed += 1;
             }
         }
@@ -710,6 +734,25 @@ mod tests {
         assert_eq!(removed, 2);
         assert_eq!(iq.len(), 1);
         assert_eq!(iq.iter().next().unwrap().id, 1);
+    }
+
+    #[test]
+    fn remove_runahead_frees_the_slots_remove_where_frees_in_its_order() {
+        let fill = |iq: &mut IssueQueue| {
+            for id in 1..=70 {
+                iq.insert(entry(id, id % 3 == 0), all_ready);
+            }
+            for id in [4, 9, 30, 31, 66] {
+                iq.remove_where(|e| e.id == id);
+            }
+        };
+        let (mut a, mut b) = (IssueQueue::new(96), IssueQueue::new(96));
+        fill(&mut a);
+        fill(&mut b);
+        assert_eq!(a.remove_runahead(), b.remove_where(|e| e.is_runahead));
+        assert_eq!(a.remove_runahead(), 0);
+        assert_eq!(a.free, b.free, "later inserts land in the same slots");
+        assert!(a.iter().all(|e| !e.is_runahead));
     }
 
     #[test]

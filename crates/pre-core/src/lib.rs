@@ -57,6 +57,6 @@ pub mod uop;
 pub mod warm;
 
 pub use pipeline::OooCore;
-pub use rename::{DestRename, RenameCheckpoint, RenameSubsystem};
+pub use rename::{DestRename, RenameSubsystem};
 pub use uop::DynUop;
 pub use warm::WarmedState;

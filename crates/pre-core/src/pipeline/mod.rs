@@ -18,7 +18,7 @@ mod stages;
 use crate::iq::{IssueQueue, ReadyKey};
 use crate::lsq::LoadStoreQueue;
 use crate::regfile::PhysRegFile;
-use crate::rename::{RenameCheckpoint, RenameSubsystem};
+use crate::rename::RenameSubsystem;
 use crate::rob::ReorderBuffer;
 use crate::runahead_store_buffer::RunaheadStoreBuffer;
 use crate::uop::DynUop;
@@ -107,10 +107,8 @@ pub(crate) struct RunaheadInterval {
     pub stalling_pc: u32,
     pub expected_return: u64,
     pub entered_at: u64,
-    pub rename_checkpoint: Option<RenameCheckpoint>,
     pub arch_checkpoint: Option<[u64; NUM_ARCH_REGS]>,
     pub history: u64,
-    pub ras: Vec<u32>,
     pub resume_fetch_pc: u32,
     /// PRDQ allocation counter at entry, so the exit event can report how
     /// many entries this interval allocated.
@@ -225,6 +223,11 @@ pub struct OooCore {
     /// changes at those boundaries, so the runahead cycle hook runs a
     /// [`RenameSubsystem::seed_eager`] pass only while this is set.
     pub(crate) pre_eager_rescan: bool,
+    /// The technique keeps the window across runahead intervals (PRE and
+    /// PRE+EMQ), so the eager drain's candidate tracker follows the window
+    /// in normal mode too: completions, issues, commits and squashes are
+    /// reported to it. Other techniques pay nothing.
+    pub(crate) eager_tracked: bool,
 
     // Time, statistics and run control.
     pub(crate) cycle: u64,
@@ -243,12 +246,15 @@ pub struct OooCore {
     /// asserts [`SimStats`] stay bit-identical with and without a tracer.
     pub(crate) tracer: Option<Box<dyn Tracer>>,
 
-    // Reusable scratch buffer so the per-cycle path performs no heap
-    // allocation. Runahead entry still allocates, once per interval: the
-    // RAS snapshot, the PRE rename checkpoint's free lists, the flush-style
-    // invalidation list and the runahead buffer's window, chain and INV
-    // register list.
+    // Reusable buffers so neither the per-cycle path nor a PRE entry or
+    // exit performs a heap allocation: the issue stage's retry list and the
+    // RAS checkpoint of the current runahead interval. (PRE checkpoints the
+    // rename state without copying: see
+    // `RenameSubsystem::begin_runahead_interval`.) Flush-style entry still
+    // allocates, once per interval: the invalidation list and the runahead
+    // buffer's window, chain and INV register list.
     pub(crate) issue_retry: Vec<ReadyKey>,
+    pub(crate) ras_checkpoint: Vec<u32>,
 }
 
 impl OooCore {
@@ -388,6 +394,7 @@ impl OooCore {
             last_stall_head_id: None,
             runahead_done_for: None,
             pre_eager_rescan: false,
+            eager_tracked: technique.preserves_rob(),
             cycle: 0,
             stats: SimStats::new(),
             halted: false,
@@ -396,6 +403,7 @@ impl OooCore {
             commit_ring: CommitRing::new(COMMIT_RING_CAPACITY),
             tracer: None,
             issue_retry: Vec::new(),
+            ras_checkpoint: Vec::new(),
             cfg: cfg.clone(),
             technique,
             insts: program.insts.as_slice().into(),
@@ -674,10 +682,11 @@ impl OooCore {
             if let Some(t) = self.tracer.as_deref_mut() {
                 t.uop_completed(head.id, head.completion);
             }
-            if self.mode == Mode::RunaheadPre {
+            if self.eager_tracked {
                 // A window producer completed: the previous mapping it wrote
-                // may now be an eager-drain candidate.
-                self.pre_eager_rescan = true;
+                // may now be an eager-drain candidate (seeded by the next
+                // runahead cycle hook, or by the next interval's entry).
+                self.pre_eager_rescan |= self.mode == Mode::RunaheadPre;
                 if let Some((class, reg)) = head.dest {
                     self.rename.recheck_eager(class, reg, &self.iq);
                 }
@@ -710,6 +719,9 @@ impl OooCore {
         // re-checking the head after every entry.
         let batch = self.rob.executed_head_run(self.cfg.core.commit_width);
         for _ in 0..batch {
+            if self.eager_tracked {
+                self.rename.eager_head_committing(&self.rob);
+            }
             let Some(entry) = self.rob.pop_head() else {
                 break;
             };

@@ -70,9 +70,9 @@ impl OooCore {
     }
 
     /// The `(int, fp)` free-register counts the entry policy judges. The
-    /// gate counts what the eager drain could release, so it only refuses
-    /// entry when runahead renaming would stay starved even after
-    /// reclamation.
+    /// gate adds what the eager drain could release (the tracker's pending
+    /// counts, not a window scan), so it only refuses entry when runahead
+    /// renaming would stay starved even after reclamation.
     pub(crate) fn runahead_free_regs(&mut self) -> (usize, usize) {
         let mut free = (
             self.rename.num_free(RegClass::Int),
@@ -148,14 +148,13 @@ impl OooCore {
             stalling_pc: head_pc,
             expected_return: completion.max(now + 1),
             entered_at: now,
-            rename_checkpoint: None,
             arch_checkpoint: None,
             history: self.predictor.history(),
-            ras: self.predictor.ras_snapshot(),
             resume_fetch_pc: self.next_dispatch_pc,
             prdq_allocs_at_entry: self.rename.prdq().allocations(),
         };
 
+        self.predictor.ras_snapshot_into(&mut self.ras_checkpoint);
         let mut eager_freed = (0usize, 0usize);
         match self.technique {
             Technique::Runahead => {
@@ -171,7 +170,7 @@ impl OooCore {
                 // The checkpoint is captured before the eager drain, so the
                 // exit restore also un-frees every eagerly released
                 // register.
-                interval.rename_checkpoint = Some(self.rename.begin_runahead_interval());
+                self.rename.begin_runahead_interval(&self.rob, &self.iq);
                 eager_freed = self.begin_pre_runahead(head_pc);
             }
             Technique::OutOfOrder => unreachable!("baseline never enters runahead"),
@@ -301,11 +300,11 @@ impl OooCore {
             }
         }
         self.mode = Mode::RunaheadPre;
-        // Eager drain: walk the window once, seed the PRDQ with its dead
-        // previous mappings and reclaim them immediately (the PRDQ is empty
-        // at entry, so everything drained here is an eager free). Leave the
-        // rescan flag set: a seed pass cut short by a full PRDQ retries on
-        // the next cycle.
+        // Eager drain: seed the PRDQ with the window's dead previous
+        // mappings, which the tracker already holds, and reclaim them
+        // immediately (the PRDQ is empty at entry, so everything drained
+        // here is an eager free). Leave the rescan flag set: a seed pass cut
+        // short by a full PRDQ retries on the next cycle.
         self.rename.seed_eager(&self.rob, &self.iq);
         self.pre_eager_rescan = true;
         self.rename.drain_prdq()
@@ -498,7 +497,7 @@ impl OooCore {
             .expect("flush-style runahead checkpoints the ARF");
         self.rename.reset_from_arch(&arch);
         self.predictor.restore_history(interval.history);
-        self.predictor.ras_restore(interval.ras);
+        self.predictor.ras_restore_from(&self.ras_checkpoint);
         self.record_exit_event(
             now,
             interval.entered_at,
@@ -523,7 +522,7 @@ impl OooCore {
     /// `aborted` is set when the exit is forced by a normal-mode branch
     /// misprediction rather than by the stalling load returning.
     pub(crate) fn exit_pre(&mut self, now: u64, aborted: bool) {
-        let mut interval = self
+        let interval = self
             .interval
             .take()
             .expect("exit requires an active interval");
@@ -532,20 +531,16 @@ impl OooCore {
             .runahead_interval_hist
             .record(now - interval.entered_at);
 
-        let removed = self.iq.remove_where(|e| e.is_runahead);
+        let removed = self.iq.remove_runahead();
         self.stats.squashed_uops += removed as u64;
         self.runahead_store_buffer.clear();
 
         // One call restores the RAT and both free lists (undoing runahead
-        // allocations and eager frees alike) and clears the INV bits.
-        self.rename.end_runahead_interval(
-            interval
-                .rename_checkpoint
-                .take()
-                .expect("PRE checkpoints the rename state"),
-        );
+        // allocations and eager frees alike), clears the INV bits and
+        // re-arms the eager drain's seeded entries.
+        self.rename.end_runahead_interval(&self.rob, &self.iq);
         self.predictor.restore_history(interval.history);
-        self.predictor.ras_restore(interval.ras);
+        self.predictor.ras_restore_from(&self.ras_checkpoint);
         self.record_exit_event(
             now,
             interval.entered_at,

@@ -284,10 +284,10 @@ impl OooCore {
                     remaining -= 1;
                     self.iq.remove_slot(key.slot());
                     self.stats.issued_uops += 1;
-                    if self.mode == Mode::RunaheadPre && !entry.is_runahead {
+                    if self.eager_tracked && !entry.is_runahead {
                         // A waiting consumer left the issue queue: its
                         // sources may now be eager-drain candidates.
-                        self.pre_eager_rescan = true;
+                        self.pre_eager_rescan |= self.mode == Mode::RunaheadPre;
                         self.recheck_eager_sources(&entry);
                     }
                     self.count_issue_class(entry.class);
@@ -308,9 +308,9 @@ impl OooCore {
         self.issue_retry = retry;
     }
 
-    /// An issued normal micro-op left the issue queue during precise
-    /// runahead: a source it was the last waiting reader of may now be a
-    /// dead previous mapping.
+    /// An issued normal micro-op left the issue queue (PRE techniques, in
+    /// either mode): a source it was the last waiting reader of may now be
+    /// a dead previous mapping.
     fn recheck_eager_sources(&mut self, entry: &IqEntry) {
         for &(class, reg) in entry.srcs.iter() {
             if self.iq.readers(class, reg) == 0 {
@@ -618,6 +618,9 @@ impl OooCore {
         // runahead state is discarded first, then ordinary recovery runs.
         if self.mode == Mode::RunaheadPre {
             self.exit_pre(now, true);
+        }
+        if self.eager_tracked {
+            self.rename.squash_eager_younger_than(&self.rob, branch_id);
         }
         // Roll the rename state back from the ROB tail, youngest first. The
         // squashed ids are collected only for an attached tracer.

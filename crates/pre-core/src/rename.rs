@@ -21,10 +21,10 @@
 //!   registers on integer-only kernels that exhaust the integer PRF at the
 //!   full-window stall (the `asm-box-blur` reproduction finding).
 //!
-//! Checkpoint/restore ([`RenameSubsystem::begin_runahead_interval`] /
-//! [`RenameSubsystem::end_runahead_interval`]) snapshots the RAT and the
-//! free lists together, so a restored interval also un-frees every register
-//! the eager drain released — the eager path needs no undo log.
+//! Runahead entry and exit ([`RenameSubsystem::begin_runahead_interval`] /
+//! [`RenameSubsystem::end_runahead_interval`]) checkpoint the RAT and mark
+//! the free lists, so the exit also un-frees every register the eager drain
+//! released — the eager path needs no undo log of its own.
 //!
 //! # Safety argument for the eager drain
 //!
@@ -45,23 +45,39 @@
 //!    defensively anyway).
 //!
 //! Commit itself never observes an eager free: commits do not happen in
-//! runahead mode, and the free-list snapshot is restored before normal mode
+//! runahead mode, and the free lists are rolled back before normal mode
 //! resumes, so the same register is freed exactly once on each path.
 //!
 //! # Finding candidates by events
 //!
-//! The window is frozen during an interval and each condition above can only
-//! turn from false to true, so the candidates are tracked rather than
-//! rescanned. The interval's first seed pass walks the window once (up to
-//! the oldest unissued conditional branch), recording which entry holds each
-//! previous mapping. After that an entry is re-checked only when its old
-//! register becomes ready, when the last waiting reader of that register
-//! issues ([`RenameSubsystem::recheck_eager`]), or when the branch that
-//! stopped the walk issues and the walk moves on. Every check is a lookup:
-//! the issue queue counts the waiting readers of each register, the free
-//! list keeps a membership bitmap, and seeded entries carry a per-interval
-//! mark. Debug builds compare the tracked candidates with a full scan after
-//! every seed pass.
+//! The candidates are tracked rather than rescanned, and the tracker lives
+//! across intervals. A walk visits the window from the head up to (and
+//! including) the oldest unissued conditional branch, recording which entry
+//! holds each previous mapping. Entries are keyed by ROB slot, which a
+//! commit does not move, and the walk frontier is the next unvisited entry:
+//! each entry is visited once while it is in the window, and a walk stopped
+//! at a branch resumes once that branch has issued. After that an entry is
+//! re-checked only when its old register becomes ready or when the last
+//! waiting reader of that register issues ([`RenameSubsystem::recheck_eager`]).
+//! A PRE core reports both events in normal mode too, so the tracker is
+//! current when the next interval starts; commit drops the head entry
+//! ([`RenameSubsystem::eager_head_committing`]) and branch recovery the
+//! squashed ones ([`RenameSubsystem::squash_eager_younger_than`]). An
+//! interval's entry then visits only the entries dispatched since the last
+//! walk.
+//!
+//! Inside the window each condition only turns from false to true, with one
+//! exception: a register eagerly freed in an interval can be re-allocated
+//! by runahead renaming, which clears its ready bit, and the exit restore
+//! makes it a (possibly not ready) previous mapping again. So the exit
+//! re-arms every entry seeded in the interval: it re-checks each one after
+//! the restore, and only a still-dead one is pending for the next interval.
+//!
+//! Every check is a lookup: the issue queue counts the waiting readers of
+//! each register, the free list keeps a membership bitmap, and seeded
+//! entries carry a per-interval mark. Debug builds compare the tracked
+//! candidates, their per-class counts and the walk frontier with a full
+//! scan at every entry, seed pass, gate count and exit.
 
 use crate::freelist::FreeList;
 use crate::iq::{IssueQueue, SrcList};
@@ -130,15 +146,14 @@ fn class_idx(class: RegClass) -> usize {
     }
 }
 
-/// A set of ROB positions (logical, oldest-first indices) as a bitmap, so
-/// members come out in program order.
+/// A set of ROB slots as a bitmap.
 #[derive(Debug, Default)]
-struct PosSet {
+struct SlotSet {
     words: Vec<u64>,
 }
 
-impl PosSet {
-    /// Makes room for positions below `capacity`.
+impl SlotSet {
+    /// Makes room for slots below `capacity`.
     fn fit(&mut self, capacity: usize) {
         let words = capacity.div_ceil(64);
         if self.words.len() < words {
@@ -146,22 +161,30 @@ impl PosSet {
         }
     }
 
-    fn clear(&mut self) {
-        self.words.fill(0);
-    }
-
-    fn contains(&self, pos: usize) -> bool {
+    fn contains(&self, slot: usize) -> bool {
         self.words
-            .get(pos / 64)
-            .is_some_and(|w| w >> (pos % 64) & 1 != 0)
+            .get(slot / 64)
+            .is_some_and(|w| w >> (slot % 64) & 1 != 0)
     }
 
-    fn insert(&mut self, pos: usize) {
-        self.words[pos / 64] |= 1 << (pos % 64);
+    /// Adds `slot`; `false` when it was already a member.
+    fn insert(&mut self, slot: usize) -> bool {
+        let word = &mut self.words[slot / 64];
+        let bit = 1 << (slot % 64);
+        let added = *word & bit == 0;
+        *word |= bit;
+        added
     }
 
-    fn remove(&mut self, pos: usize) {
-        self.words[pos / 64] &= !(1 << (pos % 64));
+    /// Removes `slot`; `false` when it was not a member.
+    fn remove(&mut self, slot: usize) -> bool {
+        let Some(word) = self.words.get_mut(slot / 64) else {
+            return false;
+        };
+        let bit = 1 << (slot % 64);
+        let removed = *word & bit != 0;
+        *word &= !bit;
+        removed
     }
 
     /// The smallest member at or above `from`.
@@ -177,34 +200,50 @@ impl PosSet {
         }
     }
 
-    /// Members in ascending order.
+    /// The first member at or after logical position `from` of a ring of
+    /// `capacity` slots whose oldest slot is `head`, with its logical
+    /// position: program order runs from `head` to the end of the ring,
+    /// then from slot 0 up to `head`. Every member must be a resident slot.
+    fn ring_next(&self, head: usize, capacity: usize, from: usize) -> Option<(usize, usize)> {
+        let slot = if head + from < capacity {
+            self.next_from(head + from)
+                .or_else(|| self.next_from(0).filter(|&s| s < head))
+        } else {
+            self.next_from(head + from - capacity).filter(|&s| s < head)
+        }?;
+        Some((slot, (slot + capacity - head) % capacity))
+    }
+
+    /// Members in ascending slot order.
     #[cfg(debug_assertions)]
     fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        std::iter::successors(self.next_from(0), |&pos| self.next_from(pos + 1))
+        std::iter::successors(self.next_from(0), |&slot| self.next_from(slot + 1))
     }
 }
 
-/// Event-driven bookkeeping of the eager drain within one precise-runahead
-/// interval (see [`RenameSubsystem::seed_eager`]).
+/// Marks a register no walked entry holds as its previous mapping.
+const NO_OWNER: u32 = u32::MAX;
+
+/// Event-driven bookkeeping of the eager drain, carried across runahead
+/// intervals (see the module documentation and
+/// [`RenameSubsystem::seed_eager`]).
 ///
-/// The window is frozen during an interval — no dispatch, no commit — so a
-/// ROB position names the same entry throughout, and each eagerness
-/// condition of an entry can only turn from false to true. The tracker
-/// therefore re-checks an entry only when one of its conditions may have
-/// changed, and keeps the entries found eligible in `pending`.
+/// The walked entries form a prefix of the window; each is keyed by its ROB
+/// slot, which stays put until the entry commits or is squashed. The
+/// entries found dead and not yet seeded are kept in `pending`.
 #[derive(Debug)]
 struct EagerTracker {
-    /// Stamp of the current interval; `owner` records with another stamp
-    /// are stale.
-    epoch: u32,
-    /// `owner[class][phys reg] = (epoch, ROB position)` of the walked window
-    /// entry whose previous mapping is that register.
-    owner: [Vec<(u32, u32)>; 2],
-    /// ROB positions whose previous mapping was seeded this interval.
-    seeded: PosSet,
-    /// ROB positions whose previous mapping is dead but not yet seeded.
-    pending: PosSet,
-    /// Number of ROB entries (from the head) the walk has visited.
+    /// `owner[class][phys reg]`: the ROB slot of the walked entry whose
+    /// previous mapping is that register, or [`NO_OWNER`].
+    owner: [Vec<u32>; 2],
+    /// Slots whose previous mapping was seeded in the current interval
+    /// (empty in normal mode: the exit re-arms them).
+    seeded: SlotSet,
+    /// Slots whose previous mapping is dead but not seeded.
+    pending: SlotSet,
+    /// Members of `pending` per class (integer, FP).
+    pending_per_class: [usize; 2],
+    /// Number of ROB entries, from the head, the walk has visited.
     walked: usize,
     /// The walk stopped at the unissued conditional branch at `walked - 1`:
     /// younger entries may still be squashed.
@@ -214,39 +253,40 @@ struct EagerTracker {
 impl EagerTracker {
     fn new(int_capacity: usize, fp_capacity: usize) -> Self {
         EagerTracker {
-            epoch: 0,
-            owner: [vec![(0, 0); int_capacity], vec![(0, 0); fp_capacity]],
-            seeded: PosSet::default(),
-            pending: PosSet::default(),
+            owner: [vec![NO_OWNER; int_capacity], vec![NO_OWNER; fp_capacity]],
+            seeded: SlotSet::default(),
+            pending: SlotSet::default(),
+            pending_per_class: [0; 2],
             walked: 0,
             blocked: false,
         }
     }
 
-    /// Forgets the previous interval.
-    fn reset(&mut self) {
-        self.epoch += 1;
-        self.seeded.clear();
-        self.pending.clear();
-        self.walked = 0;
-        self.blocked = false;
+    fn add_pending(&mut self, slot: u32, class: RegClass) {
+        if self.pending.insert(slot as usize) {
+            self.pending_per_class[class_idx(class)] += 1;
+        }
     }
 
-    /// The walked ROB position whose previous mapping is `reg`, if any.
-    fn owner(&self, class: RegClass, reg: PhysReg) -> Option<usize> {
-        let (epoch, pos) = self.owner[class_idx(class)][reg.index()];
-        (epoch == self.epoch).then_some(pos as usize)
+    fn remove_pending(&mut self, slot: u32, class: RegClass) {
+        if self.pending.remove(slot as usize) {
+            self.pending_per_class[class_idx(class)] -= 1;
+        }
     }
-}
 
-/// A joint snapshot of the RAT and both free lists, captured at runahead
-/// entry and restored at exit. Restoring the free lists subsumes undoing
-/// both runahead allocations and eager frees.
-#[derive(Debug, Clone)]
-pub struct RenameCheckpoint {
-    rat: RatCheckpoint,
-    int_free: Vec<PhysReg>,
-    fp_free: Vec<PhysReg>,
+    /// Drops the walked entry in `slot`, whose previous mapping is
+    /// `old_dest`, as it leaves the window.
+    fn forget(&mut self, slot: u32, old_dest: Option<(ArchReg, PhysReg, Option<u32>)>) {
+        self.seeded.remove(slot as usize);
+        if let Some((arch, old, _)) = old_dest {
+            let class = arch.class();
+            self.remove_pending(slot, class);
+            let owner = &mut self.owner[class_idx(class)][old.index()];
+            if *owner == slot {
+                *owner = NO_OWNER;
+            }
+        }
+    }
 }
 
 /// The outcome of renaming a destination register.
@@ -273,14 +313,12 @@ pub struct RenameSubsystem {
     /// Registers allocated by runahead renaming in the current interval;
     /// only these may be reclaimed through regular PRDQ deallocation.
     runahead_allocated: PhysFlagSet,
-    /// The eager drain's per-interval candidate tracking.
+    /// The eager drain's candidate tracking, carried across intervals.
     eager: EagerTracker,
+    /// The RAT as it was at the current interval's entry.
+    interval_rat: RatCheckpoint,
     int_capacity: usize,
     fp_capacity: usize,
-    /// Reusable output of [`RenameSubsystem::collect_eager_candidates`]
-    /// (`(ROB position, class, old register)`), so the full scan allocates
-    /// nothing in steady state.
-    scratch_candidates: Vec<(usize, RegClass, PhysReg)>,
 }
 
 impl RenameSubsystem {
@@ -293,8 +331,10 @@ impl RenameSubsystem {
         prdq_entries: usize,
         arch_values: &[u64; NUM_ARCH_REGS],
     ) -> Self {
+        let rat = RegisterAliasTable::new();
         let mut subsystem = RenameSubsystem {
-            rat: RegisterAliasTable::new(),
+            interval_rat: rat.checkpoint(),
+            rat,
             int_free: FreeList::new(int_phys, pre_model::reg::NUM_INT_ARCH_REGS),
             fp_free: FreeList::new(fp_phys, pre_model::reg::NUM_FP_ARCH_REGS),
             int_prf: PhysRegFile::new(int_phys, pre_model::reg::NUM_INT_ARCH_REGS),
@@ -304,7 +344,6 @@ impl RenameSubsystem {
             eager: EagerTracker::new(int_phys, fp_phys),
             int_capacity: int_phys,
             fp_capacity: fp_phys,
-            scratch_candidates: Vec::new(),
         };
         subsystem.seed_arch_values(arch_values);
         subsystem
@@ -495,23 +534,24 @@ impl RenameSubsystem {
     /// entries were seeded. Call [`RenameSubsystem::drain_prdq`] afterwards
     /// to realize the frees.
     ///
-    /// The first pass of an interval (at precise-runahead entry) walks the
-    /// window up to the oldest unissued conditional branch. Later passes —
-    /// on runahead cycles after a normal micro-op issued or completed — do
-    /// not rescan: the candidates found since then were recorded by
-    /// [`RenameSubsystem::recheck_eager`] as the events happened, and the
-    /// walk only resumes past a branch that has since issued. So mappings
-    /// whose last consumer issues *during* the interval are freed at that
-    /// issue boundary, at a cost proportional to the events.
+    /// A pass does not rescan: the candidates were recorded by the walk and
+    /// by [`RenameSubsystem::recheck_eager`] as the events happened, and
+    /// the walk only visits entries it has not visited before (at entry,
+    /// those dispatched since the last walk; later in the interval, those
+    /// past a branch that has since issued). So mappings whose last
+    /// consumer issues *during* the interval are freed at that issue
+    /// boundary, at a cost proportional to the events.
     pub fn seed_eager(&mut self, rob: &ReorderBuffer, iq: &IssueQueue) -> usize {
-        self.eager.seeded.fit(rob.capacity());
-        self.eager.pending.fit(rob.capacity());
         self.advance_eager_walk(rob, iq);
+        let (head, capacity) = (rob.head_slot() as usize, rob.capacity());
         let mut seeded = 0;
-        let mut next = self.eager.pending.next_from(0);
-        while let Some(pos) = next {
-            next = self.eager.pending.next_from(pos + 1);
-            let entry = rob.get(pos).expect("pending entries stay in the window");
+        let mut next = match self.eager.pending_per_class {
+            [0, 0] => None,
+            _ => self.eager.pending.ring_next(head, capacity, 0),
+        };
+        while let Some((slot, pos)) = next {
+            next = self.eager.pending.ring_next(head, capacity, pos + 1);
+            let entry = rob.at_slot(slot as u32);
             let (arch, old, _) = entry.old_dest.expect("pending entries have an old mapping");
             let class = arch.class();
             // Defensive: `old_dest` registers are mapped out by
@@ -522,8 +562,8 @@ impl RenameSubsystem {
             if !self.prdq.seed_executed(entry.id, (class, old)) {
                 break;
             }
-            self.eager.pending.remove(pos);
-            self.eager.seeded.insert(pos);
+            self.eager.remove_pending(slot as u32, class);
+            self.eager.seeded.insert(slot);
             seeded += 1;
         }
         #[cfg(debug_assertions)]
@@ -532,23 +572,59 @@ impl RenameSubsystem {
     }
 
     /// Re-checks, after an event, the window entry whose previous mapping is
-    /// `reg`: call it during a precise-runahead interval when `reg`'s
-    /// producer completes or when a waiting reader of `reg` issues. An entry
-    /// found dead is seeded by the next [`RenameSubsystem::seed_eager`].
+    /// `reg`: a PRE core calls it, in normal and runahead mode alike, when
+    /// `reg`'s producer completes or when the last waiting reader of `reg`
+    /// issues. An entry found dead becomes pending, and the next
+    /// [`RenameSubsystem::seed_eager`] seeds it.
     pub fn recheck_eager(&mut self, class: RegClass, reg: PhysReg, iq: &IssueQueue) {
-        if let Some(pos) = self.eager.owner(class, reg) {
-            if self.eager_dead(pos, class, reg, iq) {
-                self.eager.pending.insert(pos);
-            }
+        let slot = self.eager.owner[class_idx(class)][reg.index()];
+        if slot != NO_OWNER && self.eager_dead(slot as usize, class, reg, iq) {
+            self.eager.add_pending(slot, class);
         }
     }
 
-    /// Extends the interval's window walk: from the entry after the last one
-    /// visited up to (and including) the oldest unissued conditional
-    /// branch, recording which entry holds each previous mapping and
-    /// queueing the dead ones. A walk stopped at a branch resumes once that
-    /// branch has issued.
+    /// The ROB head is about to commit: a PRE core calls this before
+    /// popping it, so the tracker drops the entry if the walk visited it.
+    pub fn eager_head_committing(&mut self, rob: &ReorderBuffer) {
+        if self.eager.walked == 0 {
+            return;
+        }
+        self.eager.walked -= 1;
+        // A committing branch has issued: if the walk stopped at it, it
+        // resumes past it.
+        self.eager.blocked &= self.eager.walked > 0;
+        let slot = rob.head_slot();
+        self.eager.forget(slot, rob.at_slot(slot).old_dest);
+    }
+
+    /// Branch recovery is about to squash every entry younger than
+    /// `branch_id`: a PRE core calls this first, so the tracker drops the
+    /// walked ones. (The walk stops at the oldest unissued conditional
+    /// branch and only an unissued branch can mispredict, so in the
+    /// pipeline this finds none.)
+    pub fn squash_eager_younger_than(&mut self, rob: &ReorderBuffer, branch_id: u64) {
+        while let Some((slot, entry)) = self
+            .eager
+            .walked
+            .checked_sub(1)
+            .and_then(|pos| rob.get_with_slot(pos))
+        {
+            if entry.id <= branch_id {
+                break;
+            }
+            self.eager.forget(slot, entry.old_dest);
+            self.eager.walked -= 1;
+            self.eager.blocked = false;
+        }
+    }
+
+    /// Extends the walk: from the first entry it has not visited up to (and
+    /// including) the oldest unissued conditional branch, recording which
+    /// entry holds each previous mapping and queueing the dead ones. A walk
+    /// stopped at a branch resumes once that branch has issued.
     fn advance_eager_walk(&mut self, rob: &ReorderBuffer, iq: &IssueQueue) {
+        self.eager.seeded.fit(rob.capacity());
+        self.eager.pending.fit(rob.capacity());
         if self.eager.blocked {
             let branch = self.eager.walked - 1;
             if !rob.get(branch).is_some_and(|e| e.issued) {
@@ -556,14 +632,13 @@ impl RenameSubsystem {
             }
             self.eager.blocked = false;
         }
-        while let Some(entry) = rob.get(self.eager.walked) {
-            let pos = self.eager.walked;
+        while let Some((slot, entry)) = rob.get_with_slot(self.eager.walked) {
             self.eager.walked += 1;
             if let Some((arch, old, _)) = entry.old_dest {
                 let class = arch.class();
-                self.eager.owner[class_idx(class)][old.index()] = (self.eager.epoch, pos as u32);
-                if self.eager_dead(pos, class, old, iq) {
-                    self.eager.pending.insert(pos);
+                self.eager.owner[class_idx(class)][old.index()] = slot;
+                if self.eager_dead(slot as usize, class, old, iq) {
+                    self.eager.add_pending(slot, class);
                 }
             }
             // Entries younger than an unresolved conditional branch may be
@@ -576,112 +651,158 @@ impl RenameSubsystem {
         }
     }
 
-    /// The eagerness test for the entry at ROB position `pos` whose previous
-    /// mapping is `old`: not yet seeded, its producer completed, no waiting
-    /// reader, and not already free. Every check is a single lookup.
-    fn eager_dead(&self, pos: usize, class: RegClass, old: PhysReg, iq: &IssueQueue) -> bool {
-        !self.eager.seeded.contains(pos)
+    /// The eagerness test for the entry in ROB slot `slot` whose previous
+    /// mapping is `old`: not seeded this interval, its producer completed,
+    /// no waiting reader, and not already free. Every check is a single
+    /// lookup.
+    fn eager_dead(&self, slot: usize, class: RegClass, old: PhysReg, iq: &IssueQueue) -> bool {
+        !self.eager.seeded.contains(slot)
             && self.prf(class).is_ready(old)
             && iq.readers(class, old) == 0
             && !self.free_list(class).is_free(old)
     }
 
     /// Counts the registers per class that [`RenameSubsystem::seed_eager`]
-    /// could release right now, without mutating anything. Used by the
-    /// free-register entry gate to decide whether entering runahead mode
-    /// can inject micro-ops.
+    /// could release right now. Used by the free-register entry gate to
+    /// decide whether entering runahead mode can inject micro-ops. Reads the
+    /// tracker's counts after extending the walk over new entries.
     pub fn count_eager_reclaimable(
         &mut self,
         rob: &ReorderBuffer,
         iq: &IssueQueue,
     ) -> (usize, usize) {
-        self.collect_eager_candidates(rob, iq);
-        let mut counts = (0usize, 0usize);
-        for &(_, class, old) in &self.scratch_candidates {
-            if self.rat.maps(class, old) {
-                continue;
-            }
-            match class {
-                RegClass::Int => counts.0 += 1,
-                RegClass::Fp => counts.1 += 1,
-            }
-        }
-        counts
+        self.advance_eager_walk(rob, iq);
+        #[cfg(debug_assertions)]
+        self.check_eager_tracker(rob, iq);
+        let [int, fp] = self.eager.pending_per_class;
+        (int, fp)
     }
 
-    /// The full scan: collects `(ROB position, class, old_reg)` for every
-    /// previous mapping in the window that is provably dead, oldest first,
-    /// into `self.scratch_candidates` (reused across calls; no steady-state
-    /// allocation).
-    fn collect_eager_candidates(&mut self, rob: &ReorderBuffer, iq: &IssueQueue) {
-        self.scratch_candidates.clear();
-        for (pos, entry) in rob.iter().enumerate() {
+    /// The full scan: every previous mapping of the window up to the oldest
+    /// unissued conditional branch that is provably dead, as `(ROB
+    /// position, class, old register)` oldest first, and the number of
+    /// entries the scan visited.
+    #[cfg(debug_assertions)]
+    fn collect_eager_candidates(
+        &self,
+        rob: &ReorderBuffer,
+        iq: &IssueQueue,
+    ) -> (Vec<(usize, RegClass, PhysReg)>, usize) {
+        let mut candidates = Vec::new();
+        let mut visited = 0;
+        for (pos, (slot, entry)) in rob.iter_slots().enumerate() {
+            visited = pos + 1;
             if let Some((arch, old, _)) = entry.old_dest {
                 let class = arch.class();
-                if self.eager_dead(pos, class, old, iq) {
-                    self.scratch_candidates.push((pos, class, old));
+                if self.eager_dead(slot as usize, class, old, iq) {
+                    candidates.push((pos, class, old));
                 }
             }
             if entry.is_cond_branch && !entry.issued {
                 break;
             }
         }
+        (candidates, visited)
     }
 
-    /// Debug-build oracle: the event-tracked pending set must equal what the
-    /// full scan finds.
+    /// Debug-build oracle: the walk frontier, the pending set, its
+    /// per-class counts and the owner records must equal what a full scan
+    /// finds, and no pending register may be a live mapping.
     #[cfg(debug_assertions)]
-    fn check_eager_tracker(&mut self, rob: &ReorderBuffer, iq: &IssueQueue) {
-        self.collect_eager_candidates(rob, iq);
-        let scanned: Vec<usize> = self.scratch_candidates.iter().map(|c| c.0).collect();
-        let pending: Vec<usize> = self.eager.pending.iter().collect();
+    fn check_eager_tracker(&self, rob: &ReorderBuffer, iq: &IssueQueue) {
+        let (candidates, visited) = self.collect_eager_candidates(rob, iq);
+        assert_eq!(
+            self.eager.walked, visited,
+            "eager-drain walk frontier diverged from the full window scan"
+        );
+        let (head, capacity) = (rob.head_slot() as usize, rob.capacity());
+        let mut pending: Vec<usize> = self
+            .eager
+            .pending
+            .iter()
+            .map(|slot| (slot + capacity - head) % capacity)
+            .collect();
+        pending.sort_unstable();
+        let scanned: Vec<usize> = candidates.iter().map(|c| c.0).collect();
         assert_eq!(
             pending, scanned,
             "eager-drain tracker diverged from the full window scan"
         );
+        let mut per_class = [0usize; 2];
+        for &(_, class, old) in &candidates {
+            assert!(
+                !self.rat.maps(class, old),
+                "pending register {old} is mapped"
+            );
+            per_class[class_idx(class)] += 1;
+        }
+        assert_eq!(self.eager.pending_per_class, per_class, "pending counts");
+        for (slot, entry) in rob.iter_slots().take(visited) {
+            if let Some((arch, old, _)) = entry.old_dest {
+                assert_eq!(
+                    self.eager.owner[class_idx(arch.class())][old.index()],
+                    slot,
+                    "walked entry does not own its previous mapping"
+                );
+            }
+        }
     }
 
     // -----------------------------------------------------------------
     // Checkpoint / restore and bulk resets.
     // -----------------------------------------------------------------
 
-    /// Captures a checkpoint of the RAT and both free lists.
-    pub fn checkpoint(&self) -> RenameCheckpoint {
-        RenameCheckpoint {
-            rat: self.rat.checkpoint(),
-            int_free: self.int_free.snapshot(),
-            fp_free: self.fp_free.snapshot(),
-        }
-    }
-
-    /// Starts a precise-runahead interval: clears the per-interval eager
-    /// bookkeeping and returns the checkpoint to restore at exit.
-    pub fn begin_runahead_interval(&mut self) -> RenameCheckpoint {
-        self.eager.reset();
-        self.checkpoint()
+    /// Starts a precise-runahead interval over the window `rob`: extends
+    /// the eager-drain walk over the entries dispatched since the last one,
+    /// checkpoints the RAT and marks both free lists, so the exit restore
+    /// costs what the interval changed. Allocates nothing.
+    pub fn begin_runahead_interval(&mut self, rob: &ReorderBuffer, iq: &IssueQueue) {
+        self.advance_eager_walk(rob, iq);
+        #[cfg(debug_assertions)]
+        self.check_eager_tracker(rob, iq);
+        debug_assert!(
+            self.eager.seeded.next_from(0).is_none(),
+            "an interval starts with nothing seeded"
+        );
+        self.interval_rat = self.rat.checkpoint();
+        self.int_free.mark();
+        self.fp_free.mark();
     }
 
     /// Ends a precise-runahead interval: discards the PRDQ and the
-    /// per-interval allocation sets, restores the checkpoint (which undoes
-    /// runahead allocations *and* eager frees) and clears all INV bits.
-    /// Consumes the checkpoint so the free-list snapshots move instead of
-    /// being cloned on every exit.
-    pub fn end_runahead_interval(&mut self, checkpoint: RenameCheckpoint) {
+    /// per-interval allocation set, restores the RAT and rolls the free
+    /// lists back to the entry (which undoes runahead allocations *and*
+    /// eager frees), and clears all INV bits. Call it after the runahead
+    /// micro-ops have left `iq`.
+    ///
+    /// It then re-arms the entries seeded in the interval: each one's
+    /// register is a previous mapping again, not necessarily ready (runahead
+    /// renaming may have re-allocated it), so it is pending again only if it
+    /// is dead now.
+    pub fn end_runahead_interval(&mut self, rob: &ReorderBuffer, iq: &IssueQueue) {
         self.prdq.clear();
         self.runahead_allocated.clear();
-        self.eager.reset();
-        self.rat.restore(&checkpoint.rat);
-        self.int_free.restore(checkpoint.int_free);
-        self.fp_free.restore(checkpoint.fp_free);
+        self.rat.restore(&self.interval_rat);
+        self.int_free.rollback();
+        self.fp_free.rollback();
         self.int_prf.clear_all_inv();
         self.fp_prf.clear_all_inv();
-    }
-
-    /// Restores a previously captured checkpoint.
-    pub fn restore(&mut self, checkpoint: &RenameCheckpoint) {
-        self.rat.restore(&checkpoint.rat);
-        self.int_free.restore(checkpoint.int_free.clone());
-        self.fp_free.restore(checkpoint.fp_free.clone());
+        let mut next = self.eager.seeded.next_from(0);
+        while let Some(slot) = next {
+            next = self.eager.seeded.next_from(slot + 1);
+            self.eager.seeded.remove(slot);
+            let (arch, old, _) = rob
+                .at_slot(slot as u32)
+                .old_dest
+                .expect("seeded entries have an old mapping");
+            let class = arch.class();
+            if self.eager_dead(slot, class, old, iq) {
+                self.eager.add_pending(slot as u32, class);
+            }
+        }
+        self.advance_eager_walk(rob, iq);
+        #[cfg(debug_assertions)]
+        self.check_eager_tracker(rob, iq);
     }
 
     /// Rebuilds the whole rename state from an architectural checkpoint
@@ -747,7 +868,8 @@ mod tests {
     fn runahead_rename_feeds_the_prdq_and_reclaims_only_runahead_regs() {
         let mut r = subsystem();
         let a = ArchReg::int(4);
-        let cp = r.begin_runahead_interval();
+        let (rob, iq) = (ReorderBuffer::new(8), IssueQueue::new(8));
+        r.begin_runahead_interval(&rob, &iq);
         let (_, dest1) = r.runahead_rename(&StaticInst::load_imm(a, 1), 100, 1);
         let first = dest1.unwrap().1;
         // The pre-runahead mapping is non-reclaimable: draining after
@@ -762,7 +884,7 @@ mod tests {
         assert_eq!(r.drain_prdq(), (1, 0));
         assert_eq!(r.num_free(RegClass::Int), free_before + 1);
         assert!(r.free_list(RegClass::Int).is_free(first));
-        r.end_runahead_interval(cp);
+        r.end_runahead_interval(&rob, &iq);
         assert_eq!(r.rat().peek(a), PhysReg(4), "checkpoint restored");
     }
 
@@ -777,7 +899,7 @@ mod tests {
         // consumer waits.
         rob.push(rob_entry_with_rename(1, &mut r, a, true));
         rob.push(rob_entry_with_rename(2, &mut r, a, true));
-        let cp = r.begin_runahead_interval();
+        r.begin_runahead_interval(&rob, &iq);
         let (int_reclaimable, fp_reclaimable) = r.count_eager_reclaimable(&rob, &iq);
         assert_eq!(int_reclaimable, 2);
         assert_eq!(fp_reclaimable, 0);
@@ -789,7 +911,7 @@ mod tests {
         // Seeding is idempotent per entry.
         assert_eq!(r.seed_eager(&rob, &iq), 0);
         // Exit restores the free lists exactly.
-        r.end_runahead_interval(cp);
+        r.end_runahead_interval(&rob, &iq);
         assert_eq!(r.num_free(RegClass::Int), free_before);
     }
 
@@ -824,7 +946,7 @@ mod tests {
             },
             |_, _| true,
         );
-        r.begin_runahead_interval();
+        r.begin_runahead_interval(&rob, &iq);
         // Entry 1's old mapping (identity reg 6) is free-able; entry 3 is in
         // the branch shadow; entry 1's own destination is consumer-live.
         let candidates = r.count_eager_reclaimable(&rob, &iq);

@@ -465,6 +465,28 @@ impl ReorderBuffer {
         (logical < self.len).then(|| &self.hot[self.phys(logical)])
     }
 
+    /// The slot handle and hot state of the `logical`-th oldest entry, if
+    /// resident.
+    pub(crate) fn get_with_slot(&self, logical: usize) -> Option<(u32, &RobHotEntry)> {
+        (logical < self.len).then(|| {
+            let slot = self.phys(logical);
+            (slot as u32, &self.hot[slot])
+        })
+    }
+
+    /// The hot state held in `slot` (the caller knows the slot is
+    /// resident).
+    pub(crate) fn at_slot(&self, slot: u32) -> &RobHotEntry {
+        debug_assert!(self.hot[slot as usize].id != 0, "reading a free slot");
+        &self.hot[slot as usize]
+    }
+
+    /// The slot of the oldest entry (where the next push lands when the
+    /// buffer is empty).
+    pub(crate) fn head_slot(&self) -> u32 {
+        self.head as u32
+    }
+
     /// Iterates over the hot state from oldest to youngest.
     pub fn iter(&self) -> impl Iterator<Item = &RobHotEntry> + '_ {
         (0..self.len).map(move |i| &self.hot[self.phys(i)])

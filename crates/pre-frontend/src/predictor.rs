@@ -133,7 +133,7 @@ impl BranchPredictorUnit {
         self.history = history & self.history_mask;
     }
 
-    /// Pushes a return address (RAS checkpoint/restore is by value cloning).
+    /// Pushes a return address.
     pub fn ras_push(&mut self, addr: u32) {
         if self.ras.len() == self.ras_capacity {
             self.ras.remove(0);
@@ -146,14 +146,17 @@ impl BranchPredictorUnit {
         self.ras.pop()
     }
 
-    /// Snapshot of the return address stack (checkpointed at runahead entry).
-    pub fn ras_snapshot(&self) -> Vec<u32> {
-        self.ras.clone()
+    /// Copies the return address stack into `out` (checkpointed at runahead
+    /// entry), reusing `out`'s allocation.
+    pub fn ras_snapshot_into(&self, out: &mut Vec<u32>) {
+        out.clear();
+        out.extend_from_slice(&self.ras);
     }
 
     /// Restores a return-address-stack snapshot.
-    pub fn ras_restore(&mut self, snapshot: Vec<u32>) {
-        self.ras = snapshot;
+    pub fn ras_restore_from(&mut self, snapshot: &[u32]) {
+        self.ras.clear();
+        self.ras.extend_from_slice(snapshot);
     }
 
     /// Number of direction predictions made.
@@ -238,9 +241,10 @@ mod tests {
         let mut p = unit();
         p.ras_push(1);
         p.ras_push(2);
-        let snap = p.ras_snapshot();
+        let mut snap = Vec::new();
+        p.ras_snapshot_into(&mut snap);
         assert_eq!(p.ras_pop(), Some(2));
-        p.ras_restore(snap);
+        p.ras_restore_from(&snap);
         assert_eq!(p.ras_pop(), Some(2));
         assert_eq!(p.ras_pop(), Some(1));
         assert_eq!(p.ras_pop(), None);
@@ -256,7 +260,9 @@ mod tests {
         p.ras_push(1);
         p.ras_push(2);
         p.ras_push(3);
-        assert_eq!(p.ras_snapshot().len(), 2);
+        let mut snap = Vec::new();
+        p.ras_snapshot_into(&mut snap);
+        assert_eq!(snap, [2, 3]);
         assert_eq!(p.ras_pop(), Some(3));
     }
 

@@ -178,9 +178,7 @@ impl SlotSet {
 
     /// Removes `slot`; `false` when it was not a member.
     fn remove(&mut self, slot: usize) -> bool {
-        let Some(word) = self.words.get_mut(slot / 64) else {
-            return false;
-        };
+        let word = &mut self.words[slot / 64];
         let bit = 1 << (slot % 64);
         let removed = *word & bit != 0;
         *word &= !bit;
@@ -275,9 +273,9 @@ impl EagerTracker {
     }
 
     /// Drops the walked entry in `slot`, whose previous mapping is
-    /// `old_dest`, as it leaves the window.
+    /// `old_dest`, as it leaves the window (in normal mode, so it is not
+    /// seeded).
     fn forget(&mut self, slot: u32, old_dest: Option<(ArchReg, PhysReg, Option<u32>)>) {
-        self.seeded.remove(slot as usize);
         if let Some((arch, old, _)) = old_dest {
             let class = arch.class();
             self.remove_pending(slot, class);
@@ -956,6 +954,31 @@ mod tests {
         assert_eq!(int_freed, 1);
         assert!(r.free_list(RegClass::Int).is_free(PhysReg(6)));
         assert!(!r.free_list(RegClass::Int).is_free(first_new));
+    }
+
+    #[test]
+    fn squash_and_commit_drop_walked_entries() {
+        let mut r = subsystem();
+        let mut rob = ReorderBuffer::new(8);
+        let iq = IssueQueue::new(8);
+        let a = ArchReg::int(5);
+        for id in 1..=4 {
+            rob.push(rob_entry_with_rename(id, &mut r, a, true));
+        }
+        assert_eq!(r.count_eager_reclaimable(&rob, &iq), (4, 0));
+        // A recovery younger than entry 2 squashes two walked entries.
+        r.squash_eager_younger_than(&rob, 2);
+        rob.squash_younger_than(2, |e| r.rollback_squashed(e.old_dest, e.dest));
+        assert_eq!(r.count_eager_reclaimable(&rob, &iq), (2, 0));
+        r.eager_head_committing(&rob);
+        let head = rob.pop_head().expect("a head");
+        let (arch, old, _) = head.old_dest.expect("an old mapping");
+        r.free_committed(arch.class(), old);
+        assert_eq!(r.count_eager_reclaimable(&rob, &iq), (1, 0));
+        // The slots the squash freed take new entries, which the next walk
+        // visits.
+        rob.push(rob_entry_with_rename(5, &mut r, a, true));
+        assert_eq!(r.count_eager_reclaimable(&rob, &iq), (2, 0));
     }
 
     #[test]

@@ -625,7 +625,7 @@ impl RenameSubsystem {
         self.eager.pending.fit(rob.capacity());
         if self.eager.blocked {
             let branch = self.eager.walked - 1;
-            if !rob.get(branch).is_some_and(|e| e.issued) {
+            if !rob.get_with_slot(branch).is_some_and(|(_, e)| e.issued) {
                 return;
             }
             self.eager.blocked = false;

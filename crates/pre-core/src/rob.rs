@@ -460,11 +460,6 @@ impl ReorderBuffer {
         self.find_logical(id).is_some()
     }
 
-    /// The hot state of the `logical`-th oldest entry, if resident.
-    pub(crate) fn get(&self, logical: usize) -> Option<&RobHotEntry> {
-        (logical < self.len).then(|| &self.hot[self.phys(logical)])
-    }
-
     /// The slot handle and hot state of the `logical`-th oldest entry, if
     /// resident.
     pub(crate) fn get_with_slot(&self, logical: usize) -> Option<(u32, &RobHotEntry)> {

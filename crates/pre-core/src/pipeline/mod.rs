@@ -246,15 +246,12 @@ pub struct OooCore {
     /// asserts [`SimStats`] stay bit-identical with and without a tracer.
     pub(crate) tracer: Option<Box<dyn Tracer>>,
 
-    // Reusable buffers so neither the per-cycle path nor a PRE entry or
-    // exit performs a heap allocation: the issue stage's retry list and the
-    // RAS checkpoint of the current runahead interval. (PRE checkpoints the
-    // rename state without copying: see
-    // `RenameSubsystem::begin_runahead_interval`.) Flush-style entry still
-    // allocates, once per interval: the invalidation list and the runahead
-    // buffer's window, chain and INV register list.
+    // Reusable retry list of the issue stage, so the per-cycle path performs
+    // no heap allocation. (PRE checkpoints the rename state without copying:
+    // see `RenameSubsystem::begin_runahead_interval`.) Flush-style entry
+    // still allocates, once per interval: the invalidation list and the
+    // runahead buffer's window, chain and INV register list.
     pub(crate) issue_retry: Vec<ReadyKey>,
-    pub(crate) ras_checkpoint: Vec<u32>,
 }
 
 impl OooCore {
@@ -403,7 +400,6 @@ impl OooCore {
             commit_ring: CommitRing::new(COMMIT_RING_CAPACITY),
             tracer: None,
             issue_retry: Vec::new(),
-            ras_checkpoint: Vec::new(),
             cfg: cfg.clone(),
             technique,
             insts: program.insts.as_slice().into(),

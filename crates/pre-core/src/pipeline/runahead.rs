@@ -154,7 +154,6 @@ impl OooCore {
             prdq_allocs_at_entry: self.rename.prdq().allocations(),
         };
 
-        self.predictor.ras_snapshot_into(&mut self.ras_checkpoint);
         let mut eager_freed = (0usize, 0usize);
         match self.technique {
             Technique::Runahead => {
@@ -497,7 +496,6 @@ impl OooCore {
             .expect("flush-style runahead checkpoints the ARF");
         self.rename.reset_from_arch(&arch);
         self.predictor.restore_history(interval.history);
-        self.predictor.ras_restore_from(&self.ras_checkpoint);
         self.record_exit_event(
             now,
             interval.entered_at,
@@ -540,7 +538,6 @@ impl OooCore {
         // re-arms the eager drain's seeded entries.
         self.rename.end_runahead_interval(&self.rob, &self.iq);
         self.predictor.restore_history(interval.history);
-        self.predictor.ras_restore_from(&self.ras_checkpoint);
         self.record_exit_event(
             now,
             interval.entered_at,

@@ -1,10 +1,11 @@
-//! Branch prediction: gshare + BTB + return address stack.
+//! Branch prediction: gshare + BTB.
 //!
 //! Conditional branches are predicted by a gshare predictor (global history
 //! XOR PC indexing a table of 2-bit saturating counters); targets come from a
-//! direct-mapped branch target buffer. The return address stack is provided
-//! for completeness (the synthetic ISA has no call/return micro-ops, but the
-//! paper lists the RAS among the state checkpointed at runahead entry).
+//! direct-mapped branch target buffer. There is no return address stack: the
+//! micro-op ISA has no call, return or indirect jump (the assembler lowers
+//! `jalr` to conditional branches), so the global history is the only
+//! predictor state checkpointed at runahead entry.
 
 use pre_model::config::FrontendConfig;
 
@@ -35,15 +36,13 @@ impl Counter {
     }
 }
 
-/// gshare direction predictor + direct-mapped BTB + return address stack.
+/// gshare direction predictor + direct-mapped BTB.
 #[derive(Debug, Clone)]
 pub struct BranchPredictorUnit {
     counters: Vec<Counter>,
     history: u64,
     history_mask: u64,
     btb: Vec<Option<(u64, u32)>>,
-    ras: Vec<u32>,
-    ras_capacity: usize,
     lookups: u64,
     mispredicts: u64,
 }
@@ -66,8 +65,6 @@ impl BranchPredictorUnit {
             history: 0,
             history_mask: (1u64 << cfg.gshare_bits) - 1,
             btb: vec![None; cfg.btb_entries],
-            ras: Vec::new(),
-            ras_capacity: cfg.ras_entries.max(1),
             lookups: 0,
             mispredicts: 0,
         }
@@ -131,32 +128,6 @@ impl BranchPredictorUnit {
     /// Restores a previously checkpointed global history.
     pub fn restore_history(&mut self, history: u64) {
         self.history = history & self.history_mask;
-    }
-
-    /// Pushes a return address.
-    pub fn ras_push(&mut self, addr: u32) {
-        if self.ras.len() == self.ras_capacity {
-            self.ras.remove(0);
-        }
-        self.ras.push(addr);
-    }
-
-    /// Pops a return address.
-    pub fn ras_pop(&mut self) -> Option<u32> {
-        self.ras.pop()
-    }
-
-    /// Copies the return address stack into `out` (checkpointed at runahead
-    /// entry), reusing `out`'s allocation.
-    pub fn ras_snapshot_into(&self, out: &mut Vec<u32>) {
-        out.clear();
-        out.extend_from_slice(&self.ras);
-    }
-
-    /// Restores a return-address-stack snapshot.
-    pub fn ras_restore_from(&mut self, snapshot: &[u32]) {
-        self.ras.clear();
-        self.ras.extend_from_slice(snapshot);
     }
 
     /// Number of direction predictions made.
@@ -234,36 +205,6 @@ mod tests {
         assert_ne!(p.history(), h);
         p.restore_history(h);
         assert_eq!(p.history(), h);
-    }
-
-    #[test]
-    fn ras_push_pop_and_snapshot() {
-        let mut p = unit();
-        p.ras_push(1);
-        p.ras_push(2);
-        let mut snap = Vec::new();
-        p.ras_snapshot_into(&mut snap);
-        assert_eq!(p.ras_pop(), Some(2));
-        p.ras_restore_from(&snap);
-        assert_eq!(p.ras_pop(), Some(2));
-        assert_eq!(p.ras_pop(), Some(1));
-        assert_eq!(p.ras_pop(), None);
-    }
-
-    #[test]
-    fn ras_bounded_by_capacity() {
-        let cfg = FrontendConfig {
-            ras_entries: 2,
-            ..FrontendConfig::default()
-        };
-        let mut p = BranchPredictorUnit::new(&cfg);
-        p.ras_push(1);
-        p.ras_push(2);
-        p.ras_push(3);
-        let mut snap = Vec::new();
-        p.ras_snapshot_into(&mut snap);
-        assert_eq!(snap, [2, 3]);
-        assert_eq!(p.ras_pop(), Some(3));
     }
 
     #[test]

@@ -294,8 +294,6 @@ pub struct FrontendConfig {
     pub btb_entries: usize,
     /// gshare history/index width in bits (table has `2^bits` counters).
     pub gshare_bits: usize,
-    /// Return-address-stack depth.
-    pub ras_entries: usize,
 }
 
 impl Default for FrontendConfig {
@@ -303,7 +301,6 @@ impl Default for FrontendConfig {
         FrontendConfig {
             btb_entries: 4096,
             gshare_bits: 14,
-            ras_entries: 16,
         }
     }
 }

@@ -9,9 +9,14 @@
 //! future swap to `rayon::par_iter` is a one-line change at each call site.
 //!
 //! Work is distributed dynamically: an atomic cursor hands out the next item
-//! to whichever worker is free, so heterogeneous cell runtimes (a pointer
-//! chase under PRE takes far longer than a compute-bound baseline) do not
-//! leave threads idle the way static chunking would.
+//! to whichever worker is free, so uneven cell runtimes do not leave threads
+//! idle the way static chunking would. They are very uneven: at 60 k
+//! micro-ops the large pointer chase (`asm-chase-large`) takes about 1.5 s
+//! under traditional runahead, which keeps fetching at full width while
+//! every hop is INV, and under 0.1 s under PRE. The cursor hands items out
+//! in slice order, so a long item placed last still runs alone at the end;
+//! callers that can predict cost put the longest items first, as the batch
+//! executor in `pre-sim` does.
 //!
 //! # Example
 //!

@@ -478,7 +478,11 @@ struct Tally {
 ///    item when it has no representatives), and a cache hit or rejected
 ///    spec one item carrying its answer. All items of the batch but the
 ///    SST siblings of phase 4 go through one [`pre_par`] pool call, each
-///    under `catch_unwind` (a panic becomes [`SimError::Panic`]).
+///    under `catch_unwind` (a panic becomes [`SimError::Panic`]). On more
+///    than one worker the items launch longest predicted first: cells in
+///    decreasing size of their program's initial data image, a cell's
+///    items together and in order, ties in spec order. On one worker they
+///    launch in spec order. Outcomes are returned in spec order either way.
 /// 3. **Fold.** A spec is folded when its last item finishes: the first
 ///    error in item order fails it; otherwise sampled slices are
 ///    extrapolated and the estimate is cached.
@@ -497,7 +501,8 @@ struct Tally {
 ///    run without evictions never took that branch and never held more
 ///    than `sst_inserts` PCs. Any capacity of at least `sst_inserts`
 ///    therefore executes the same cycles ([`pre_runahead::sst`]). A member
-///    outside that certificate is simulated in the second pool call.
+///    outside that certificate is simulated in the second pool call, which
+///    launches its items in the same order as phase 2.
 ///
 /// An attempt at spec `i` starts with the `PRE_FAULT` cell hook
 /// [`crate::fault::panic_if_cell_faulted`] for index `i`, once per attempt
@@ -507,8 +512,8 @@ struct Tally {
 /// `fail_fast`, specs none of whose items have started once any spec has
 /// failed for good are skipped as [`SimError::Skipped`] with zero attempts;
 /// which ones is scheduling-dependent (deterministic under
-/// `PRE_THREADS=1`). `progress(i, result)` fires as specs succeed, in
-/// completion order.
+/// `PRE_THREADS=1`, where specs launch in spec order). `progress(i, result)`
+/// fires as specs succeed, in completion order.
 ///
 /// Returns one `(outcome, attempts)` pair per spec, in spec order. Each
 /// spec is deterministic and independent of its siblings, so a successful
@@ -542,14 +547,12 @@ pub(crate) fn schedule(
     let attempts = max_retries.saturating_add(1);
     let fault = |c: usize| if cell_faults { cell_fault(c) } else { None };
 
-    // One pool call over the items of the cells `which`, returning each
-    // cell's `(index, (outcome, attempts))`.
+    // One pool call over the items of the cells `which`, launched longest
+    // predicted first, returning each cell's `(index, (outcome, attempts))`.
     let run = |cells: &[Cell], which: &[usize]| {
         let tallies: Vec<Tally> = cells.iter().map(Tally::new).collect();
-        let items: Vec<(usize, usize)> = which
-            .iter()
-            .flat_map(|&c| (0..cells[c].items.len()).map(move |i| (c, i)))
-            .collect();
+        let workers = pre_par::num_threads(which.len());
+        let items = launch_order(specs, cells, which, workers);
         pre_par::par_map(&items, |&(c, i)| {
             let (cell, tally) = (&cells[c], &tallies[c]);
             let begin = if fail_fast && abort.load(SeqCst) {
@@ -635,6 +638,57 @@ pub(crate) fn schedule(
         .map(|o| o.expect("every cell is folded or skipped exactly once"))
         .collect();
     (outcomes, from_siblings)
+}
+
+/// The `(cell, item)` pairs of the cells `which` (in spec order) of
+/// `cells`, the expansion of `specs`, in launch order on `workers` workers:
+/// by [`predicted_cost`], largest first.
+///
+/// The pool hands out items in slice order, so a long cell launched last
+/// leaves the other workers idle while it finishes; launching it first lets
+/// the short cells fill in behind it. The sort is stable on the one
+/// per-cell key, so a cell's items stay contiguous and in item order (a
+/// sampled cell's slices in slice order), and cells of equal cost keep
+/// spec order: the techniques of one program, adjacent in a matrix, stay
+/// together. That locality matters: a variant that sorted sampled slices by technique
+/// across programs raised the peak resident set of a 2-worker sampled mixed
+/// matrix at 2 M micro-ops per cell from 184–208 to 235–261 MiB in five
+/// paired runs, with no wall-clock gain; keeping each program's items
+/// together stayed at 190–201 MiB.
+///
+/// One worker keeps spec order: order cannot shorten a serial pass, and
+/// `PRE_THREADS=1` stays the serial reference for fail-fast skip sets and
+/// progress order.
+fn launch_order(
+    specs: &[RunSpec],
+    cells: &[Cell],
+    which: &[usize],
+    workers: usize,
+) -> Vec<(usize, usize)> {
+    let mut items: Vec<(usize, usize)> = which
+        .iter()
+        .flat_map(|&c| (0..cells[c].items.len()).map(move |i| (c, i)))
+        .collect();
+    if workers > 1 {
+        let cost = |c: usize| predicted_cost(&specs[c], &cells[c]);
+        items.sort_by_cached_key(|&(c, _)| std::cmp::Reverse(cost(c)));
+    }
+    items
+}
+
+/// The predicted host cost of `cell`, the expansion of `spec`: the size of
+/// its program's initial data image, or 0 for a cell answered at expansion.
+/// On the mixed matrix the four largest images (`asm-chase-large`, mcf,
+/// omnetpp, gcc) are also the four workloads with the most host time. The
+/// program comes from the memoized [`crate::stores::program_for`], which
+/// the cell's run asks for anyway; it is built, not hashed.
+fn predicted_cost(spec: &RunSpec, cell: &Cell) -> usize {
+    if let [Item::Answer(_)] = cell.items[..] {
+        return 0;
+    }
+    crate::stores::program_for(spec.workload, &spec.params)
+        .initial_mem
+        .len()
 }
 
 impl Tally {
@@ -743,6 +797,87 @@ mod tests {
         assert_eq!(spec.max_uops, 1_000);
         assert_eq!(spec.params.iterations, 10);
         assert!(spec.max_cycles >= 1_000_000);
+    }
+
+    /// The cells of `items`, one entry per run of equal cells.
+    fn cell_runs(items: &[(usize, usize)]) -> Vec<usize> {
+        let mut runs: Vec<usize> = items.iter().map(|&(c, _)| c).collect();
+        runs.dedup();
+        runs
+    }
+
+    /// The workload with the largest initial data image.
+    fn chase_large() -> Workload {
+        "asm-chase-large".parse().expect("a suite workload")
+    }
+
+    fn small(workload: Workload, technique: Technique) -> RunSpec {
+        RunSpec::new(workload, technique).with_budget(8_000)
+    }
+
+    #[test]
+    fn launch_order_starts_the_largest_image_first() {
+        // Spec order puts the largest image (asm-chase-large) last and a
+        // smaller one (mcf) in the middle.
+        let specs = [
+            small(Workload::ComputeBound, Technique::OutOfOrder),
+            small(Workload::McfLike, Technique::OutOfOrder),
+            small(Workload::McfLike, Technique::Pre),
+            small(chase_large(), Technique::Runahead),
+        ];
+        let cells = expand(&specs);
+        let all: Vec<usize> = (0..specs.len()).collect();
+        let order = launch_order(&specs, &cells, &all, 2);
+        assert_eq!(cell_runs(&order), [3, 1, 2, 0]);
+        // The second pool call over a subset uses the same order.
+        assert_eq!(cell_runs(&launch_order(&specs, &cells, &[0, 3], 2)), [3, 0]);
+    }
+
+    #[test]
+    fn launch_order_keeps_spec_order_among_equal_keys() {
+        // Synthetic streaming kernels have no initial data image: every key
+        // is 0.
+        let specs = [
+            small(Workload::LbmLike, Technique::Pre),
+            small(Workload::MilcLike, Technique::OutOfOrder),
+            small(Workload::LbmLike, Technique::OutOfOrder),
+            small(Workload::ComputeBound, Technique::Pre),
+        ];
+        let cells = expand(&specs);
+        let all: Vec<usize> = (0..specs.len()).collect();
+        assert_eq!(cell_runs(&launch_order(&specs, &cells, &all, 4)), all);
+    }
+
+    #[test]
+    fn launch_order_keeps_a_sampled_cells_slices_contiguous_and_in_order() {
+        let specs = [
+            small(Workload::ComputeBound, Technique::Pre),
+            small(Workload::McfLike, Technique::Pre).sampled(SampleSpec::new(3, 1_000)),
+            small(chase_large(), Technique::OutOfOrder),
+        ];
+        let cells = expand(&specs);
+        let slices = cells[1].items.len();
+        assert!(slices > 1, "the sampled cell has {slices} items");
+        let order = launch_order(&specs, &cells, &[0, 1, 2], 2);
+        let sampled: Vec<(usize, usize)> = (0..slices).map(|i| (1, i)).collect();
+        assert_eq!(order[0], (2, 0));
+        assert_eq!(order[1..=slices], sampled[..]);
+        assert_eq!(order[slices + 1], (0, 0));
+    }
+
+    #[test]
+    fn launch_order_on_one_worker_is_spec_order() {
+        let specs = [
+            small(Workload::ComputeBound, Technique::OutOfOrder),
+            small(Workload::McfLike, Technique::Pre).sampled(SampleSpec::new(3, 1_000)),
+            small(chase_large(), Technique::Runahead),
+        ];
+        let cells = expand(&specs);
+        let order = launch_order(&specs, &cells, &[0, 1, 2], 1);
+        let spec_order: Vec<(usize, usize)> = (0..specs.len())
+            .flat_map(|c| (0..cells[c].items.len()).map(move |i| (c, i)))
+            .collect();
+        assert_eq!(order, spec_order);
     }
 
     #[test]

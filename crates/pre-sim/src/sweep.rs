@@ -303,7 +303,9 @@ pub struct Sweep {
     /// Stop launching new points after the first failure. Already-running
     /// points finish; points not yet started are reported as
     /// [`SimError::Skipped`]. Which points were already running is
-    /// scheduling-dependent (deterministic under `PRE_THREADS=1`).
+    /// scheduling-dependent: on a pool the longest predicted points launch
+    /// first, and under `PRE_THREADS=1` points launch in grid order, so the
+    /// skip set is deterministic there.
     pub fail_fast: bool,
     /// Re-run a failed point up to this many extra times before recording
     /// the failure. Retries cover panics too (see
@@ -385,8 +387,9 @@ impl Sweep {
     /// `max_retries` extra attempts) is recorded in [`SweepRun::failures`]
     /// while the rest of the grid completes and stays bit-identical to a
     /// clean run. With `fail_fast`, points not yet launched when the first
-    /// failure lands are skipped. `progress` fires as points complete; the
-    /// returned points are in grid order. [`SweepRun::into_result`] gives
+    /// failure lands are skipped; points launch longest predicted first on
+    /// a pool and in grid order on one worker. `progress` fires as points
+    /// complete; the returned points are in grid order. [`SweepRun::into_result`] gives
     /// all-or-nothing behaviour. Points of an SST-size dimension share one
     /// simulation whenever the largest size's table never evicted.
     pub fn run_isolated(&self, mut progress: impl FnMut(&SweepPoint) + Send) -> SweepRun {

@@ -4,7 +4,8 @@
 use pre_model::config::SimConfig;
 use pre_runahead::Technique;
 use pre_sim::matrix::EvaluationMatrix;
-use pre_sim::RunSpec;
+use pre_sim::stores::clear_stores;
+use pre_sim::{run_batch, RunResult, RunSpec, SampleSpec};
 use pre_workloads::{Workload, WorkloadParams};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -90,4 +91,67 @@ fn single_threaded_parallel_path_is_identical() {
     std::env::remove_var("PRE_THREADS");
     let reference = EvaluationMatrix::run_serial(&specs, |_| {}).expect("serial matrix runs");
     assert_eq!(one.results()[0].stats, reference.results()[0].stats);
+}
+
+fn energy_bits(result: &RunResult) -> [u64; 6] {
+    let e = &result.energy;
+    [
+        e.core_dynamic_nj,
+        e.runahead_structures_nj,
+        e.cache_dynamic_nj,
+        e.dram_dynamic_nj,
+        e.core_static_nj,
+        e.dram_static_nj,
+    ]
+    .map(f64::to_bits)
+}
+
+/// A batch that a pool launches in another order than spec order, since
+/// the largest initial data image comes last: plain cells of several
+/// programs, a sampled cell and an SST-size group. Its outcomes come back
+/// in spec order and equal a one-worker run of the same batch bit for bit.
+#[test]
+fn cost_ordered_batch_matches_one_worker() {
+    let _guard = ENV_LOCK.lock().unwrap();
+    let chase_large: Workload = "asm-chase-large".parse().expect("a suite workload");
+    let mut small_sst = SimConfig::haswell_like();
+    small_sst.runahead.sst_entries = 16;
+    let specs = [
+        RunSpec::new(Workload::ComputeBound, Technique::OutOfOrder).with_budget(3_000),
+        RunSpec::new(Workload::LbmLike, Technique::Pre).with_budget(3_000),
+        RunSpec::new(Workload::McfLike, Technique::Pre)
+            .with_budget(8_000)
+            .sampled(SampleSpec::new(3, 1_000)),
+        // An SST-size group: the 256-entry leader and a 16-entry member.
+        RunSpec::new(Workload::OmnetppLike, Technique::Pre).with_budget(3_000),
+        RunSpec::new(Workload::OmnetppLike, Technique::Pre)
+            .with_budget(3_000)
+            .with_config(small_sst),
+        RunSpec::new(Workload::GccLike, Technique::PreEmq).with_budget(3_000),
+        RunSpec::new(chase_large, Technique::Runahead).with_budget(3_000),
+    ];
+
+    let [serial, pool] = ["1", "2"].map(|threads| {
+        std::env::set_var("PRE_THREADS", threads);
+        clear_stores();
+        run_batch(&specs, false, 0, |_, _| {})
+    });
+    std::env::remove_var("PRE_THREADS");
+
+    assert_eq!(serial.len(), specs.len());
+    assert_eq!(pool.len(), specs.len());
+    for ((spec, (s, s_attempts)), (p, p_attempts)) in specs.iter().zip(&serial).zip(&pool) {
+        let label = spec.cell_name();
+        let s = s
+            .as_ref()
+            .unwrap_or_else(|e| panic!("{label} (one worker): {e}"));
+        let p = p.as_ref().unwrap_or_else(|e| panic!("{label} (pool): {e}"));
+        assert_eq!((p.workload, p.technique), (spec.workload, spec.technique));
+        assert_eq!((*s_attempts, *p_attempts), (1, 1), "{label}");
+        assert_eq!(s.stats.to_kv(), p.stats.to_kv(), "{label}");
+        assert_eq!(energy_bits(s), energy_bits(p), "{label}");
+        assert_eq!(s.deadlocked, p.deadlocked, "{label}");
+        assert_eq!(s.sample, p.sample, "{label}");
+    }
+    assert!(serial[2].0.as_ref().is_ok_and(|r| r.sample.is_some()));
 }

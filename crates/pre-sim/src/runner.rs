@@ -642,7 +642,7 @@ pub(crate) fn schedule(
 
 /// The `(cell, item)` pairs of the cells `which` (in spec order) of
 /// `cells`, the expansion of `specs`, in launch order on `workers` workers:
-/// by [`predicted_cost`], largest first.
+/// by the [`predicted_cost`] of the cell's spec, largest first.
 ///
 /// The pool hands out items in slice order, so a long cell launched last
 /// leaves the other workers idle while it finishes; launching it first lets
@@ -650,11 +650,11 @@ pub(crate) fn schedule(
 /// per-cell key, so a cell's items stay contiguous and in item order (a
 /// sampled cell's slices in slice order), and cells of equal cost keep
 /// spec order: the techniques of one program, adjacent in a matrix, stay
-/// together. That locality matters: a variant that sorted sampled slices by technique
-/// across programs raised the peak resident set of a 2-worker sampled mixed
-/// matrix at 2 M micro-ops per cell from 184–208 to 235–261 MiB in five
-/// paired runs, with no wall-clock gain; keeping each program's items
-/// together stayed at 190–201 MiB.
+/// together. That locality matters: a variant that sorted sampled slices
+/// by technique across programs raised the peak resident set of a 2-worker
+/// sampled mixed matrix at 2 M micro-ops per cell from 184–208 to 235–261
+/// MiB in five paired runs, with no wall-clock gain; keeping each
+/// program's items together stayed at 190–201 MiB.
 ///
 /// One worker keeps spec order: order cannot shorten a serial pass, and
 /// `PRE_THREADS=1` stays the serial reference for fail-fast skip sets and
@@ -670,22 +670,18 @@ fn launch_order(
         .flat_map(|&c| (0..cells[c].items.len()).map(move |i| (c, i)))
         .collect();
     if workers > 1 {
-        let cost = |c: usize| predicted_cost(&specs[c], &cells[c]);
-        items.sort_by_cached_key(|&(c, _)| std::cmp::Reverse(cost(c)));
+        items.sort_by_cached_key(|&(c, _)| std::cmp::Reverse(predicted_cost(&specs[c])));
     }
     items
 }
 
-/// The predicted host cost of `cell`, the expansion of `spec`: the size of
-/// its program's initial data image, or 0 for a cell answered at expansion.
-/// On the mixed matrix the four largest images (`asm-chase-large`, mcf,
-/// omnetpp, gcc) are also the four workloads with the most host time. The
-/// program comes from the memoized [`crate::stores::program_for`], which
-/// the cell's run asks for anyway; it is built, not hashed.
-fn predicted_cost(spec: &RunSpec, cell: &Cell) -> usize {
-    if let [Item::Answer(_)] = cell.items[..] {
-        return 0;
-    }
+/// The predicted host cost of `spec`'s cell: the size of its program's
+/// initial data image. On the mixed matrix the four largest images
+/// (`asm-chase-large`, mcf, omnetpp, gcc) are also the four workloads with
+/// the most host time. The program comes from the memoized
+/// [`crate::stores::program_for`], which the cell's run asks for anyway;
+/// it is built, not hashed.
+fn predicted_cost(spec: &RunSpec) -> usize {
     crate::stores::program_for(spec.workload, &spec.params)
         .initial_mem
         .len()

@@ -50,18 +50,18 @@ use pre_model::reg::ArchReg;
 use std::collections::HashMap;
 
 /// Scratch register used for lowered intermediate values (`gp`, x3).
-pub const SCRATCH_GP: u8 = 3;
+pub(crate) const SCRATCH_GP: u8 = 3;
 /// Scratch register used for lowered intermediate values and discarded
 /// destinations (`tp`, x4).
-pub const SCRATCH_TP: u8 = 4;
+pub(crate) const SCRATCH_TP: u8 = 4;
 /// The stack pointer (`sp`, x2), initialized to [`AsmOptions::stack_top`].
-pub const REG_SP: u8 = 2;
+pub(crate) const REG_SP: u8 = 2;
 
 const SIGN_BIT: i64 = i64::MIN;
 
 /// Loader/layout options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AsmOptions {
+pub(crate) struct AsmOptions {
     /// Byte address where the `.data` section is placed.
     pub data_base: u64,
     /// Initial value of `sp` (the stack grows down from here).
@@ -77,8 +77,8 @@ impl Default for AsmOptions {
     }
 }
 
-/// Assembles `source` into a validated [`Program`] with default
-/// [`AsmOptions`].
+/// Assembles `source` into a validated [`Program`] with the default
+/// `.data` base and initial `sp`.
 ///
 /// # Errors
 ///
@@ -185,7 +185,11 @@ struct TextItem {
 /// # Errors
 ///
 /// Returns an [`AsmError`] pointing at the offending line/column/token.
-pub fn assemble_with(name: &str, source: &str, opts: &AsmOptions) -> Result<Program, AsmError> {
+pub(crate) fn assemble_with(
+    name: &str,
+    source: &str,
+    opts: &AsmOptions,
+) -> Result<Program, AsmError> {
     // ---- pass 1: parse ---------------------------------------------------
     let mut items: Vec<TextItem> = Vec::new();
     let mut data: Vec<(u64, u64)> = Vec::new();

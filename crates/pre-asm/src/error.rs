@@ -79,7 +79,7 @@ pub struct AsmError {
 
 impl AsmError {
     /// Creates an error at the given position.
-    pub fn new(kind: AsmErrorKind, line: u32, col: u32, token: impl Into<String>) -> Self {
+    pub(crate) fn new(kind: AsmErrorKind, line: u32, col: u32, token: impl Into<String>) -> Self {
         AsmError {
             kind,
             line,

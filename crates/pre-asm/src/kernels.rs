@@ -25,7 +25,7 @@ use std::fmt;
 use std::str::FromStr;
 
 /// RISC-V register carrying the outer iteration count into a kernel (`a0`).
-pub fn iter_reg() -> ArchReg {
+pub(crate) fn iter_reg() -> ArchReg {
     ArchReg::int(10)
 }
 
@@ -59,7 +59,7 @@ pub enum AsmKernel {
 
 /// Number of nodes in the [`AsmKernel::ChaseLarge`] ring: 4 MB of 8-byte
 /// links, four times the 1 MB LLC of the Table 1 configuration.
-pub const CHASE_LARGE_NODES: u64 = 524_288;
+pub(crate) const CHASE_LARGE_NODES: u64 = 524_288;
 
 // The working set must stay at least 4x the Table 1 LLC (1 MB) so the chase
 // keeps missing off-chip, and a power of two so the stride mask is valid.
@@ -70,12 +70,13 @@ const _: () = assert!(CHASE_LARGE_NODES.is_power_of_two());
 /// that one round stays within tier-1 test budgets even though every hop is
 /// a serial LLC miss; the cursor carries across rounds, so longer runs keep
 /// visiting fresh nodes.
-pub const CHASE_LARGE_STEPS_PER_ROUND: u64 = 512;
+#[cfg(test)]
+pub(crate) const CHASE_LARGE_STEPS_PER_ROUND: u64 = 512;
 
 /// Stride of the [`AsmKernel::ChaseLarge`] permutation. Odd, so
 /// `i -> (i + STEP) mod NODES` is a full cycle over the power-of-two ring,
 /// and large, so successive hops land ~1.5 MB apart.
-pub const CHASE_LARGE_STEP: u64 = 196_613;
+pub(crate) const CHASE_LARGE_STEP: u64 = 196_613;
 
 impl AsmKernel {
     /// Every bundled kernel.
@@ -92,7 +93,7 @@ impl AsmKernel {
     ];
 
     /// Short name (also the workload name with an `asm-` prefix).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             AsmKernel::Matmul => "matmul",
             AsmKernel::Quicksort => "quicksort",
@@ -122,7 +123,7 @@ impl AsmKernel {
     }
 
     /// The kernel's assembly source text.
-    pub fn source(&self) -> &'static str {
+    pub(crate) fn source(&self) -> &'static str {
         match self {
             AsmKernel::Matmul => include_str!("kernels/matmul.s"),
             AsmKernel::Quicksort => include_str!("kernels/quicksort.s"),
@@ -144,7 +145,7 @@ impl AsmKernel {
     /// Returns an [`AsmError`] if the embedded source fails to assemble —
     /// which would be a packaging bug; [`AsmKernel::build`] is the
     /// infallible variant the workload suite uses.
-    pub fn try_build(&self, iterations: u64) -> Result<Program, AsmError> {
+    pub(crate) fn try_build(&self, iterations: u64) -> Result<Program, AsmError> {
         let mut program = assemble(&format!("asm-{}", self.name()), self.source())?;
         if let AsmKernel::ChaseLarge = self {
             // The ring links are installed by the loader: building them in
@@ -162,7 +163,7 @@ impl AsmKernel {
         Ok(program)
     }
 
-    /// Assembles the kernel ([`AsmKernel::try_build`]), panicking on error.
+    /// Assembles the kernel, panicking on error.
     ///
     /// # Panics
     ///

@@ -15,7 +15,7 @@
 //!
 //! See [`assembler`] for the exact lowering rules (signed branches, the
 //! `jalr` return-address dispatch, reserved `gp`/`tp` scratch registers)
-//! and [`kernels`] for the bundled nine-kernel suite (matmul, quicksort,
+//! and [`AsmKernel`] for the bundled nine-kernel suite (matmul, quicksort,
 //! pointer-chase, box-blur, prime sieve, binary search, chase-large,
 //! byte-histo, struct-chase).
 //!
@@ -44,9 +44,9 @@
 #![warn(missing_debug_implementations)]
 
 pub mod assembler;
-pub mod error;
-pub mod kernels;
+mod error;
+mod kernels;
 
-pub use assembler::{assemble, assemble_with, AsmOptions};
+pub use assembler::assemble;
 pub use error::{AsmError, AsmErrorKind};
-pub use kernels::AsmKernel;
+pub use kernels::{AsmKernel, ParseAsmKernelError};

@@ -11,7 +11,7 @@ use pre_model::reg::PhysReg;
 /// kept in step by every operation, makes [`FreeList::is_free`] (and the
 /// double-free check in [`FreeList::free`]) a single indexed load.
 ///
-/// [`FreeList::mark`] and [`FreeList::rollback`] checkpoint the list
+/// `FreeList::mark` and `FreeList::rollback` checkpoint the list
 /// without copying it: between the two, allocations record only the
 /// registers they pop from below the marked depth, so the rollback costs
 /// what changed since the mark.
@@ -90,13 +90,8 @@ impl FreeList {
         self.free.len()
     }
 
-    /// Total physical registers managed.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Fraction of the register file that is free.
-    pub fn free_fraction(&self) -> f64 {
+    pub(crate) fn free_fraction(&self) -> f64 {
         self.free.len() as f64 / self.capacity as f64
     }
 
@@ -113,7 +108,7 @@ impl FreeList {
 
     /// Marks the current state for [`FreeList::rollback`] (PRE's runahead
     /// entry). Replaces any earlier mark.
-    pub fn mark(&mut self) {
+    pub(crate) fn mark(&mut self) {
         self.low = self.free.len();
         self.mark = Some(self.free.len());
         self.popped.clear();
@@ -130,7 +125,7 @@ impl FreeList {
     /// # Panics
     ///
     /// Panics if no mark is set.
-    pub fn rollback(&mut self) {
+    pub(crate) fn rollback(&mut self) {
         let marked = self.mark.take().expect("rollback without a mark");
         for reg in &self.free[self.low..] {
             self.is_free[reg.index()] = false;
@@ -154,7 +149,6 @@ mod tests {
     fn initial_free_count_excludes_reserved() {
         let fl = FreeList::new(168, 32);
         assert_eq!(fl.num_free(), 136);
-        assert_eq!(fl.capacity(), 168);
         assert!((fl.free_fraction() - 136.0 / 168.0).abs() < 1e-12);
     }
 

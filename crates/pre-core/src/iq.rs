@@ -44,7 +44,7 @@ impl Default for SrcList {
 
 impl SrcList {
     /// An empty source list.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SrcList::default()
     }
 
@@ -66,7 +66,7 @@ impl SrcList {
     /// # Panics
     ///
     /// Panics when both operand slots are already used.
-    pub fn push(&mut self, class: RegClass, reg: PhysReg) {
+    pub(crate) fn push(&mut self, class: RegClass, reg: PhysReg) {
         assert!(
             (self.len as usize) < self.regs.len(),
             "micro-ops have at most two sources"
@@ -76,7 +76,7 @@ impl SrcList {
     }
 
     /// The operands as a slice, in operand order.
-    pub fn as_slice(&self) -> &[(RegClass, PhysReg)] {
+    pub(crate) fn as_slice(&self) -> &[(RegClass, PhysReg)] {
         &self.regs[..self.len as usize]
     }
 
@@ -86,23 +86,13 @@ impl SrcList {
     }
 
     /// The first operand (the base address for memory operations), if any.
-    pub fn first(&self) -> Option<(RegClass, PhysReg)> {
+    pub(crate) fn first(&self) -> Option<(RegClass, PhysReg)> {
         self.as_slice().first().copied()
     }
 
     /// The operand at `idx`, if present.
-    pub fn get(&self, idx: usize) -> Option<(RegClass, PhysReg)> {
+    pub(crate) fn get(&self, idx: usize) -> Option<(RegClass, PhysReg)> {
         self.as_slice().get(idx).copied()
-    }
-
-    /// Number of operands.
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// `true` when the list holds no operands.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 }
 
@@ -137,7 +127,7 @@ pub struct IqEntry {
 }
 
 /// A validated handle to a ready entry popped from the select queues; pass
-/// it back to [`IssueQueue::requeue_ready`] when the entry could not issue
+/// it back to `IssueQueue::requeue_ready` when the entry could not issue
 /// this cycle (memory-ordering or MSHR stall).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ReadyKey {
@@ -148,7 +138,7 @@ pub struct ReadyKey {
 
 impl ReadyKey {
     /// The slot the ready entry occupies.
-    pub fn slot(&self) -> u32 {
+    pub(crate) fn slot(&self) -> u32 {
         self.slot
     }
 }
@@ -196,7 +186,6 @@ pub struct IssueQueue {
     len: usize,
     capacity: usize,
     writes: u64,
-    peak_occupancy: usize,
     /// Producer-indexed wakeup lists: `wakeup[class][phys reg] -> tokens`.
     /// Grown on demand to the physical register file size.
     wakeup: [Vec<Vec<WaitToken>>; 2],
@@ -237,7 +226,6 @@ impl IssueQueue {
             len: 0,
             capacity,
             writes: 0,
-            peak_occupancy: 0,
             wakeup: [Vec::new(), Vec::new()],
             ready: std::array::from_fn(|_| BinaryHeap::new()),
             agen: VecDeque::new(),
@@ -254,28 +242,23 @@ impl IssueQueue {
     }
 
     /// Current occupancy.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    /// `true` when the queue holds no micro-ops.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Configured capacity.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Free entries.
-    pub fn free_slots(&self) -> usize {
+    pub(crate) fn free_slots(&self) -> usize {
         self.capacity - self.len
     }
 
     /// Fraction of entries currently free (sampled by Stat C at runahead
     /// entry).
-    pub fn free_fraction(&self) -> f64 {
+    pub(crate) fn free_fraction(&self) -> f64 {
         self.free_slots() as f64 / self.capacity as f64
     }
 
@@ -330,7 +313,6 @@ impl IssueQueue {
         slot.ready_queued = unready == 0;
         slot.entry = Some(entry);
         self.len += 1;
-        self.peak_occupancy = self.peak_occupancy.max(self.len);
     }
 
     fn register_token(
@@ -359,7 +341,7 @@ impl IssueQueue {
     /// entry's unready counter; entries reaching zero enter the ready
     /// queues, and stores whose base operand woke enqueue for address
     /// generation.
-    pub fn wake(&mut self, class: RegClass, reg: PhysReg) {
+    pub(crate) fn wake(&mut self, class: RegClass, reg: PhysReg) {
         let ci = class_idx(class);
         if reg.index() >= self.wakeup[ci].len() {
             return;
@@ -405,7 +387,7 @@ impl IssueQueue {
     /// consumed its wakeup, clearing the ready bit again. Re-planting its
     /// wakeup tokens here makes the entry wait for the new producer instead
     /// of issuing with a stale operand.
-    pub fn reregister(&mut self, key: ReadyKey, ready: impl Fn(RegClass, PhysReg) -> bool) {
+    pub(crate) fn reregister(&mut self, key: ReadyKey, ready: impl Fn(RegClass, PhysReg) -> bool) {
         let slot_idx = key.slot as usize;
         debug_assert_eq!(
             self.slots[slot_idx].gen, key.gen,
@@ -429,7 +411,7 @@ impl IssueQueue {
     /// register was reclaimed and re-allocated before the agen pass ran):
     /// the next wake of the base enqueues it again without touching the
     /// unready counter.
-    pub fn watch_store_base(&mut self, slot: u32) {
+    pub(crate) fn watch_store_base(&mut self, slot: u32) {
         let gen = self.slots[slot as usize].gen;
         let Some(entry) = self.slots[slot as usize].entry else {
             return;
@@ -506,7 +488,7 @@ impl IssueQueue {
 
     /// Puts a key popped by [`IssueQueue::pop_ready`] back (the entry stays
     /// ready but could not issue this cycle).
-    pub fn requeue_ready(&mut self, key: ReadyKey) {
+    pub(crate) fn requeue_ready(&mut self, key: ReadyKey) {
         let slot = &mut self.slots[key.slot as usize];
         debug_assert_eq!(slot.gen, key.gen, "requeue of a stale ready key");
         let class = slot.entry.as_ref().expect("requeue of a freed slot").class;
@@ -517,7 +499,7 @@ impl IssueQueue {
 
     /// Pops the next store awaiting address generation, returning its slot
     /// and a copy of the entry. Stale events are discarded.
-    pub fn pop_agen(&mut self) -> Option<(u32, IqEntry)> {
+    pub(crate) fn pop_agen(&mut self) -> Option<(u32, IqEntry)> {
         while let Some((slot_idx, gen)) = self.agen.pop_front() {
             let slot = &self.slots[slot_idx as usize];
             if slot.gen != gen {
@@ -533,7 +515,7 @@ impl IssueQueue {
     }
 
     /// Marks the store in `slot` as having generated its address.
-    pub fn mark_store_addr_ready(&mut self, slot: u32) {
+    pub(crate) fn mark_store_addr_ready(&mut self, slot: u32) {
         if let Some(entry) = self.slots[slot as usize].entry.as_mut() {
             entry.store_addr_ready = true;
         }
@@ -542,7 +524,7 @@ impl IssueQueue {
     /// Purges stale heads from the select structures and reports whether
     /// the next issue stage has anything at all to do. Used by the
     /// quiescent-cycle fast-forward.
-    pub fn select_idle(&mut self) -> bool {
+    pub(crate) fn select_idle(&mut self) -> bool {
         while let Some(&(slot_idx, gen)) = self.agen.front() {
             let slot = &self.slots[slot_idx as usize];
             if slot.gen == gen && slot.entry.is_some_and(|e| !e.store_addr_ready) {
@@ -608,7 +590,7 @@ impl IssueQueue {
 
     /// Removes the entry in `slot` (it issued). Outstanding wakeup tokens
     /// and ready keys die against the bumped generation.
-    pub fn remove_slot(&mut self, slot: u32) -> IqEntry {
+    pub(crate) fn remove_slot(&mut self, slot: u32) -> IqEntry {
         self.free_slot(slot as usize)
     }
 
@@ -643,7 +625,7 @@ impl IssueQueue {
 
     /// Discards all entries and event state, and returns how many entries
     /// there were.
-    pub fn clear(&mut self) -> usize {
+    pub(crate) fn clear(&mut self) -> usize {
         let n = self.len;
         for idx in 0..self.slots.len() {
             if self.slots[idx].entry.is_some() {
@@ -665,13 +647,8 @@ impl IssueQueue {
     }
 
     /// Number of insertions (issue-queue write-port accesses).
-    pub fn writes(&self) -> u64 {
+    pub(crate) fn writes(&self) -> u64 {
         self.writes
-    }
-
-    /// Highest simultaneous occupancy observed.
-    pub fn peak_occupancy(&self) -> usize {
-        self.peak_occupancy
     }
 }
 
@@ -763,10 +740,8 @@ mod tests {
         iq.insert(entry(2, false), all_ready);
         assert_eq!(iq.free_slots(), 2);
         assert!((iq.free_fraction() - 0.5).abs() < 1e-12);
-        assert_eq!(iq.peak_occupancy(), 2);
         iq.clear();
-        assert!(iq.is_empty());
-        assert_eq!(iq.peak_occupancy(), 2);
+        assert_eq!(iq.len(), 0);
     }
 
     #[test]

@@ -45,18 +45,19 @@
 
 pub mod freelist;
 pub mod iq;
-pub mod lsq;
-pub mod pipeline;
+mod lsq;
+mod pipeline;
 pub mod rat;
-pub mod regfile;
+mod regfile;
 pub mod rename;
 pub mod rob;
-pub mod runahead_store_buffer;
+mod runahead_store_buffer;
 mod sorted_deque;
 pub mod uop;
-pub mod warm;
+mod warm;
 
-pub use pipeline::OooCore;
+pub use pipeline::{BuildError, OooCore};
+pub use regfile::PhysRegFile;
 pub use rename::{DestRename, RenameSubsystem};
 pub use uop::DynUop;
 pub use warm::WarmedState;

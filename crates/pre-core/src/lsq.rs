@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 
 /// One store-queue entry.
 #[derive(Debug, Clone, Copy)]
-pub struct SqEntry {
+pub(crate) struct SqEntry {
     /// Micro-op identifier (program order).
     pub id: u64,
     /// Effective address, once address generation has run.
@@ -36,7 +36,7 @@ pub struct SqEntry {
 
 /// The outcome of checking a load against older stores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoadCheck {
+pub(crate) enum LoadCheck {
     /// No conflict: the load may access the memory hierarchy.
     Proceed,
     /// An older store contains the load's bytes and can supply them. The
@@ -50,7 +50,7 @@ pub enum LoadCheck {
 
 /// Combined load queue / store queue.
 #[derive(Debug, Clone)]
-pub struct LoadStoreQueue {
+pub(crate) struct LoadStoreQueue {
     loads: VecDeque<u64>,
     stores: VecDeque<SqEntry>,
     lq_capacity: usize,
@@ -66,7 +66,7 @@ impl LoadStoreQueue {
     /// # Panics
     ///
     /// Panics if either capacity is zero.
-    pub fn new(lq_capacity: usize, sq_capacity: usize) -> Self {
+    pub(crate) fn new(lq_capacity: usize, sq_capacity: usize) -> Self {
         assert!(
             lq_capacity > 0 && sq_capacity > 0,
             "LSQ capacities must be non-zero"
@@ -83,22 +83,22 @@ impl LoadStoreQueue {
     }
 
     /// `true` when no load entry is available.
-    pub fn lq_full(&self) -> bool {
+    pub(crate) fn lq_full(&self) -> bool {
         self.loads.len() >= self.lq_capacity
     }
 
     /// `true` when no store entry is available.
-    pub fn sq_full(&self) -> bool {
+    pub(crate) fn sq_full(&self) -> bool {
         self.stores.len() >= self.sq_capacity
     }
 
     /// Current load-queue occupancy.
-    pub fn lq_len(&self) -> usize {
+    pub(crate) fn lq_len(&self) -> usize {
         self.loads.len()
     }
 
     /// Current store-queue occupancy.
-    pub fn sq_len(&self) -> usize {
+    pub(crate) fn sq_len(&self) -> usize {
         self.stores.len()
     }
 
@@ -107,7 +107,7 @@ impl LoadStoreQueue {
     /// # Panics
     ///
     /// Panics if the load queue is full.
-    pub fn allocate_load(&mut self, id: u64) {
+    pub(crate) fn allocate_load(&mut self, id: u64) {
         assert!(!self.lq_full(), "dispatch into a full load queue");
         self.loads.push_back(id);
     }
@@ -118,7 +118,7 @@ impl LoadStoreQueue {
     /// # Panics
     ///
     /// Panics if the store queue is full.
-    pub fn allocate_store(&mut self, id: u64, len: u8) {
+    pub(crate) fn allocate_store(&mut self, id: u64, len: u8) {
         assert!(!self.sq_full(), "dispatch into a full store queue");
         debug_assert!((1..=8).contains(&len), "store length {len} out of range");
         self.stores.push_back(SqEntry {
@@ -137,7 +137,7 @@ impl LoadStoreQueue {
     }
 
     /// Records the eagerly generated address of store `id`.
-    pub fn set_store_addr(&mut self, id: u64, addr: u64) {
+    pub(crate) fn set_store_addr(&mut self, id: u64, addr: u64) {
         if let Some(idx) = self.store_index(id) {
             self.stores[idx].addr = Some(addr);
         }
@@ -145,7 +145,7 @@ impl LoadStoreQueue {
 
     /// Records the data value of store `id` (the caller truncates it to the
     /// store's width).
-    pub fn set_store_value(&mut self, id: u64, value: u64) {
+    pub(crate) fn set_store_value(&mut self, id: u64, value: u64) {
         if let Some(idx) = self.store_index(id) {
             self.stores[idx].value = Some(value);
         }
@@ -155,7 +155,7 @@ impl LoadStoreQueue {
     /// `[addr, addr + len)` may proceed, must stall, or can forward from an
     /// older store. The youngest overlapping older store governs; forwarded
     /// bytes are extracted from its (little-endian) data.
-    pub fn check_load(&mut self, load_id: u64, addr: u64, len: u8) -> LoadCheck {
+    pub(crate) fn check_load(&mut self, load_id: u64, addr: u64, len: u8) -> LoadCheck {
         let (decision, blocked_partial) = self.scan_older_stores(load_id, addr, len);
         if blocked_partial {
             self.forward_blocked_partial += 1;
@@ -167,7 +167,7 @@ impl LoadStoreQueue {
     /// a `Stall` verdict is advisory — the speculative load proceeds to
     /// functional memory anyway — so partial-overlap blocks are *not*
     /// counted in [`LoadStoreQueue::forward_blocked_partial`].
-    pub fn check_load_speculative(&mut self, load_id: u64, addr: u64, len: u8) -> LoadCheck {
+    pub(crate) fn check_load_speculative(&mut self, load_id: u64, addr: u64, len: u8) -> LoadCheck {
         self.scan_older_stores(load_id, addr, len).0
     }
 
@@ -217,14 +217,14 @@ impl LoadStoreQueue {
     }
 
     /// Releases the load-queue entry of `id` (commit or squash).
-    pub fn release_load(&mut self, id: u64) {
+    pub(crate) fn release_load(&mut self, id: u64) {
         if let Some(pos) = crate::sorted_deque::index_by_key(&self.loads, id, |&l| l) {
             self.loads.remove(pos);
         }
     }
 
     /// Releases the store-queue entry of `id` (commit or squash).
-    pub fn release_store(&mut self, id: u64) {
+    pub(crate) fn release_store(&mut self, id: u64) {
         if let Some(pos) = self.store_index(id) {
             self.stores.remove(pos);
         }
@@ -232,30 +232,30 @@ impl LoadStoreQueue {
 
     /// Removes every entry with an id strictly greater than `id` (branch
     /// squash).
-    pub fn squash_younger_than(&mut self, id: u64) {
+    pub(crate) fn squash_younger_than(&mut self, id: u64) {
         self.loads.retain(|&l| l <= id);
         self.stores.retain(|e| e.id <= id);
     }
 
     /// Discards all entries (pipeline flush).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.loads.clear();
         self.stores.clear();
     }
 
     /// Number of associative LSQ searches performed (energy accounting).
-    pub fn searches(&self) -> u64 {
+    pub(crate) fn searches(&self) -> u64 {
         self.searches
     }
 
     /// Number of loads satisfied by store-to-load forwarding.
-    pub fn forwards(&self) -> u64 {
+    pub(crate) fn forwards(&self) -> u64 {
         self.forwards
     }
 
     /// Number of load checks blocked by a partial-overlap older store
     /// (counted once per blocked check, like `searches`).
-    pub fn forward_blocked_partial(&self) -> u64 {
+    pub(crate) fn forward_blocked_partial(&self) -> u64 {
         self.forward_blocked_partial
     }
 }

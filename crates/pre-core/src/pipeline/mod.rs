@@ -406,21 +406,6 @@ impl OooCore {
         }
     }
 
-    /// The technique this core is configured with.
-    pub fn technique(&self) -> Technique {
-        self.technique
-    }
-
-    /// Current simulated cycle.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// `true` while the core is in (any flavour of) runahead mode.
-    pub fn in_runahead(&self) -> bool {
-        self.mode != Mode::Normal
-    }
-
     /// `true` once the program has fully retired and the pipeline drained.
     pub fn halted(&self) -> bool {
         self.halted
@@ -456,19 +441,8 @@ impl OooCore {
         self.arf[reg.flat_index()]
     }
 
-    /// Read-only view of the committed functional memory.
-    pub fn memory(&self) -> &FuncMem {
-        &self.func_mem
-    }
-
-    /// Current ROB occupancy (useful for experiments and tests).
-    pub fn rob_occupancy(&self) -> usize {
-        self.rob.len()
-    }
-
-    /// Accumulated statistics. Call [`OooCore::finalize_stats`] (or
-    /// [`OooCore::run`], which does it for you) first so that cache, DRAM and
-    /// structure counters are folded in.
+    /// Accumulated statistics. [`OooCore::run`] folds the cache, DRAM and
+    /// structure counters in before it returns.
     pub fn stats(&self) -> &SimStats {
         &self.stats
     }
@@ -504,7 +478,7 @@ impl OooCore {
     }
 
     /// Advances the simulation by one cycle.
-    pub fn tick(&mut self) {
+    pub(crate) fn tick(&mut self) {
         self.cycle += 1;
         let now = self.cycle;
         self.process_completions(now);
@@ -619,7 +593,7 @@ impl OooCore {
     }
 
     /// Folds memory-hierarchy and structure counters into the statistics.
-    pub fn finalize_stats(&mut self) {
+    pub(crate) fn finalize_stats(&mut self) {
         self.stats.cycles = self.cycle;
         self.mem_hier.export_stats(&mut self.stats);
         self.stats.rat_reads = self.rename.rat().reads();

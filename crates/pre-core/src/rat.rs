@@ -10,9 +10,7 @@
 //! The RAT is checkpointed on runahead entry and restored at exit, and is
 //! rolled back incrementally (youngest-first) on branch mispredictions.
 
-use pre_model::reg::{
-    ArchReg, PhysReg, RegClass, NUM_ARCH_REGS, NUM_FP_ARCH_REGS, NUM_INT_ARCH_REGS,
-};
+use pre_model::reg::{ArchReg, PhysReg, RegClass, NUM_ARCH_REGS, NUM_INT_ARCH_REGS};
 
 /// A full copy of the RAT used for runahead checkpoints.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,7 +47,7 @@ impl RegisterAliasTable {
 
     /// The identity mapping used at reset: each architectural register maps
     /// to the same-numbered physical register of its class.
-    pub fn identity_mapping(flat: usize) -> PhysReg {
+    pub(crate) fn identity_mapping(flat: usize) -> PhysReg {
         if flat < NUM_INT_ARCH_REGS {
             PhysReg(flat as u16)
         } else {
@@ -58,7 +56,7 @@ impl RegisterAliasTable {
     }
 
     /// Looks up the current mapping of `reg` (counts a RAT read).
-    pub fn lookup(&mut self, reg: ArchReg) -> PhysReg {
+    pub(crate) fn lookup(&mut self, reg: ArchReg) -> PhysReg {
         self.reads += 1;
         self.map[reg.flat_index()]
     }
@@ -79,7 +77,7 @@ impl RegisterAliasTable {
     }
 
     /// The PC of the instruction that last renamed `reg`, if any.
-    pub fn producer_pc(&self, reg: ArchReg) -> Option<u32> {
+    pub(crate) fn producer_pc(&self, reg: ArchReg) -> Option<u32> {
         self.producer_pc[reg.flat_index()]
     }
 
@@ -120,7 +118,7 @@ impl RegisterAliasTable {
     /// Resets the table to the identity mapping and clears all producer PCs
     /// (used when rebuilding rename state from an architectural checkpoint
     /// after a flush-style runahead exit).
-    pub fn reset_identity(&mut self) {
+    pub(crate) fn reset_identity(&mut self) {
         for flat in 0..NUM_ARCH_REGS {
             self.map[flat] = Self::identity_mapping(flat);
             self.producer_pc[flat] = None;
@@ -136,19 +134,13 @@ impl RegisterAliasTable {
     }
 
     /// Number of RAT read-port accesses.
-    pub fn reads(&self) -> u64 {
+    pub(crate) fn reads(&self) -> u64 {
         self.reads
     }
 
     /// Number of RAT write-port accesses.
-    pub fn writes(&self) -> u64 {
+    pub(crate) fn writes(&self) -> u64 {
         self.writes
-    }
-
-    /// Storage of the producer-PC extension in bytes (4 bytes per entry,
-    /// 256 bytes total — Section 3.6).
-    pub fn extension_storage_bytes(&self) -> usize {
-        NUM_ARCH_REGS * 4
     }
 }
 
@@ -157,10 +149,6 @@ impl Default for RegisterAliasTable {
         RegisterAliasTable::new()
     }
 }
-
-/// Number of floating-point architectural registers, re-exported for
-/// convenience when sizing per-class structures from RAT indices.
-pub const FP_ARCH_REGS: usize = NUM_FP_ARCH_REGS;
 
 #[cfg(test)]
 mod tests {
@@ -225,12 +213,6 @@ mod tests {
         rat.rename(ArchReg::int(0), PhysReg(33), 1);
         assert_eq!(rat.reads(), 1);
         assert_eq!(rat.writes(), 1);
-    }
-
-    #[test]
-    fn extension_storage_matches_paper() {
-        let rat = RegisterAliasTable::new();
-        assert_eq!(rat.extension_storage_bytes(), 256);
     }
 
     #[test]

@@ -23,7 +23,7 @@ impl PhysRegFile {
     /// Creates a register file of `capacity` registers. The first `reserved`
     /// registers (the initial architectural mappings) start ready with value
     /// zero; the rest start not-ready.
-    pub fn new(capacity: usize, reserved: usize) -> Self {
+    pub(crate) fn new(capacity: usize, reserved: usize) -> Self {
         let mut ready = vec![false; capacity];
         for r in ready.iter_mut().take(reserved) {
             *r = true;
@@ -37,26 +37,21 @@ impl PhysRegFile {
         }
     }
 
-    /// Number of physical registers.
-    pub fn capacity(&self) -> usize {
-        self.values.len()
-    }
-
     /// Reads a register's value (counts a PRF read port access).
-    pub fn read(&mut self, reg: PhysReg) -> u64 {
+    pub(crate) fn read(&mut self, reg: PhysReg) -> u64 {
         self.reads += 1;
         self.values[reg.index()]
     }
 
     /// Reads a register's value without counting an access (used for
     /// snapshots and debugging).
-    pub fn peek(&self, reg: PhysReg) -> u64 {
+    pub(crate) fn peek(&self, reg: PhysReg) -> u64 {
         self.values[reg.index()]
     }
 
     /// Writes a register's value (counts a PRF write port access). The ready
     /// bit is *not* set — completion does that at writeback time.
-    pub fn write(&mut self, reg: PhysReg, value: u64) {
+    pub(crate) fn write(&mut self, reg: PhysReg, value: u64) {
         self.writes += 1;
         self.values[reg.index()] = value;
     }
@@ -72,17 +67,17 @@ impl PhysRegFile {
     }
 
     /// `true` when the value in `reg` is invalid (runahead INV propagation).
-    pub fn is_inv(&self, reg: PhysReg) -> bool {
+    pub(crate) fn is_inv(&self, reg: PhysReg) -> bool {
         self.inv[reg.index()]
     }
 
     /// Marks `reg` invalid or valid.
-    pub fn set_inv(&mut self, reg: PhysReg, inv: bool) {
+    pub(crate) fn set_inv(&mut self, reg: PhysReg, inv: bool) {
         self.inv[reg.index()] = inv;
     }
 
     /// Resets the INV bit of every register (runahead exit).
-    pub fn clear_all_inv(&mut self) {
+    pub(crate) fn clear_all_inv(&mut self) {
         for b in &mut self.inv {
             *b = false;
         }
@@ -90,7 +85,7 @@ impl PhysRegFile {
 
     /// Prepares a newly allocated destination register: not ready, not
     /// invalid.
-    pub fn reset_for_allocation(&mut self, reg: PhysReg) {
+    pub(crate) fn reset_for_allocation(&mut self, reg: PhysReg) {
         self.ready[reg.index()] = false;
         self.inv[reg.index()] = false;
     }
@@ -98,19 +93,19 @@ impl PhysRegFile {
     /// Directly initializes a register as holding an architectural value:
     /// value set, ready, not invalid. Used when (re)building the rename state
     /// from an architectural checkpoint.
-    pub fn init_arch_value(&mut self, reg: PhysReg, value: u64) {
+    pub(crate) fn init_arch_value(&mut self, reg: PhysReg, value: u64) {
         self.values[reg.index()] = value;
         self.ready[reg.index()] = true;
         self.inv[reg.index()] = false;
     }
 
     /// Number of read-port accesses.
-    pub fn reads(&self) -> u64 {
+    pub(crate) fn reads(&self) -> u64 {
         self.reads
     }
 
     /// Number of write-port accesses.
-    pub fn writes(&self) -> u64 {
+    pub(crate) fn writes(&self) -> u64 {
         self.writes
     }
 }

@@ -408,7 +408,7 @@ impl RenameSubsystem {
     }
 
     /// Fraction of `class`'s register file currently free.
-    pub fn free_fraction(&self, class: RegClass) -> f64 {
+    pub(crate) fn free_fraction(&self, class: RegClass) -> f64 {
         self.free_list(class).free_fraction()
     }
 
@@ -807,7 +807,7 @@ impl RenameSubsystem {
     /// (flush-style runahead exit): identity RAT, full free lists, register
     /// files seeded with the architectural values, modelled as free in time
     /// as the paper assumes.
-    pub fn reset_from_arch(&mut self, arch_values: &[u64; NUM_ARCH_REGS]) {
+    pub(crate) fn reset_from_arch(&mut self, arch_values: &[u64; NUM_ARCH_REGS]) {
         self.rat.reset_identity();
         self.int_free = FreeList::new(self.int_capacity, pre_model::reg::NUM_INT_ARCH_REGS);
         self.fp_free = FreeList::new(self.fp_capacity, pre_model::reg::NUM_FP_ARCH_REGS);

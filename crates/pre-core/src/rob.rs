@@ -118,7 +118,7 @@ pub struct RobHotEntry {
 
 impl RobHotEntry {
     /// `true` when this entry is a load still waiting on an off-chip access.
-    pub fn is_blocking_long_latency_load(&self, now: u64) -> bool {
+    pub(crate) fn is_blocking_long_latency_load(&self, now: u64) -> bool {
         self.is_load
             && self.issued
             && !self.executed
@@ -286,17 +286,17 @@ impl ReorderBuffer {
     }
 
     /// `true` when the ROB holds no instructions.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Current occupancy.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// Configured capacity.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.hot.len()
     }
 
@@ -352,22 +352,12 @@ impl ReorderBuffer {
         Some(entry)
     }
 
-    /// Removes and returns the oldest entry iff it has finished execution:
-    /// the fused head-probe-and-pop that lets commit and pseudo-retire drain
-    /// every commit-ready head in one pass per cycle.
-    pub fn pop_head_if_executed(&mut self) -> Option<RobEntry> {
-        if self.len == 0 || !self.hot[self.head].executed {
-            return None;
-        }
-        self.pop_head()
-    }
-
     /// The length of the run of consecutive executed entries at the head,
     /// capped at `max`: the batch size commit can drain this cycle with one
     /// probe instead of re-checking the head after every pop. Nothing marks
     /// entries executed while commit drains, so sizing the batch up front is
     /// equivalent to the head-at-a-time re-checks it replaces.
-    pub fn executed_head_run(&self, max: usize) -> usize {
+    pub(crate) fn executed_head_run(&self, max: usize) -> usize {
         let limit = max.min(self.len);
         let mut run = 0;
         while run < limit && self.hot[self.phys(run)].executed {
@@ -379,13 +369,13 @@ impl ReorderBuffer {
     /// `true` when `slot` currently holds the micro-op `id`. Handles from
     /// removed entries fail: freed slots clear their id and reused slots
     /// hold a different (younger, unique) id.
-    pub fn slot_matches(&self, slot: u32, id: u64) -> bool {
+    pub(crate) fn slot_matches(&self, slot: u32, id: u64) -> bool {
         (slot as usize) < self.hot.len() && self.hot[slot as usize].id == id
     }
 
     /// Marks the micro-op in `slot` as having finished execution (a memory
     /// completion event). The caller validates the handle with
-    /// [`ReorderBuffer::slot_matches`] first.
+    /// `ReorderBuffer::slot_matches` first.
     pub fn set_executed(&mut self, slot: u32) {
         debug_assert!(
             self.hot[slot as usize].id != 0,
@@ -397,7 +387,7 @@ impl ReorderBuffer {
     /// Force-executes the entry in `slot` with a zero result (flush-style
     /// runahead INV semantics: the window drains through pseudo-retirement
     /// instead of waiting for data that will be discarded).
-    pub fn force_execute(&mut self, slot: u32) {
+    pub(crate) fn force_execute(&mut self, slot: u32) {
         debug_assert!(self.hot[slot as usize].id != 0, "invalidating a free slot");
         self.hot[slot as usize].executed = true;
         self.cold[slot as usize].result = Some(0);
@@ -428,36 +418,12 @@ impl ReorderBuffer {
 
     /// The predicted next PC of micro-op `id` in `slot`, if still resident
     /// (branch resolution compares it against the computed next PC).
-    pub fn predicted_next_pc(&self, slot: u32, id: u64) -> Option<u32> {
+    pub(crate) fn predicted_next_pc(&self, slot: u32, id: u64) -> Option<u32> {
         if self.slot_matches(slot, id) {
             Some(self.cold[slot as usize].uop.predicted_next_pc)
         } else {
             None
         }
-    }
-
-    /// Logical (oldest-first) index of the entry with micro-op `id`. Ids are
-    /// assigned in dispatch order, so the ring is sorted by id and a binary
-    /// search suffices.
-    fn find_logical(&self, id: u64) -> Option<usize> {
-        let (mut lo, mut hi) = (0usize, self.len);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let mid_id = self.hot[self.phys(mid)].id;
-            if mid_id == id {
-                return Some(mid);
-            } else if mid_id < id {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        None
-    }
-
-    /// `true` when the ROB still holds the micro-op `id`.
-    pub fn contains(&self, id: u64) -> bool {
-        self.find_logical(id).is_some()
     }
 
     /// The slot handle and hot state of the `logical`-th oldest entry, if
@@ -520,7 +486,7 @@ impl ReorderBuffer {
     /// Removes all entries (flush-style runahead discards the window) and
     /// returns how many there were. Unlike commit, nothing reads the
     /// payloads, so this only clears the hot ids.
-    pub fn clear(&mut self) -> usize {
+    pub(crate) fn clear(&mut self) -> usize {
         let n = self.len;
         for i in 0..self.len {
             let slot = self.phys(i);
@@ -532,12 +498,12 @@ impl ReorderBuffer {
     }
 
     /// Number of entries pushed (ROB write-port accesses).
-    pub fn writes(&self) -> u64 {
+    pub(crate) fn writes(&self) -> u64 {
         self.writes
     }
 
     /// Number of entries popped (ROB read-port accesses at commit).
-    pub fn reads(&self) -> u64 {
+    pub(crate) fn reads(&self) -> u64 {
         self.reads
     }
 }
@@ -607,8 +573,6 @@ mod tests {
         assert_eq!(rob.squash_younger_than(3, |e| ids.push(e.id)), 2);
         assert_eq!(ids, vec![5, 4]);
         assert_eq!(rob.len(), 3);
-        assert!(rob.contains(3));
-        assert!(!rob.contains(4));
     }
 
     #[test]
@@ -620,7 +584,6 @@ mod tests {
         }
         assert_eq!(rob.clear(), 3);
         assert!(rob.is_empty());
-        assert!(!rob.contains(2));
         // Handles into the cleared window are dead.
         for slot in 0..3 {
             assert!(!rob.slot_matches(slot, (slot + 1) as u64));
@@ -648,18 +611,6 @@ mod tests {
         assert_eq!(popped.result, Some(7));
         // The handle is dead after the pop.
         assert!(!rob.writeback(slot, 9, wb));
-    }
-
-    #[test]
-    fn pop_head_if_executed_drains_ready_prefix_only() {
-        let mut rob = ReorderBuffer::new(4);
-        let s1 = rob.push(entry(1));
-        rob.push(entry(2));
-        assert!(rob.pop_head_if_executed().is_none(), "head not executed");
-        rob.set_executed(s1);
-        assert_eq!(rob.pop_head_if_executed().unwrap().id, 1);
-        assert!(rob.pop_head_if_executed().is_none(), "next head not ready");
-        assert_eq!(rob.len(), 1);
     }
 
     #[test]
@@ -692,7 +643,7 @@ mod tests {
         let mut rob = ReorderBuffer::new(2);
         let slot = rob.push(entry(5));
         rob.force_execute(slot);
-        let popped = rob.pop_head_if_executed().unwrap();
+        let popped = rob.pop_head().unwrap();
         assert_eq!(popped.result, Some(0));
         assert!(popped.executed);
     }

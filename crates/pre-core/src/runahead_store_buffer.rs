@@ -36,7 +36,7 @@ impl Line {
 
 /// The result of probing the buffer for a load's byte range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BufferedRead {
+pub(crate) struct BufferedRead {
     /// The buffered bytes, little-endian, with unbuffered positions zero.
     pub value: u64,
     /// Bit `i` set ⇔ byte `addr + i` was found in the buffer.
@@ -45,19 +45,14 @@ pub struct BufferedRead {
 
 impl BufferedRead {
     /// `true` when every byte of a `len`-byte read was buffered.
-    pub fn is_complete(&self, len: u64) -> bool {
+    pub(crate) fn is_complete(&self, len: u64) -> bool {
         let want = if len >= 8 { !0u8 } else { (1u8 << len) - 1 };
         self.valid_mask == want
     }
 
-    /// `true` when no byte was buffered.
-    pub fn is_empty(&self) -> bool {
-        self.valid_mask == 0
-    }
-
     /// Overlays the buffered bytes onto `underlying` (unbuffered positions
     /// keep the underlying byte).
-    pub fn overlay(&self, underlying: u64) -> u64 {
+    pub(crate) fn overlay(&self, underlying: u64) -> u64 {
         let mut spread = 0u64;
         for i in 0..8 {
             if self.valid_mask & (1 << i) != 0 {
@@ -70,7 +65,7 @@ impl BufferedRead {
 
 /// A paged, line-granular byte buffer for runahead stores.
 #[derive(Debug, Default)]
-pub struct RunaheadStoreBuffer {
+pub(crate) struct RunaheadStoreBuffer {
     lines: HashMap<u64, Line>,
     /// Cleared lines waiting for re-use (avoids re-zeroing 64-byte arrays).
     pool: Vec<Line>,
@@ -78,12 +73,12 @@ pub struct RunaheadStoreBuffer {
 
 impl RunaheadStoreBuffer {
     /// Creates an empty buffer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RunaheadStoreBuffer::default()
     }
 
     /// Buffers `len` bytes of `value` (little-endian) at `addr`.
-    pub fn store(&mut self, addr: u64, len: u64, value: u64) {
+    pub(crate) fn store(&mut self, addr: u64, len: u64, value: u64) {
         debug_assert!((1..=8).contains(&len));
         let mut i = 0;
         while i < len {
@@ -107,7 +102,7 @@ impl RunaheadStoreBuffer {
     }
 
     /// Probes the buffer for a `len`-byte read at `addr`.
-    pub fn read(&self, addr: u64, len: u64) -> BufferedRead {
+    pub(crate) fn read(&self, addr: u64, len: u64) -> BufferedRead {
         debug_assert!((1..=8).contains(&len));
         let mut value = 0u64;
         let mut valid_mask = 0u8;
@@ -132,21 +127,11 @@ impl RunaheadStoreBuffer {
 
     /// Discards every buffered byte (runahead exit). Lines are recycled into
     /// the free pool.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         for (_, mut line) in self.lines.drain() {
             line.valid = 0;
             self.pool.push(line);
         }
-    }
-
-    /// `true` when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
-    }
-
-    /// Number of distinct lines currently holding buffered bytes.
-    pub fn lines(&self) -> usize {
-        self.lines.len()
     }
 }
 
@@ -169,7 +154,6 @@ mod tests {
         b.store(0x1002, 2, 0xBBAA);
         let r = b.read(0x1000, 8);
         assert!(!r.is_complete(8));
-        assert!(!r.is_empty());
         assert_eq!(r.valid_mask, 0b0000_1100);
         assert_eq!(r.value, 0x0000_0000_BBAA_0000);
         // Overlay keeps underlying bytes where the buffer has none.
@@ -184,7 +168,7 @@ mod tests {
     fn unbuffered_read_is_empty() {
         let b = RunaheadStoreBuffer::new();
         let r = b.read(0x4000, 4);
-        assert!(r.is_empty());
+        assert_eq!(r.valid_mask, 0);
         assert!(!r.is_complete(4));
         assert_eq!(r.overlay(0xDEAD_BEEF), 0xDEAD_BEEF);
     }
@@ -203,7 +187,7 @@ mod tests {
         let mut b = RunaheadStoreBuffer::new();
         // 4 bytes starting 2 bytes before a line boundary.
         b.store(0x103E, 4, 0xDDCC_BBAA);
-        assert_eq!(b.lines(), 2);
+        assert_eq!(b.lines.len(), 2);
         let r = b.read(0x103E, 4);
         assert!(r.is_complete(4));
         assert_eq!(r.value, 0xDDCC_BBAA);
@@ -217,8 +201,8 @@ mod tests {
         let mut b = RunaheadStoreBuffer::new();
         b.store(0x3000, 8, 123);
         b.clear();
-        assert!(b.is_empty());
-        assert!(b.read(0x3000, 8).is_empty());
+        assert!(b.lines.is_empty());
+        assert_eq!(b.read(0x3000, 8).valid_mask, 0);
         // Recycled line starts with an empty valid mask.
         b.store(0x5000, 1, 7);
         let r = b.read(0x5000, 8);

@@ -33,12 +33,12 @@ impl HardwareOverhead {
     }
 
     /// PRE's overhead without the optional EMQ (the paper reports 2 KB).
-    pub fn pre_total_bytes(&self) -> usize {
+    pub(crate) fn pre_total_bytes(&self) -> usize {
         self.sst_bytes + self.prdq_bytes + self.rat_extension_bytes
     }
 
     /// PRE + EMQ overhead (the paper reports 2 KB + 3 KB).
-    pub fn pre_emq_total_bytes(&self) -> usize {
+    pub(crate) fn pre_emq_total_bytes(&self) -> usize {
         self.pre_total_bytes() + self.emq_bytes
     }
 }
@@ -84,12 +84,19 @@ mod tests {
     fn scales_with_configuration() {
         let cfg = RunaheadConfig {
             sst_entries: 512,
+            prdq_entries: 96,
             emq_entries: 1536,
+            runahead_buffer_chain_max: 16,
             ..Default::default()
         };
         let hw = HardwareOverhead::for_config(&cfg);
         assert_eq!(hw.sst_bytes, 2048);
+        assert_eq!(hw.prdq_bytes, 384);
+        assert_eq!(hw.rat_extension_bytes, 256);
+        assert_eq!(hw.pre_total_bytes(), 2688);
         assert_eq!(hw.emq_bytes, 6144);
+        assert_eq!(hw.pre_emq_total_bytes(), 8832);
+        assert_eq!(hw.runahead_buffer_bytes, 2 * 16 * 28);
     }
 
     #[test]

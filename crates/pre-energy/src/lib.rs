@@ -35,8 +35,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod area;
-pub mod model;
+mod area;
+mod model;
 
 pub use area::HardwareOverhead;
-pub use model::{EnergyBreakdown, EnergyModel, EnergyParams};
+pub use model::{EnergyBreakdown, EnergyModel};

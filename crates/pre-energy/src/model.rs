@@ -9,7 +9,7 @@ use pre_model::stats::SimStats;
 /// reported by McPAT, with SRAM/CAM structure energies in the range CACTI
 /// reports for kilobyte-scale arrays.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnergyParams {
+pub(crate) struct EnergyParams {
     /// Instruction-cache access + fetch datapath, per fetched micro-op.
     pub fetch_nj: f64,
     /// Decode, per decoded micro-op.
@@ -151,23 +151,14 @@ impl EnergyBreakdown {
     }
 }
 
-/// The energy model: applies [`EnergyParams`] to a run's statistics.
+/// The energy model: applies the default `EnergyParams` to a run's
+/// statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyModel {
     params: EnergyParams,
 }
 
 impl EnergyModel {
-    /// Creates a model with custom parameters.
-    pub fn new(params: EnergyParams) -> Self {
-        EnergyModel { params }
-    }
-
-    /// The parameters in use.
-    pub fn params(&self) -> &EnergyParams {
-        &self.params
-    }
-
     /// Computes the energy breakdown for one run.
     pub fn evaluate(&self, stats: &SimStats, cfg: &SimConfig) -> EnergyBreakdown {
         let p = &self.params;

@@ -33,11 +33,6 @@ impl<T> DelayPipe<T> {
         }
     }
 
-    /// The configured latency in cycles.
-    pub fn depth(&self) -> u64 {
-        self.depth
-    }
-
     /// Attempts to push an item at cycle `now`; fails when the pipe is full.
     pub fn push(&mut self, item: T, now: u64) -> Result<(), T> {
         if self.entries.len() >= self.capacity {
@@ -51,14 +46,6 @@ impl<T> DelayPipe<T> {
     pub fn pop_ready(&mut self, now: u64) -> Option<T> {
         match self.entries.front() {
             Some(&(ready, _)) if ready <= now => self.entries.pop_front().map(|(_, item)| item),
-            _ => None,
-        }
-    }
-
-    /// Peeks at the oldest item if it is ready at cycle `now`.
-    pub fn front_ready(&self, now: u64) -> Option<&T> {
-        match self.entries.front() {
-            Some(&(ready, ref item)) if ready <= now => Some(item),
             _ => None,
         }
     }
@@ -138,7 +125,6 @@ mod tests {
     fn zero_depth_is_immediately_ready() {
         let mut pipe = DelayPipe::new(0, 4);
         pipe.push(7, 5).unwrap();
-        assert_eq!(pipe.front_ready(5), Some(&7));
         assert_eq!(pipe.pop_ready(5), Some(7));
     }
 

@@ -17,8 +17,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod delay_pipe;
-pub mod predictor;
+mod delay_pipe;
+mod predictor;
 pub mod uop_queue;
 
 pub use delay_pipe::DelayPipe;

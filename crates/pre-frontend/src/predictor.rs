@@ -88,7 +88,7 @@ impl BranchPredictorUnit {
     }
 
     /// Looks up the BTB only (used for unconditional jumps).
-    pub fn btb_lookup(&self, pc: u32) -> Option<u32> {
+    pub(crate) fn btb_lookup(&self, pc: u32) -> Option<u32> {
         match self.btb[self.btb_index(pc)] {
             Some((tag, target)) if tag == pc as u64 => Some(target),
             _ => None,
@@ -111,13 +111,6 @@ impl BranchPredictorUnit {
             let bidx = self.btb_index(pc);
             self.btb[bidx] = Some((pc as u64, target));
         }
-    }
-
-    /// Speculatively shifts the predicted direction into the history (done at
-    /// prediction time by aggressive front ends). The simulator uses
-    /// resolve-time updates only, but this is exposed for experimentation.
-    pub fn speculate_history(&mut self, taken: bool) {
-        self.history = ((self.history << 1) | u64::from(taken)) & self.history_mask;
     }
 
     /// Current global-history register (checkpointed at runahead entry).

@@ -20,8 +20,6 @@ pub struct UopQueue<T> {
     pushes: u64,
     /// Total number of pops.
     pops: u64,
-    /// Number of rejected pushes because the queue was full.
-    rejected: u64,
 }
 
 impl<T> UopQueue<T> {
@@ -37,14 +35,12 @@ impl<T> UopQueue<T> {
             capacity,
             pushes: 0,
             pops: 0,
-            rejected: 0,
         }
     }
 
     /// Attempts to enqueue an item; returns it back when the queue is full.
     pub fn push(&mut self, item: T) -> Result<(), T> {
         if self.entries.len() >= self.capacity {
-            self.rejected += 1;
             return Err(item);
         }
         self.entries.push_back(item);
@@ -81,11 +77,6 @@ impl<T> UopQueue<T> {
         self.entries.len() >= self.capacity
     }
 
-    /// Remaining free slots.
-    pub fn free_slots(&self) -> usize {
-        self.capacity - self.entries.len()
-    }
-
     /// Configured capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -104,16 +95,6 @@ impl<T> UopQueue<T> {
     /// Number of pops so far.
     pub fn pops(&self) -> u64 {
         self.pops
-    }
-
-    /// Number of pushes rejected because the queue was full.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
-    /// Iterates over queued items from oldest to newest.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.entries.iter()
     }
 }
 
@@ -143,16 +124,13 @@ mod tests {
         q.push("b").unwrap();
         assert!(q.is_full());
         assert_eq!(q.push("c"), Err("c"));
-        assert_eq!(q.rejected(), 1);
         assert_eq!(q.len(), 2);
     }
 
     #[test]
-    fn free_slots_and_capacity() {
+    fn capacity_is_fixed() {
         let mut q = UopQueue::new(3);
-        assert_eq!(q.free_slots(), 3);
         q.push(1).unwrap();
-        assert_eq!(q.free_slots(), 2);
         assert_eq!(q.capacity(), 3);
     }
 
@@ -187,16 +165,6 @@ mod tests {
         q.push(9).unwrap();
         assert_eq!(q.front(), Some(&9));
         assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn iter_is_oldest_to_newest() {
-        let mut q = UopQueue::new(4);
-        q.push(1).unwrap();
-        q.push(2).unwrap();
-        q.push(3).unwrap();
-        let v: Vec<_> = q.iter().copied().collect();
-        assert_eq!(v, vec![1, 2, 3]);
     }
 
     #[test]

@@ -82,7 +82,6 @@ pub struct CacheStats {
 /// pointer.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    name: &'static str,
     cfg: CacheConfig,
     /// All lines, flattened: set `s` occupies `lines[s * assoc .. (s + 1) * assoc]`.
     lines: Box<[Line]>,
@@ -103,7 +102,6 @@ impl Cache {
         let num_sets = cfg.num_sets();
         let lines = vec![Line::invalid(); num_sets * cfg.assoc].into_boxed_slice();
         Cache {
-            name,
             cfg,
             lines,
             num_sets,
@@ -124,17 +122,12 @@ impl Cache {
     }
 
     /// The cache's configured geometry.
-    pub fn config(&self) -> &CacheConfig {
+    pub(crate) fn config(&self) -> &CacheConfig {
         &self.cfg
     }
 
-    /// The cache's name (for reports).
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// Accumulated statistics.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.stats
     }
 
@@ -145,7 +138,7 @@ impl Cache {
     }
 
     /// Hit latency in cycles.
-    pub fn latency(&self) -> u64 {
+    pub(crate) fn latency(&self) -> u64 {
         self.cfg.latency
     }
 
@@ -166,7 +159,12 @@ impl Cache {
     /// `is_demand` marks demand accesses (they clear the prefetched bit and
     /// may count a useful prefetch); `mark_dirty` is set for stores.
     /// Returns `None` on a miss.
-    pub fn access(&mut self, addr: u64, is_demand: bool, mark_dirty: bool) -> Option<ProbeResult> {
+    pub(crate) fn access(
+        &mut self,
+        addr: u64,
+        is_demand: bool,
+        mark_dirty: bool,
+    ) -> Option<ProbeResult> {
         self.stats.accesses += 1;
         self.lru_clock += 1;
         let set = self.set_index(addr);
@@ -276,35 +274,18 @@ impl Cache {
         eviction
     }
 
-    /// Invalidates the line containing `addr`, if present. Returns whether a
-    /// line was invalidated.
-    pub fn invalidate(&mut self, addr: u64) -> bool {
-        let set = self.set_index(addr);
-        let tag = self.tag(addr);
-        if let Some(line) = self
-            .set_mut(set)
-            .iter_mut()
-            .find(|l| l.valid && l.tag == tag)
-        {
-            line.valid = false;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Number of valid lines currently resident.
     pub fn resident_lines(&self) -> usize {
         self.lines.iter().filter(|l| l.valid).count()
     }
 
     /// The start address of the cache line containing `addr`.
-    pub fn align(&self, addr: u64) -> u64 {
+    pub(crate) fn align(&self, addr: u64) -> u64 {
         self.line_addr(addr)
     }
 
     /// Byte offset of `addr` within its cache line.
-    pub fn line_offset(&self, addr: u64) -> u64 {
+    pub(crate) fn line_offset(&self, addr: u64) -> u64 {
         addr & (self.cfg.line_bytes as u64 - 1)
     }
 }
@@ -407,15 +388,6 @@ mod tests {
         // ready_at keeps the earlier completion.
         assert_eq!(c.probe(0x000).unwrap().ready_at, 50);
         assert_eq!(c.resident_lines(), 1);
-    }
-
-    #[test]
-    fn invalidate_removes_line() {
-        let mut c = small_cache();
-        c.fill(0x000, 0, HitLevel::L2, false, false);
-        assert!(c.invalidate(0x000));
-        assert!(!c.invalidate(0x000));
-        assert!(c.probe(0x000).is_none());
     }
 
     #[test]

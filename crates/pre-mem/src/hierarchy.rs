@@ -26,13 +26,6 @@ pub enum HitLevel {
     Memory,
 }
 
-impl HitLevel {
-    /// `true` when the access had to go off chip.
-    pub fn is_long_latency(&self) -> bool {
-        matches!(self, HitLevel::Memory)
-    }
-}
-
 /// The intent of a data access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessKind {
@@ -96,10 +89,6 @@ pub struct MemoryHierarchy {
     l2_mshr: MshrFile,
     l3_mshr: MshrFile,
     dram: Dram,
-    prefetches_issued: u64,
-    demand_loads: u64,
-    demand_stores: u64,
-    ifetches: u64,
 }
 
 impl MemoryHierarchy {
@@ -120,10 +109,6 @@ impl MemoryHierarchy {
             l2_mshr: MshrFile::new(cfg.l2.mshrs),
             l3_mshr: MshrFile::new(cfg.l3.mshrs),
             dram: Dram::new(cfg.dram, cfg.core.freq_ghz),
-            prefetches_issued: 0,
-            demand_loads: 0,
-            demand_stores: 0,
-            ifetches: 0,
         }
     }
 
@@ -131,24 +116,19 @@ impl MemoryHierarchy {
     /// runahead prefetches (prefetches set the prefetched bit on the lines
     /// they install).
     pub fn load(&mut self, addr: u64, now: u64, kind: AccessKind) -> MemAccess {
-        match kind {
-            AccessKind::Demand => self.demand_loads += 1,
-            AccessKind::Prefetch => self.prefetches_issued += 1,
-        }
         self.walk(addr, now, EntryPoint::Data, kind, false)
     }
 
     /// Issues a committed store (write-allocate, write-back). The returned
     /// completion is when the line is owned; commit does not wait for it.
     pub fn store(&mut self, addr: u64, now: u64) -> MemAccess {
-        self.demand_stores += 1;
         self.walk(addr, now, EntryPoint::Data, AccessKind::Demand, true)
     }
 
     /// `true` when the byte range `[addr, addr + len)` spans more than one
     /// L1D cache line (line offsets are byte-addressed; naturally aligned
     /// accesses of up to 8 bytes never span a 64-byte line).
-    pub fn spans_data_lines(&self, addr: u64, len: u64) -> bool {
+    pub(crate) fn spans_data_lines(&self, addr: u64, len: u64) -> bool {
         len > 0 && self.l1d.line_offset(addr) + len > self.l1d.config().line_bytes as u64
     }
 
@@ -182,7 +162,6 @@ impl MemoryHierarchy {
 
     /// Issues an instruction fetch for the line containing `addr`.
     pub fn ifetch(&mut self, addr: u64, now: u64) -> MemAccess {
-        self.ifetches += 1;
         self.walk(
             addr,
             now,
@@ -429,11 +408,6 @@ impl MemoryHierarchy {
         self.l1d_mshr.occupancy(now)
     }
 
-    /// Capacity of the L1D MSHR file.
-    pub fn l1d_mshr_capacity(&self) -> usize {
-        self.l1d_mshr.capacity()
-    }
-
     /// Cumulative L2 miss count (for time-series sampling).
     pub fn l2_miss_count(&self) -> u64 {
         self.l2.stats().misses
@@ -442,31 +416,6 @@ impl MemoryHierarchy {
     /// Cumulative L3 miss count (for time-series sampling).
     pub fn l3_miss_count(&self) -> u64 {
         self.l3.stats().misses
-    }
-
-    /// Number of prefetch requests that reached the hierarchy.
-    pub fn prefetches_issued(&self) -> u64 {
-        self.prefetches_issued
-    }
-
-    /// Demand load count.
-    pub fn demand_loads(&self) -> u64 {
-        self.demand_loads
-    }
-
-    /// Committed store count.
-    pub fn demand_stores(&self) -> u64 {
-        self.demand_stores
-    }
-
-    /// Instruction-fetch count.
-    pub fn ifetches(&self) -> u64 {
-        self.ifetches
-    }
-
-    /// The L1 data cache line size in bytes.
-    pub fn line_bytes(&self) -> u64 {
-        self.l1d.config().line_bytes as u64
     }
 }
 
@@ -601,7 +550,6 @@ mod tests {
         assert_eq!(first.level, HitLevel::Memory);
         let second = m.ifetch(0x1000, first.completion_cycle + 1);
         assert_eq!(second.level, HitLevel::L1);
-        assert_eq!(m.ifetches(), 2);
     }
 
     #[test]
@@ -611,7 +559,6 @@ mod tests {
         assert_eq!(st.level, HitLevel::Memory);
         let ld = m.load(0x30_000, st.completion_cycle + 1, AccessKind::Demand);
         assert_eq!(ld.level, HitLevel::L1);
-        assert_eq!(m.demand_stores(), 1);
     }
 
     #[test]

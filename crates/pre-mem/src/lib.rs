@@ -28,12 +28,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod cache;
-pub mod dram;
-pub mod hierarchy;
-pub mod mshr;
+mod cache;
+mod dram;
+mod hierarchy;
+mod mshr;
 
-pub use cache::{Cache, CacheStats, Eviction};
+pub use cache::{Cache, CacheStats, Eviction, ProbeResult};
 pub use dram::{Dram, DramStats};
 pub use hierarchy::{AccessKind, HitLevel, MemAccess, MemoryHierarchy};
 pub use mshr::MshrFile;

@@ -1,8 +1,9 @@
 //! Miss-status holding registers (MSHRs).
 //!
 //! Each cache level owns an MSHR file that tracks outstanding fills.
-//! Secondary misses to the same line merge with the primary miss and
-//! complete at the same cycle; when the file is full, new misses are delayed
+//! Secondary misses to the same line never reach the file: the primary miss
+//! installs the line with its fill cycle (`ready_at`), so later accesses hit
+//! it and complete at that cycle. When the file is full, new misses are delayed
 //! until the earliest outstanding fill completes. The MSHR capacity is what
 //! bounds the memory-level parallelism a core (or runahead mode) can expose.
 
@@ -12,12 +13,6 @@ pub struct MshrFile {
     capacity: usize,
     /// `(line address, completion cycle)` for each outstanding fill.
     entries: Vec<(u64, u64)>,
-    /// Peak simultaneous occupancy observed (for reporting).
-    peak_occupancy: usize,
-    /// Number of requests that found the file full and were delayed.
-    full_delays: u64,
-    /// Number of secondary misses merged into an existing entry.
-    merges: u64,
 }
 
 impl MshrFile {
@@ -31,30 +26,12 @@ impl MshrFile {
         MshrFile {
             capacity,
             entries: Vec::with_capacity(capacity),
-            peak_occupancy: 0,
-            full_delays: 0,
-            merges: 0,
         }
     }
 
     /// Removes entries whose fills completed at or before `now`.
-    pub fn expire(&mut self, now: u64) {
+    pub(crate) fn expire(&mut self, now: u64) {
         self.entries.retain(|&(_, done)| done > now);
-    }
-
-    /// Returns the completion cycle of an outstanding fill for `line_addr`,
-    /// if one exists, and counts a merge.
-    pub fn merge(&mut self, line_addr: u64, now: u64) -> Option<u64> {
-        self.expire(now);
-        let hit = self
-            .entries
-            .iter()
-            .find(|&&(line, _)| line == line_addr)
-            .map(|&(_, done)| done);
-        if hit.is_some() {
-            self.merges += 1;
-        }
-        hit
     }
 
     /// `true` if no free entry is available at `now`.
@@ -70,7 +47,6 @@ impl MshrFile {
         if self.entries.len() < self.capacity {
             now
         } else {
-            self.full_delays += 1;
             self.entries
                 .iter()
                 .map(|&(_, done)| done)
@@ -94,28 +70,12 @@ impl MshrFile {
             "MSHR allocate on a full file"
         );
         self.entries.push((line_addr, completes));
-        self.peak_occupancy = self.peak_occupancy.max(self.entries.len());
     }
 
     /// Current number of outstanding fills (after expiring completed ones).
     pub fn occupancy(&mut self, now: u64) -> usize {
         self.expire(now);
         self.entries.len()
-    }
-
-    /// Highest simultaneous occupancy seen so far.
-    pub fn peak_occupancy(&self) -> usize {
-        self.peak_occupancy
-    }
-
-    /// Number of requests delayed because the file was full.
-    pub fn full_delays(&self) -> u64 {
-        self.full_delays
-    }
-
-    /// Number of secondary misses merged.
-    pub fn merges(&self) -> u64 {
-        self.merges
     }
 
     /// Configured capacity.
@@ -129,21 +89,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn merge_returns_outstanding_completion() {
-        let mut m = MshrFile::new(4);
-        m.allocate(0x100, 0, 200);
-        assert_eq!(m.merge(0x100, 10), Some(200));
-        assert_eq!(m.merge(0x140, 10), None);
-        assert_eq!(m.merges(), 1);
-    }
-
-    #[test]
     fn entries_expire_after_completion() {
         let mut m = MshrFile::new(2);
         m.allocate(0x100, 0, 50);
         assert_eq!(m.occupancy(10), 1);
         assert_eq!(m.occupancy(50), 0);
-        assert_eq!(m.merge(0x100, 60), None);
     }
 
     #[test]
@@ -155,18 +105,6 @@ mod tests {
         assert_eq!(m.next_free_cycle(10), 80);
         assert!(!m.is_full(90));
         assert_eq!(m.next_free_cycle(90), 90);
-        assert_eq!(m.full_delays(), 1);
-    }
-
-    #[test]
-    fn peak_occupancy_tracks_maximum() {
-        let mut m = MshrFile::new(8);
-        for i in 0..5u64 {
-            m.allocate(i * 64, 0, 100 + i);
-        }
-        assert_eq!(m.peak_occupancy(), 5);
-        assert_eq!(m.occupancy(200), 0);
-        assert_eq!(m.peak_occupancy(), 5);
     }
 
     #[test]

@@ -188,7 +188,7 @@ pub struct CacheConfig {
 
 impl CacheConfig {
     /// Convenience constructor from a size in kilobytes.
-    pub fn kb(size_kb: usize, assoc: usize, latency: u64, mshrs: usize) -> Self {
+    pub(crate) fn kb(size_kb: usize, assoc: usize, latency: u64, mshrs: usize) -> Self {
         CacheConfig {
             size_bytes: size_kb * 1024,
             assoc,
@@ -243,8 +243,6 @@ pub struct DramConfig {
     pub banks: usize,
     /// DRAM page (row-buffer) size in bytes (4 KB).
     pub page_bytes: usize,
-    /// Data-bus width in bytes (8 = 64 bits).
-    pub bus_bytes: usize,
     /// CAS latency in memory-bus cycles (11).
     pub t_cl: u64,
     /// RAS-to-CAS delay in memory-bus cycles (11).
@@ -268,7 +266,6 @@ impl Default for DramConfig {
             ranks: 4,
             banks: 32,
             page_bytes: 4096,
-            bus_bytes: 8,
             t_cl: 11,
             t_rcd: 11,
             t_rp: 11,
@@ -488,113 +485,6 @@ impl SimConfig {
     }
 }
 
-/// Builder for [`SimConfig`] exposing the parameters that the paper's
-/// experiments sweep.
-///
-/// # Example
-///
-/// ```
-/// use pre_model::config::SimConfigBuilder;
-///
-/// let cfg = SimConfigBuilder::haswell_like()
-///     .sst_entries(128)
-///     .emq_entries(384)
-///     .rob_entries(192)
-///     .build()
-///     .expect("valid configuration");
-/// assert_eq!(cfg.runahead.sst_entries, 128);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SimConfigBuilder {
-    cfg: SimConfig,
-}
-
-impl SimConfigBuilder {
-    /// Starts from the paper's Table 1 baseline.
-    pub fn haswell_like() -> Self {
-        SimConfigBuilder {
-            cfg: SimConfig::haswell_like(),
-        }
-    }
-
-    /// Starts from the scaled-down test configuration.
-    pub fn small_for_tests() -> Self {
-        SimConfigBuilder {
-            cfg: SimConfig::small_for_tests(),
-        }
-    }
-
-    /// Sets the ROB capacity.
-    pub fn rob_entries(mut self, n: usize) -> Self {
-        self.cfg.core.rob_entries = n;
-        self
-    }
-
-    /// Sets the issue-queue capacity.
-    pub fn iq_entries(mut self, n: usize) -> Self {
-        self.cfg.core.iq_entries = n;
-        self
-    }
-
-    /// Sets the SST capacity.
-    pub fn sst_entries(mut self, n: usize) -> Self {
-        self.cfg.runahead.sst_entries = n;
-        self
-    }
-
-    /// Sets the PRDQ capacity.
-    pub fn prdq_entries(mut self, n: usize) -> Self {
-        self.cfg.runahead.prdq_entries = n;
-        self
-    }
-
-    /// Sets the EMQ capacity.
-    pub fn emq_entries(mut self, n: usize) -> Self {
-        self.cfg.runahead.emq_entries = n;
-        self
-    }
-
-    /// Sets the L3 capacity in kilobytes (associativity and latency keep
-    /// their current values).
-    pub fn l3_kb(mut self, kb: usize) -> Self {
-        self.cfg.l3.size_bytes = kb * 1024;
-        self
-    }
-
-    /// Sets the minimum expected runahead interval under which traditional
-    /// runahead refuses to enter runahead mode.
-    pub fn min_expected_runahead_cycles(mut self, cycles: u64) -> Self {
-        self.cfg.runahead.min_expected_runahead_cycles = cycles;
-        self
-    }
-
-    /// Sets PRE's free-register entry gates: runahead mode is only entered
-    /// when at least this many integer / floating-point registers are free
-    /// (or can be released by the eager PRDQ drain). Zero disables a gate.
-    pub fn min_free_regs(mut self, int_regs: usize, fp_regs: usize) -> Self {
-        self.cfg.runahead.min_free_int_regs = int_regs;
-        self.cfg.runahead.min_free_fp_regs = fp_regs;
-        self
-    }
-
-    /// Applies an arbitrary closure to the configuration under construction.
-    pub fn tweak(mut self, f: impl FnOnce(&mut SimConfig)) -> Self {
-        f(&mut self.cfg);
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] if the assembled configuration is
-    /// inconsistent (see [`SimConfig::validate`]).
-    pub fn build(self) -> Result<SimConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -632,12 +522,22 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_zero_rob() {
+    fn validate_rejects_zero_capacities() {
         let mut cfg = SimConfig::haswell_like();
         cfg.core.rob_entries = 0;
         assert!(matches!(
             cfg.validate(),
-            Err(ConfigError::ZeroCapacity { .. })
+            Err(ConfigError::ZeroCapacity {
+                field: "rob_entries"
+            })
+        ));
+        let mut cfg = SimConfig::haswell_like();
+        cfg.runahead.sst_entries = 0;
+        assert!(matches!(
+            cfg.validate(),
+            Err(ConfigError::ZeroCapacity {
+                field: "sst_entries"
+            })
         ));
     }
 
@@ -659,37 +559,13 @@ mod tests {
     }
 
     #[test]
-    fn builder_overrides_fields() {
-        let cfg = SimConfigBuilder::haswell_like()
-            .sst_entries(64)
-            .emq_entries(192)
-            .rob_entries(256)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.runahead.sst_entries, 64);
-        assert_eq!(cfg.runahead.emq_entries, 192);
-        assert_eq!(cfg.core.rob_entries, 256);
-    }
-
-    #[test]
-    fn free_reg_gates_default_off_and_are_buildable() {
-        let cfg = SimConfig::haswell_like();
+    fn free_reg_gates_default_off_and_validate() {
+        let mut cfg = SimConfig::haswell_like();
         assert_eq!(cfg.runahead.min_free_int_regs, 0);
         assert_eq!(cfg.runahead.min_free_fp_regs, 0);
-        let gated = SimConfigBuilder::haswell_like()
-            .min_free_regs(4, 2)
-            .build()
-            .unwrap();
-        assert_eq!(gated.runahead.min_free_int_regs, 4);
-        assert_eq!(gated.runahead.min_free_fp_regs, 2);
-    }
-
-    #[test]
-    fn builder_propagates_validation_errors() {
-        assert!(SimConfigBuilder::haswell_like()
-            .rob_entries(0)
-            .build()
-            .is_err());
+        cfg.runahead.min_free_int_regs = 4;
+        cfg.runahead.min_free_fp_regs = 2;
+        cfg.validate().unwrap();
     }
 
     #[test]

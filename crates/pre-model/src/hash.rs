@@ -51,7 +51,7 @@ impl StableHasher {
     }
 
     /// Feeds raw bytes.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
+    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.state ^= u64::from(b);
             self.state = self.state.wrapping_mul(FNV_PRIME);

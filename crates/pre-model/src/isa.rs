@@ -85,7 +85,7 @@ impl MemWidth {
     /// the effective address of a width-`N` access has its low `log2(N)`
     /// bits cleared, which for `D` reproduces the historical 8-byte-word
     /// aliasing exactly).
-    pub const fn align(self, addr: u64) -> u64 {
+    pub(crate) const fn align(self, addr: u64) -> u64 {
         addr & !(self.bytes() - 1)
     }
 }
@@ -344,7 +344,7 @@ impl Opcode {
     }
 
     /// `true` for any memory operation.
-    pub fn is_mem(&self) -> bool {
+    pub(crate) fn is_mem(&self) -> bool {
         self.is_load() || self.is_store()
     }
 
@@ -494,18 +494,6 @@ impl StaticInst {
     pub fn fp_mul(dest: ArchReg, src1: ArchReg, src2: ArchReg) -> Self {
         StaticInst {
             opcode: Opcode::FpMul,
-            dest: Some(dest),
-            src1: Some(src1),
-            src2: Some(src2),
-            imm: 0,
-            target: 0,
-        }
-    }
-
-    /// Floating-point divide: `dest = src1 / src2`.
-    pub fn fp_div(dest: ArchReg, src1: ArchReg, src2: ArchReg) -> Self {
-        StaticInst {
-            opcode: Opcode::FpDiv,
             dest: Some(dest),
             src1: Some(src1),
             src2: Some(src2),
@@ -965,7 +953,14 @@ mod tests {
 
     #[test]
     fn fp_div_by_zero_saturates() {
-        let d = StaticInst::fp_div(ArchReg::fp(0), ArchReg::fp(1), ArchReg::fp(2));
+        let d = StaticInst {
+            opcode: Opcode::FpDiv,
+            dest: Some(ArchReg::fp(0)),
+            src1: Some(ArchReg::fp(1)),
+            src2: Some(ArchReg::fp(2)),
+            imm: 0,
+            target: 0,
+        };
         let out = d.execute(0, 10, 0, None);
         assert_eq!(out.result, Some(u64::MAX));
     }

@@ -1,5 +1,5 @@
 //! The workspace's one JSON serializer: a [`Value`] tree, one writer
-//! ([`write`]) and a reader for the full JSON grammar ([`parse`]).
+//! ([`write()`]) and a reader for the full JSON grammar ([`parse`]).
 //!
 //! There is one layout: the members of the top-level container, and the
 //! elements of arrays directly inside it, go one per line with a two-space

@@ -321,7 +321,7 @@ impl FuncMem {
     /// this path is hot. The result is bit-identical to the store loop:
     /// same payload, same written-bitmap, same written-byte count, same
     /// page-arena order (first touch).
-    pub fn init_from<I: IntoIterator<Item = (u64, u64)>>(&mut self, pairs: I) {
+    pub(crate) fn init_from<I: IntoIterator<Item = (u64, u64)>>(&mut self, pairs: I) {
         const WORDS_PER_PAGE: usize = (PAGE_BYTES / 8) as usize;
         let mut iter = pairs.into_iter().peekable();
         let mut run: Vec<u64> = Vec::with_capacity(WORDS_PER_PAGE);
@@ -373,7 +373,7 @@ impl FuncMem {
 
     /// Bulk-initializes memory from `(address, byte)` pairs (assembler
     /// `.byte`/`.half` images).
-    pub fn init_bytes_from<I: IntoIterator<Item = (u64, u8)>>(&mut self, pairs: I) {
+    pub(crate) fn init_bytes_from<I: IntoIterator<Item = (u64, u8)>>(&mut self, pairs: I) {
         for (addr, value) in pairs {
             self.store_bytes(addr, 1, u64::from(value));
         }
@@ -384,7 +384,7 @@ impl FuncMem {
     /// snapshot serializer's view of the image: the payload already carries
     /// the deterministic hash-init values for unwritten bytes, so a page
     /// dump reproduces the image exactly.
-    pub fn page_images(&self) -> impl Iterator<Item = (u64, &[u8], &[u64])> {
+    pub(crate) fn page_images(&self) -> impl Iterator<Item = (u64, &[u8], &[u64])> {
         let mut numbered: Vec<(u64, u32)> = self.page_index.iter().map(|(&p, &i)| (p, i)).collect();
         numbered.sort_unstable_by_key(|&(p, _)| p);
         numbered.into_iter().map(|(page_no, idx)| {
@@ -403,7 +403,7 @@ impl FuncMem {
     ///
     /// Panics when `data` is not [`FuncMem::PAGE_BYTES`] long or `written`
     /// does not cover one bit per byte.
-    pub fn install_page(&mut self, page_no: u64, data: &[u8], written: &[u64]) {
+    pub(crate) fn install_page(&mut self, page_no: u64, data: &[u8], written: &[u64]) {
         assert_eq!(data.len(), PAGE_BYTES as usize, "page payload size");
         assert_eq!(written.len(), BITMAP_WORDS, "written-bitmap size");
         let mut page = Page {
@@ -429,7 +429,7 @@ impl FuncMem {
 
     /// Bytes per page, the granularity of [`FuncMem::page_images`] /
     /// [`FuncMem::install_page`].
-    pub const PAGE_BYTES: usize = PAGE_BYTES as usize;
+    pub(crate) const PAGE_BYTES: usize = PAGE_BYTES as usize;
 }
 
 #[cfg(test)]

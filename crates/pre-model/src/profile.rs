@@ -12,15 +12,16 @@
 //! This module provides the first two stages — [`profile_intervals`] runs
 //! the functional [`Interpreter`] and collects one [`Bbv`] per interval, and
 //! [`cluster_intervals`] is a fully deterministic in-tree k-means (random
-//! projection to [`PROJECTION_DIMS`] dimensions with per-span signs derived
+//! projection to `PROJECTION_DIMS` (32) dimensions with per-span signs derived
 //! from [`StableHasher`], centroid seeding via [`SmallRng`], fixed iteration
 //! cap). Everything is serial and free of ambient randomness, so the same
 //! program always yields byte-identical BBVs and identical cluster
 //! assignments, independent of thread count or host.
 //!
 //! The simulation and extrapolation stages live in `pre-sim::sample`, which
-//! forks each representative from a windowed [`SimSnapshot`] (see
-//! [`SimSnapshot::capture_windowed`](crate::snapshot::SimSnapshot::capture_windowed)).
+//! forks each representative from a windowed
+//! [`SimSnapshot`](crate::SimSnapshot) (see
+//! [`SimSnapshot::capture_windowed`](crate::SimSnapshot::capture_windowed)).
 
 use crate::hash::StableHasher;
 use crate::program::{Interpreter, Program};
@@ -32,7 +33,7 @@ use std::fmt::Write as _;
 /// projects its (huge, sparse) BBVs down to a small dense vector; 32
 /// dimensions keeps distances meaningful for the span counts seen here while
 /// making the clustering itself trivially cheap.
-pub const PROJECTION_DIMS: usize = 32;
+pub(crate) const PROJECTION_DIMS: usize = 32;
 
 /// Iteration cap for the k-means loop. Lloyd's algorithm on a few hundred
 /// 32-dimensional points converges in a handful of iterations; the cap only
@@ -57,23 +58,13 @@ pub struct Bbv {
 
 impl Bbv {
     /// Creates an empty vector.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Bbv::default()
     }
 
     /// Adds `uops` executed micro-ops to the span `[start, end]`.
-    pub fn record_span(&mut self, start: u32, end: u32, uops: u64) {
+    pub(crate) fn record_span(&mut self, start: u32, end: u32, uops: u64) {
         *self.counts.entry((start, end)).or_insert(0) += uops;
-    }
-
-    /// Total micro-ops accumulated over all spans.
-    pub fn total_uops(&self) -> u64 {
-        self.counts.values().sum()
-    }
-
-    /// Number of distinct spans.
-    pub fn num_spans(&self) -> usize {
-        self.counts.len()
     }
 
     /// Canonical text rendering (`span <start> <end> <count>` lines in key
@@ -92,7 +83,7 @@ impl Bbv {
     /// span key contributes its count along a ±1 direction derived from a
     /// [`StableHasher`]-seeded [`SmallRng`], so the projection of a given
     /// span is identical in every interval, every run and every process.
-    pub fn project(&self) -> [f64; PROJECTION_DIMS] {
+    pub(crate) fn project(&self) -> [f64; PROJECTION_DIMS] {
         let mut v = [0f64; PROJECTION_DIMS];
         for (&(start, end), &count) in &self.counts {
             let mut h = StableHasher::new();
@@ -250,13 +241,6 @@ pub struct Clustering {
     /// One representative per cluster, sorted by interval index. The
     /// weights sum to the number of intervals.
     pub representatives: Vec<Representative>,
-}
-
-impl Clustering {
-    /// Number of clusters (= number of representatives).
-    pub fn num_clusters(&self) -> usize {
-        self.representatives.len()
-    }
 }
 
 /// Clusters the profiled intervals into at most `k` groups with a
@@ -445,7 +429,7 @@ mod tests {
             profile
                 .intervals
                 .iter()
-                .map(|iv| iv.bbv.total_uops())
+                .map(|iv| iv.bbv.counts.values().sum::<u64>())
                 .sum::<u64>(),
             "BBV span counts account for every profiled uop"
         );
@@ -480,7 +464,7 @@ mod tests {
         for (x, y) in a.intervals.iter().zip(b.intervals.iter()) {
             assert_eq!(x.bbv.to_text(), y.bbv.to_text());
         }
-        assert!(a.intervals[0].bbv.num_spans() > 0);
+        assert!(!a.intervals[0].bbv.counts.is_empty());
     }
 
     #[test]
@@ -566,7 +550,7 @@ mod tests {
         let profile = profile_intervals(&program, 64, 100_000, 0);
         let clustering = cluster_intervals(&profile, 64, 3);
         assert_eq!(
-            clustering.num_clusters(),
+            clustering.representatives.len(),
             profile.intervals.len(),
             "with k ≥ n every interval is its own cluster"
         );
@@ -576,6 +560,6 @@ mod tests {
             intervals: Vec::new(),
             halted: true,
         };
-        assert_eq!(cluster_intervals(&empty, 4, 0).num_clusters(), 0);
+        assert_eq!(cluster_intervals(&empty, 4, 0).representatives.len(), 0);
     }
 }

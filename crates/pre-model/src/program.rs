@@ -88,7 +88,7 @@ impl Program {
     }
 
     /// The instruction at `pc`, or `None` when `pc` is outside the program.
-    pub fn inst_at(&self, pc: u32) -> Option<&StaticInst> {
+    pub(crate) fn inst_at(&self, pc: u32) -> Option<&StaticInst> {
         self.insts.get(pc as usize)
     }
 
@@ -161,15 +161,6 @@ impl Program {
             }
         }
         Ok(())
-    }
-
-    /// Fraction of static instructions that are loads.
-    pub fn static_load_fraction(&self) -> f64 {
-        if self.insts.is_empty() {
-            return 0.0;
-        }
-        let loads = self.insts.iter().filter(|i| i.opcode.is_load()).count();
-        loads as f64 / self.insts.len() as f64
     }
 
     /// Stable content hash of the whole program: instructions, entry point,
@@ -349,7 +340,7 @@ impl Interpreter {
     /// into `trace`. This is the single execution path — [`Interpreter::step`]
     /// is this with no trace — so traced warm-up and untraced golden runs
     /// cannot diverge.
-    pub fn step_traced(&mut self, trace: Option<&mut WarmTrace>) -> bool {
+    pub(crate) fn step_traced(&mut self, trace: Option<&mut WarmTrace>) -> bool {
         if self.halted {
             return false;
         }
@@ -543,12 +534,6 @@ mod tests {
         let c1 = fold_store_checksum(fold_store_checksum(0, 0x10, 1, 1), 0x20, 2, 2);
         let c2 = fold_store_checksum(fold_store_checksum(0, 0x20, 2, 1), 0x10, 1, 2);
         assert_ne!(c1, c2);
-    }
-
-    #[test]
-    fn static_load_fraction_counts_loads() {
-        let p = sum_loop();
-        assert!((p.static_load_fraction() - 0.1).abs() < 1e-9);
     }
 
     #[test]

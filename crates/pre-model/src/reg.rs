@@ -27,11 +27,6 @@ pub enum RegClass {
     Fp,
 }
 
-impl RegClass {
-    /// Both register classes, in a fixed order.
-    pub const ALL: [RegClass; 2] = [RegClass::Int, RegClass::Fp];
-}
-
 impl fmt::Display for RegClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -98,11 +93,6 @@ impl ArchReg {
         self.class
     }
 
-    /// The index of this register within its class.
-    pub fn index(&self) -> u8 {
-        self.index
-    }
-
     /// A flat index in `0..NUM_ARCH_REGS`, suitable for indexing the RAT.
     ///
     /// Integer registers occupy `0..32`, floating-point registers `32..64`.
@@ -128,11 +118,6 @@ impl ArchReg {
         } else {
             ArchReg::fp((flat - NUM_INT_ARCH_REGS) as u8)
         }
-    }
-
-    /// Iterates over every architectural register (integer first, then fp).
-    pub fn all() -> impl Iterator<Item = ArchReg> {
-        (0..NUM_ARCH_REGS).map(ArchReg::from_flat_index)
     }
 }
 
@@ -200,13 +185,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn flat_index_out_of_range_panics() {
         let _ = ArchReg::from_flat_index(NUM_ARCH_REGS);
-    }
-
-    #[test]
-    fn all_enumerates_every_register_once() {
-        let regs: Vec<_> = ArchReg::all().collect();
-        assert_eq!(regs.len(), NUM_ARCH_REGS);
-        let ints = regs.iter().filter(|r| r.class() == RegClass::Int).count();
-        assert_eq!(ints, NUM_INT_ARCH_REGS);
     }
 }

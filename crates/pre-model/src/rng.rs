@@ -84,7 +84,7 @@ impl SmallRng {
     }
 
     /// A uniform `usize` in the inclusive `range`.
-    pub fn gen_range_inclusive(&mut self, range: RangeInclusive<usize>) -> usize {
+    pub(crate) fn gen_range_inclusive(&mut self, range: RangeInclusive<usize>) -> usize {
         let (lo, hi) = (*range.start(), *range.end());
         assert!(lo <= hi, "empty inclusive range");
         lo + self.gen_below((hi - lo) as u64 + 1) as usize

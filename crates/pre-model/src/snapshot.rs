@@ -4,7 +4,7 @@
 //! and nothing tied to one particular core configuration:
 //!
 //! * the architectural registers and next PC after executing N micro-ops on
-//!   the in-order [`Interpreter`](crate::program::Interpreter);
+//!   the in-order [`Interpreter`];
 //! * the byte-granular [`FuncMem`] image at that point;
 //! * a [`WarmTrace`] — the program-order stream of instruction-fetch, load
 //!   and store line touches plus the conditional-branch outcomes — from

@@ -45,7 +45,7 @@ impl Histogram {
     }
 
     /// Default histogram for runahead-interval lengths (cycles).
-    pub fn runahead_intervals() -> Self {
+    pub(crate) fn runahead_intervals() -> Self {
         Histogram::new(&[10, 20, 50, 100, 200, 500, 1000])
     }
 
@@ -114,7 +114,7 @@ impl Histogram {
     /// the non-empty side's bounds are adopted; merging two non-empty
     /// histograms with different bounds keeps `self`'s bounds and folds
     /// `other`'s samples through its aggregate counters only.
-    pub fn merge_scaled(&mut self, other: &Histogram, weight: u64) {
+    pub(crate) fn merge_scaled(&mut self, other: &Histogram, weight: u64) {
         if self.total == 0 && self.bounds != other.bounds {
             self.bounds = other.bounds.clone();
             self.counts = vec![0; other.counts.len()];
@@ -146,12 +146,12 @@ pub struct PercentHistogram(Histogram);
 
 impl PercentHistogram {
     /// Creates an empty percentage histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PercentHistogram(Histogram::new(&[1, 5, 10, 25, 50, 75, 90]))
     }
 
     /// Records one sample, clamped to 0–100.
-    pub fn record(&mut self, percent: u64) {
+    pub(crate) fn record(&mut self, percent: u64) {
         self.0.record(percent.min(100));
     }
 
@@ -183,7 +183,7 @@ impl PercentHistogram {
 
     /// Folds `weight` copies of `other` into this histogram (see
     /// [`Histogram::merge_scaled`]).
-    pub fn merge_scaled(&mut self, other: &PercentHistogram, weight: u64) {
+    pub(crate) fn merge_scaled(&mut self, other: &PercentHistogram, weight: u64) {
         self.0.merge_scaled(&other.0, weight);
     }
 }
@@ -253,7 +253,7 @@ impl TerminationKind {
     }
 
     /// Parses a name written by [`TerminationKind::as_str`].
-    pub fn parse(text: &str) -> Result<TerminationKind, String> {
+    pub(crate) fn parse(text: &str) -> Result<TerminationKind, String> {
         match text {
             "completed" => Ok(TerminationKind::Completed),
             "max-cycles" => Ok(TerminationKind::MaxCycles),
@@ -264,7 +264,7 @@ impl TerminationKind {
 
     /// The more severe of two termination kinds (`Completed` < `MaxCycles` <
     /// `Watchdog`); used when combining sampled slices into one result.
-    pub fn worst(self, other: TerminationKind) -> TerminationKind {
+    pub(crate) fn worst(self, other: TerminationKind) -> TerminationKind {
         fn rank(k: TerminationKind) -> u8 {
             match k {
                 TerminationKind::Completed => 0,
@@ -354,7 +354,7 @@ impl RunningAverage {
 
     /// Folds `weight` copies of `other` into this average (the mean of the
     /// merged average is the weighted mean of the two inputs).
-    pub fn merge_scaled(&mut self, other: &RunningAverage, weight: u64) {
+    pub(crate) fn merge_scaled(&mut self, other: &RunningAverage, weight: u64) {
         self.sum += other.sum * weight as f64;
         self.samples = self
             .samples
@@ -581,7 +581,7 @@ impl SimStats {
     }
 
     /// L1D misses per kilo committed instructions.
-    pub fn l1d_mpki(&self) -> f64 {
+    pub(crate) fn l1d_mpki(&self) -> f64 {
         if self.committed_uops == 0 {
             0.0
         } else {
@@ -590,7 +590,7 @@ impl SimStats {
     }
 
     /// Conditional-branch misprediction rate.
-    pub fn branch_mpki(&self) -> f64 {
+    pub(crate) fn branch_mpki(&self) -> f64 {
         if self.committed_uops == 0 {
             0.0
         } else {
@@ -599,20 +599,11 @@ impl SimStats {
     }
 
     /// Fraction of cycles spent in full-window stalls.
-    pub fn stall_fraction(&self) -> f64 {
+    pub(crate) fn stall_fraction(&self) -> f64 {
         if self.cycles == 0 {
             0.0
         } else {
             self.full_window_stall_cycles as f64 / self.cycles as f64
-        }
-    }
-
-    /// Fraction of cycles spent in runahead mode.
-    pub fn runahead_fraction(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.runahead_cycles as f64 / self.cycles as f64
         }
     }
 
@@ -626,17 +617,12 @@ impl SimStats {
     }
 
     /// Useful-prefetch fraction of issued runahead prefetches.
-    pub fn prefetch_accuracy(&self) -> f64 {
+    pub(crate) fn prefetch_accuracy(&self) -> f64 {
         if self.runahead_prefetches_issued == 0 {
             0.0
         } else {
             self.runahead_prefetches_useful as f64 / self.runahead_prefetches_issued as f64
         }
-    }
-
-    /// Average runahead-interval length in cycles.
-    pub fn mean_runahead_interval(&self) -> f64 {
-        self.runahead_interval_hist.mean()
     }
 
     /// Normal-mode cycles the core actually ticked one by one (total
@@ -1037,7 +1023,6 @@ mod tests {
         s.l1d_misses = 100;
         s.mispredicted_branches = 4;
         s.full_window_stall_cycles = 250;
-        s.runahead_cycles = 100;
         s.sst_lookups = 10;
         s.sst_hits = 9;
         s.runahead_prefetches_issued = 50;
@@ -1047,7 +1032,6 @@ mod tests {
         assert!((s.l1d_mpki() - 50.0).abs() < 1e-12);
         assert!((s.branch_mpki() - 2.0).abs() < 1e-12);
         assert!((s.stall_fraction() - 0.25).abs() < 1e-12);
-        assert!((s.runahead_fraction() - 0.1).abs() < 1e-12);
         assert!((s.sst_hit_rate() - 0.9).abs() < 1e-12);
         assert!((s.prefetch_accuracy() - 0.8).abs() < 1e-12);
     }
@@ -1135,7 +1119,10 @@ mod tests {
         assert_eq!(back.to_kv(), kv);
         assert_eq!(back.ff_cycles.normal, s.ff_cycles.normal);
         assert_eq!(back.ff_cycles.runahead, s.ff_cycles.runahead);
-        assert_eq!(back.mean_runahead_interval(), s.mean_runahead_interval());
+        assert_eq!(
+            back.runahead_interval_hist.mean(),
+            s.runahead_interval_hist.mean()
+        );
         assert_eq!(back.iq_free_at_entry.mean(), s.iq_free_at_entry.mean());
     }
 

@@ -35,7 +35,7 @@ use std::sync::{Mutex, PoisonError};
 
 /// Environment variable overriding the worker count (`0` or unset = one
 /// worker per available core).
-pub const THREADS_ENV: &str = "PRE_THREADS";
+pub(crate) const THREADS_ENV: &str = "PRE_THREADS";
 
 /// Number of worker threads [`par_map`] will use for a workload of `len`
 /// items: `min(len, PRE_THREADS or available cores)`, and at least 1.

@@ -20,9 +20,6 @@ use pre_frontend::uop_queue::UopQueue;
 #[derive(Debug, Clone)]
 pub struct ExtendedMicroOpQueue<T> {
     queue: UopQueue<T>,
-    /// Number of micro-ops that could not be captured because the queue was
-    /// full (runahead stalled from that point on).
-    overflowed: u64,
 }
 
 impl<T> ExtendedMicroOpQueue<T> {
@@ -34,20 +31,13 @@ impl<T> ExtendedMicroOpQueue<T> {
     pub fn new(capacity: usize) -> Self {
         ExtendedMicroOpQueue {
             queue: UopQueue::new(capacity),
-            overflowed: 0,
         }
     }
 
     /// Buffers a micro-op decoded in runahead mode. Returns the micro-op back
     /// when the queue is full — the caller must stall runahead execution.
     pub fn capture(&mut self, uop: T) -> Result<(), T> {
-        match self.queue.push(uop) {
-            Ok(()) => Ok(()),
-            Err(uop) => {
-                self.overflowed += 1;
-                Err(uop)
-            }
-        }
+        self.queue.push(uop)
     }
 
     /// Pops the oldest buffered micro-op for dispatch after runahead exit.
@@ -91,21 +81,10 @@ impl<T> ExtendedMicroOpQueue<T> {
         self.queue.pops()
     }
 
-    /// Number of capture attempts rejected because the queue was full.
-    pub fn overflowed(&self) -> u64 {
-        self.overflowed
-    }
-
     /// Discards all buffered micro-ops (used when runahead is aborted, e.g.
     /// on a normal-mode branch misprediction).
     pub fn clear(&mut self) {
         self.queue.clear();
-    }
-
-    /// Storage cost in bytes, assuming 4 bytes per buffered micro-op as in
-    /// Section 3.6 (768 entries ≈ 3 KB).
-    pub fn storage_bytes(&self) -> usize {
-        self.capacity() * 4
     }
 }
 
@@ -124,13 +103,12 @@ mod tests {
     }
 
     #[test]
-    fn full_queue_rejects_and_counts_overflow() {
+    fn full_queue_rejects_capture() {
         let mut emq = ExtendedMicroOpQueue::new(2);
         emq.capture(1).unwrap();
         emq.capture(2).unwrap();
         assert!(emq.is_full());
         assert_eq!(emq.capture(3), Err(3));
-        assert_eq!(emq.overflowed(), 1);
     }
 
     #[test]
@@ -152,11 +130,5 @@ mod tests {
         emq.clear();
         assert!(emq.is_empty());
         assert_eq!(emq.peek(), None);
-    }
-
-    #[test]
-    fn storage_matches_paper() {
-        let emq: ExtendedMicroOpQueue<u32> = ExtendedMicroOpQueue::new(768);
-        assert_eq!(emq.storage_bytes(), 3072);
     }
 }

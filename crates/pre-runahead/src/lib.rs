@@ -18,10 +18,11 @@
 //! * [`emq::ExtendedMicroOpQueue`] — the EMQ, an optional buffer holding all
 //!   micro-ops decoded in runahead mode so they can be dispatched after exit
 //!   without re-fetching them (Section 3.3).
-//! * [`runahead_buffer`] — the prior-work *runahead buffer* (Hashemi et al.,
-//!   MICRO 2015): backward data-flow chain extraction from the ROB and the
-//!   chain-replay engine that loops the extracted slice during runahead mode.
-//! * [`policy`] — entry policies: the Mutlu-style short-interval / overlap
+//! * [`RunaheadBuffer`] and [`ChainReplayEngine`] — the prior-work *runahead
+//!   buffer* (Hashemi et al., MICRO 2015): backward data-flow chain
+//!   extraction from the ROB and the chain-replay engine that loops the
+//!   extracted slice during runahead mode.
+//! * [`EntryPolicy`] — entry policies: the Mutlu-style short-interval / overlap
 //!   avoidance used by traditional runahead and the runahead buffer, versus
 //!   PRE's unconditional entry.
 //! * [`technique::Technique`] — the five machine configurations evaluated in
@@ -34,16 +35,16 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod emq;
-pub mod policy;
-pub mod prdq;
-pub mod runahead_buffer;
-pub mod sst;
-pub mod technique;
+mod emq;
+mod policy;
+mod prdq;
+mod runahead_buffer;
+mod sst;
+mod technique;
 
 pub use emq::ExtendedMicroOpQueue;
 pub use policy::{EntryDecision, EntryPolicy};
 pub use prdq::{PrdqEntry, PreciseRegisterDeallocationQueue};
 pub use runahead_buffer::{ChainReplayEngine, RunaheadBuffer, WindowUop};
 pub use sst::StallingSliceTable;
-pub use technique::Technique;
+pub use technique::{ParseTechniqueError, Technique};

@@ -55,7 +55,7 @@ pub struct EntryPolicy {
 impl EntryPolicy {
     /// The Mutlu-style policy used by traditional runahead and the runahead
     /// buffer.
-    pub fn efficient(min_expected_cycles: u64) -> Self {
+    pub(crate) fn efficient(min_expected_cycles: u64) -> Self {
         EntryPolicy {
             min_expected_cycles,
             avoid_overlap: true,
@@ -66,7 +66,7 @@ impl EntryPolicy {
 
     /// PRE's policy: always enter (entry and exit are cheap because the ROB
     /// is preserved).
-    pub fn always() -> Self {
+    pub(crate) fn always() -> Self {
         EntryPolicy {
             min_expected_cycles: 0,
             avoid_overlap: false,
@@ -76,7 +76,7 @@ impl EntryPolicy {
     }
 
     /// PRE's policy with the free-register entry gate enabled.
-    pub fn gated(min_free_int_regs: usize, min_free_fp_regs: usize) -> Self {
+    pub(crate) fn gated(min_free_int_regs: usize, min_free_fp_regs: usize) -> Self {
         EntryPolicy {
             min_free_int_regs,
             min_free_fp_regs,

@@ -240,12 +240,6 @@ impl PreciseRegisterDeallocationQueue {
     pub fn iter(&self) -> impl Iterator<Item = &PrdqEntry> {
         self.entries.iter()
     }
-
-    /// Storage cost in bytes: the paper provisions 192 entries at 4 bytes
-    /// (instruction id + register tag + execute bit) for 768 bytes total.
-    pub fn storage_bytes(&self) -> usize {
-        self.capacity * 4
-    }
 }
 
 #[cfg(test)]
@@ -381,12 +375,6 @@ mod tests {
         assert!(q.allocate(1, reg(1), true));
         assert!(!q.seed_executed(2, (RegClass::Int, PhysReg(2))));
         assert_eq!(q.eager_seeds(), 0);
-    }
-
-    #[test]
-    fn storage_matches_paper() {
-        let q = PreciseRegisterDeallocationQueue::new(192);
-        assert_eq!(q.storage_bytes(), 768);
     }
 
     #[test]

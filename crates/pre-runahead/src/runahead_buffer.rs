@@ -48,7 +48,7 @@ pub struct WindowUop {
 /// The returned chain is in program order and ends with the stalling load
 /// itself; it is truncated to `max_len` micro-ops (32 in the original
 /// proposal).
-pub fn extract_chain(
+pub(crate) fn extract_chain(
     window: &[WindowUop],
     stalling_pc: u32,
     max_len: usize,
@@ -110,8 +110,6 @@ pub struct RunaheadBuffer {
     /// Number of backward data-flow walks performed (each is an expensive
     /// CAM search over the ROB, charged by the energy model).
     walks: u64,
-    /// Number of walks that failed to find a second instance of the load.
-    failed_walks: u64,
 }
 
 impl RunaheadBuffer {
@@ -135,7 +133,6 @@ impl RunaheadBuffer {
                 true
             }
             None => {
-                self.failed_walks += 1;
                 self.chain.clear();
                 false
             }
@@ -150,17 +147,6 @@ impl RunaheadBuffer {
     /// Number of data-flow walks performed.
     pub fn walks(&self) -> u64 {
         self.walks
-    }
-
-    /// Number of walks that found no chain.
-    pub fn failed_walks(&self) -> u64 {
-        self.failed_walks
-    }
-
-    /// Storage cost in bytes: the original proposal provisions two 32-entry
-    /// chain buffers of ~28-byte decoded micro-ops, ≈ 1.7 KB.
-    pub fn storage_bytes(&self) -> usize {
-        2 * 32 * 28
     }
 }
 
@@ -183,8 +169,6 @@ pub struct ChainReplayEngine {
     chain: Vec<StaticInst>,
     regs: Vec<RegState>,
     pos: usize,
-    /// Completed loop iterations over the chain.
-    iterations: u64,
     uops_executed: u64,
     loads_executed: u64,
     prefetches_issued: u64,
@@ -230,7 +214,6 @@ impl ChainReplayEngine {
             chain,
             regs,
             pos: 0,
-            iterations: 0,
             uops_executed: 0,
             loads_executed: 0,
             prefetches_issued: 0,
@@ -354,14 +337,8 @@ impl ChainReplayEngine {
             self.pos += 1;
             if self.pos == self.chain.len() {
                 self.pos = 0;
-                self.iterations += 1;
             }
         }
-    }
-
-    /// Completed iterations over the whole chain.
-    pub fn iterations(&self) -> u64 {
-        self.iterations
     }
 
     /// Micro-ops replayed.
@@ -448,9 +425,7 @@ mod tests {
         assert!(buf.fill_from_window(&strided_window(), 12, 32));
         assert!(!buf.fill_from_window(&strided_window()[..4], 12, 32));
         assert_eq!(buf.walks(), 2);
-        assert_eq!(buf.failed_walks(), 1);
         assert!(buf.chain().is_empty());
-        assert!(buf.storage_bytes() > 1024);
     }
 
     #[test]
@@ -462,6 +437,7 @@ mod tests {
         regs[ArchReg::int(2).flat_index()] = 0x10_0000; // base
         let cfg = SimConfig::haswell_like();
         let mut mem = MemoryHierarchy::new(&cfg);
+        let chain_len = chain.len();
         let mut engine = ChainReplayEngine::new(chain, &regs, &[], 0);
         for cycle in 0..2000 {
             engine.step(
@@ -472,7 +448,10 @@ mod tests {
                 |a, _len| a.wrapping_mul(0x9E3779B97F4A7C15),
             );
         }
-        assert!(engine.iterations() >= 2, "chain should loop");
+        assert!(
+            engine.uops_executed() >= 2 * chain_len as u64,
+            "chain should loop"
+        );
         assert!(
             engine.prefetches_issued() >= 2,
             "strided chain should prefetch"

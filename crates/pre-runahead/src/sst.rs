@@ -128,21 +128,6 @@ impl StallingSliceTable {
         true
     }
 
-    /// Number of PCs currently stored.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when no PCs are stored.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of lookups performed.
     pub fn lookups(&self) -> u64 {
         self.lookups
@@ -161,20 +146,6 @@ impl StallingSliceTable {
     /// Number of LRU evictions (capacity pressure).
     pub fn evictions(&self) -> u64 {
         self.evictions
-    }
-
-    /// Storage cost in bytes assuming 4-byte PC tags (Section 3.6 reports
-    /// 1 KB for 256 entries).
-    pub fn storage_bytes(&self) -> usize {
-        self.capacity * 4
-    }
-
-    /// Removes every stored PC (not used by PRE itself — the SST persists
-    /// across runahead intervals — but useful for experiments). Entries
-    /// removed this way leave without an eviction, so a run that calls it
-    /// is outside the capacity-independence argument of the type docs.
-    pub fn clear(&mut self) {
-        self.entries.clear();
     }
 }
 
@@ -198,7 +169,7 @@ mod tests {
         let mut sst = StallingSliceTable::new(4);
         assert!(sst.insert(7));
         assert!(!sst.insert(7));
-        assert_eq!(sst.len(), 1);
+        assert_eq!(sst.entries.len(), 1);
         assert_eq!(sst.inserts(), 1);
     }
 
@@ -222,22 +193,7 @@ mod tests {
         for pc in 0..100 {
             sst.insert(pc);
         }
-        assert_eq!(sst.len(), 8);
-    }
-
-    #[test]
-    fn storage_matches_paper() {
-        let sst = StallingSliceTable::new(256);
-        assert_eq!(sst.storage_bytes(), 1024);
-    }
-
-    #[test]
-    fn clear_empties_table() {
-        let mut sst = StallingSliceTable::new(4);
-        sst.insert(1);
-        sst.clear();
-        assert!(sst.is_empty());
-        assert!(!sst.contains(1));
+        assert_eq!(sst.entries.len(), 8);
     }
 
     #[test]
@@ -378,7 +334,7 @@ mod tests {
             for _ in 0..len {
                 let pc = rng.gen_range_u64(0..64) as u32;
                 sst.insert(pc);
-                assert!(sst.len() <= cap);
+                assert!(sst.entries.len() <= cap);
                 assert!(sst.contains(pc), "most recent insert must be present");
             }
         }

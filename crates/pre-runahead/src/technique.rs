@@ -67,15 +67,9 @@ impl Technique {
         matches!(self, Technique::PreEmq)
     }
 
-    /// `true` for configurations that use the runahead buffer's single-chain
-    /// replay.
-    pub fn uses_runahead_buffer(&self) -> bool {
-        matches!(self, Technique::RunaheadBuffer)
-    }
-
     /// `true` when the technique discards the ROB at runahead entry and
     /// flushes/refills the pipeline at exit (the overhead PRE eliminates).
-    pub fn flushes_pipeline(&self) -> bool {
+    pub(crate) fn flushes_pipeline(&self) -> bool {
         matches!(self, Technique::Runahead | Technique::RunaheadBuffer)
     }
 
@@ -153,7 +147,6 @@ mod tests {
         assert!(Technique::PreEmq.uses_emq());
         assert!(Technique::Pre.uses_sst());
         assert!(!Technique::Runahead.uses_sst());
-        assert!(Technique::RunaheadBuffer.uses_runahead_buffer());
     }
 
     #[test]

@@ -54,7 +54,7 @@ impl Suite {
     /// (`quick_check`) and quick statistics: the synthetic suite keeps the
     /// five behaviourally distinct workloads; the asm suite is small enough
     /// to run whole.
-    pub fn quick_workloads(&self) -> Vec<Workload> {
+    pub(crate) fn quick_workloads(&self) -> Vec<Workload> {
         match self {
             Suite::Synthetic => vec![
                 Workload::LibquantumLike,
@@ -80,7 +80,7 @@ impl Suite {
         Self::cells_of(self.workloads())
     }
 
-    /// The cells of the reduced [`Suite::quick_workloads`] matrix, in the
+    /// The cells of the reduced `Suite::quick_workloads` matrix, in the
     /// same canonical order.
     pub fn quick_cells(&self) -> impl Iterator<Item = (Workload, Technique)> {
         Self::cells_of(self.quick_workloads())
@@ -93,7 +93,7 @@ impl Suite {
     }
 
     /// Short name used on the command line.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Suite::Synthetic => "synthetic",
             Suite::Asm => "asm",
@@ -252,7 +252,7 @@ pub fn sample_value<I: Iterator<Item = String>>(
 ///
 /// Returns a message suitable for printing when a flag is unknown or
 /// malformed, or the budget is given twice.
-pub fn parse_cli<I: IntoIterator<Item = String>>(
+pub(crate) fn parse_cli<I: IntoIterator<Item = String>>(
     args: I,
     default_budget: u64,
 ) -> Result<CliArgs, String> {
@@ -312,7 +312,7 @@ pub fn parse_cli<I: IntoIterator<Item = String>>(
     Ok(cli)
 }
 
-/// Parses the process command line with [`parse_cli`] and hands the result
+/// Parses the process command line with `parse_cli` and hands the result
 /// to `interpret`, the binary's own reading of it (which flags and names it
 /// accepts, see [`CliArgs::only`]). `--help` prints `usage` and exits 0; a
 /// command line that fails to parse, or that `interpret` refuses, prints the

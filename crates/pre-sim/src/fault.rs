@@ -33,11 +33,11 @@
 use std::fmt;
 
 /// Environment variable holding the fault spec.
-pub const FAULT_ENV: &str = "PRE_FAULT";
+pub(crate) const FAULT_ENV: &str = "PRE_FAULT";
 
 /// One armed fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fault {
+pub(crate) enum Fault {
     /// Panic at the start of the given cell index (grid/matrix order).
     PanicCell(usize),
     /// Corrupt result-cache files after writing: for one key, or for every
@@ -63,7 +63,7 @@ impl fmt::Display for Fault {
 /// # Errors
 ///
 /// Returns a description of the first malformed directive.
-pub fn parse_spec(spec: &str) -> Result<Vec<Fault>, String> {
+pub(crate) fn parse_spec(spec: &str) -> Result<Vec<Fault>, String> {
     let mut faults = Vec::new();
     for directive in spec.split(';') {
         let directive = directive.trim();
@@ -114,7 +114,7 @@ pub fn parse_spec(spec: &str) -> Result<Vec<Fault>, String> {
 /// environment on every call (injection points are per-cell / per-file,
 /// never per-cycle), so tests can arm and disarm faults without process
 /// restarts. Panics on a malformed spec — see the module docs.
-pub fn active_faults() -> Vec<Fault> {
+pub(crate) fn active_faults() -> Vec<Fault> {
     let Some(spec) = std::env::var_os(FAULT_ENV) else {
         return Vec::new();
     };
@@ -128,7 +128,7 @@ pub fn active_faults() -> Vec<Fault> {
 /// Injection point at the start of each attempt at batch cell `index`
 /// (called only by [`crate::runner::run_batch`], once per cell attempt and
 /// never per slice): panics when a `panic:cell=<index>` fault is armed.
-pub fn panic_if_cell_faulted(index: usize) {
+pub(crate) fn panic_if_cell_faulted(index: usize) {
     for fault in active_faults() {
         if fault == Fault::PanicCell(index) {
             panic!("injected fault: {fault}");
@@ -137,14 +137,14 @@ pub fn panic_if_cell_faulted(index: usize) {
 }
 
 /// `true` when a `corrupt-cache` fault is armed for `key`.
-pub fn should_corrupt_cache(key: u64) -> bool {
+pub(crate) fn should_corrupt_cache(key: u64) -> bool {
     active_faults()
         .iter()
         .any(|f| matches!(f, Fault::CorruptCache(k) if k.is_none() || *k == Some(key)))
 }
 
 /// `true` when a `truncate-snapshot` fault is armed.
-pub fn should_truncate_snapshot() -> bool {
+pub(crate) fn should_truncate_snapshot() -> bool {
     active_faults().contains(&Fault::TruncateSnapshot)
 }
 

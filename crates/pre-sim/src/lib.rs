@@ -31,21 +31,22 @@
 //!   result (`--sample` on the binaries).
 //! * [`sweep`] — declarative parameter-grid sweeps run through
 //!   [`run_batch`], cache-aware, with JSON/CSV emission (the `sweep` binary).
-//! * [`report`] — plain-text table and CSV rendering.
+//! * [`Table`] — plain-text table and CSV rendering.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod experiments;
-pub mod fault;
+mod fault;
 pub mod matrix;
-pub mod report;
+mod report;
 pub mod runner;
 pub mod sample;
 pub mod stores;
 pub mod sweep;
 
 pub use matrix::{CellFailure, EvaluationMatrix, MatrixRun};
+pub use report::Table;
 pub use runner::{cell_name, run_batch, run_one, run_one_traced, RunResult, RunSpec};
-pub use sample::{run_sampled, RepWeight, SampleMeta, SampleSpec};
+pub use sample::{RepWeight, SampleMeta, SampleSpec};
 pub use sweep::{Sweep, SweepFailure, SweepPoint, SweepRun};

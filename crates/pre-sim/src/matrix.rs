@@ -79,7 +79,7 @@ pub struct EvaluationMatrix {
 
 impl EvaluationMatrix {
     /// Creates an empty matrix.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EvaluationMatrix::default()
     }
 
@@ -162,7 +162,7 @@ impl EvaluationMatrix {
     /// Adds a result (used by custom sweeps). The first result for a
     /// (workload, technique) cell is the one [`EvaluationMatrix::get`]
     /// returns, matching the original linear-scan semantics.
-    pub fn push(&mut self, result: RunResult) {
+    pub(crate) fn push(&mut self, result: RunResult) {
         let key = (result.workload, result.technique);
         let idx = self.results.len();
         self.results.push(result);
@@ -183,7 +183,7 @@ impl EvaluationMatrix {
     }
 
     /// The workloads present in the matrix, in first-seen order.
-    pub fn workloads(&self) -> Vec<Workload> {
+    pub(crate) fn workloads(&self) -> Vec<Workload> {
         let mut seen = Vec::new();
         for r in &self.results {
             if !seen.contains(&r.workload) {
@@ -225,7 +225,7 @@ impl EvaluationMatrix {
     }
 
     /// Arithmetic-mean energy savings of `technique` across every workload.
-    pub fn mean_energy_savings(&self, technique: Technique) -> f64 {
+    pub(crate) fn mean_energy_savings(&self, technique: Technique) -> f64 {
         let savings: Vec<f64> = self
             .workloads()
             .into_iter()
@@ -241,7 +241,7 @@ impl EvaluationMatrix {
     /// Ratio of runahead invocations of `technique` to those of the
     /// traditional-runahead configuration, averaged across workloads
     /// (Stat D: the paper reports 1.62× for PRE and 1.95× for PRE+EMQ).
-    pub fn invocation_ratio_vs_runahead(&self, technique: Technique) -> f64 {
+    pub(crate) fn invocation_ratio_vs_runahead(&self, technique: Technique) -> f64 {
         let ratios: Vec<f64> = self
             .workloads()
             .into_iter()
@@ -266,17 +266,10 @@ impl EvaluationMatrix {
     pub fn any_deadlocked(&self) -> bool {
         self.results.iter().any(|r| r.deadlocked)
     }
-
-    /// `true` if any run terminated abnormally (cycle budget or watchdog).
-    pub fn any_abnormal_termination(&self) -> bool {
-        self.results
-            .iter()
-            .any(|r| r.terminated() != pre_model::stats::TerminationKind::Completed)
-    }
 }
 
 /// Geometric mean of a slice (1.0 for an empty slice).
-pub fn geometric_mean(values: &[f64]) -> f64 {
+pub(crate) fn geometric_mean(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 1.0;
     }
@@ -360,7 +353,6 @@ mod tests {
         assert!((m.invocation_ratio_vs_runahead(Technique::Pre) - 1.75).abs() < 1e-9);
         assert_eq!(m.workloads().len(), 2);
         assert!(!m.any_deadlocked());
-        assert!(!m.any_abnormal_termination());
     }
 
     #[test]

@@ -15,7 +15,7 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with the given title and column headers.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
+    pub(crate) fn new(title: impl Into<String>, headers: &[&str]) -> Self {
         Table {
             title: title.into(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
@@ -28,7 +28,7 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the number of cells differs from the number of headers.
-    pub fn add_row(&mut self, cells: Vec<String>) {
+    pub(crate) fn add_row(&mut self, cells: Vec<String>) {
         assert_eq!(
             cells.len(),
             self.headers.len(),
@@ -94,12 +94,12 @@ impl Table {
 }
 
 /// Formats a ratio as a percentage improvement string (e.g. `+35.5 %`).
-pub fn pct_improvement(ratio: f64) -> String {
+pub(crate) fn pct_improvement(ratio: f64) -> String {
     format!("{:+.1} %", (ratio - 1.0) * 100.0)
 }
 
 /// Formats a fraction as a percentage (e.g. `6.1 %`).
-pub fn pct(fraction: f64) -> String {
+pub(crate) fn pct(fraction: f64) -> String {
     format!("{:+.1} %", fraction * 100.0)
 }
 
@@ -116,7 +116,6 @@ mod tests {
         assert!(text.contains("== demo =="));
         assert!(text.contains("a-much-longer-name"));
         assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
     }
 
     #[test]

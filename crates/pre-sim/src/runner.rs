@@ -46,7 +46,7 @@ pub struct RunSpec {
     /// `None` (the default) traces the whole warm-up.
     pub warm_window: Option<u64>,
     /// Sampled-mode parameters: when set, [`run_one`] estimates the result
-    /// via SimPoint-style interval sampling ([`crate::sample::run_sampled`])
+    /// via SimPoint-style interval sampling ([`crate::sample`])
     /// instead of simulating the whole budget in detail. The result then
     /// carries [`RunResult::sample`] metadata.
     pub sample: Option<SampleSpec>,
@@ -108,15 +108,8 @@ impl RunSpec {
         self
     }
 
-    /// Limits the warm-up snapshot's warm trace to the final `uops` of the
-    /// warm-up (see [`RunSpec::warm_window`]).
-    pub fn with_warm_window(mut self, uops: u64) -> Self {
-        self.warm_window = Some(uops);
-        self
-    }
-
     /// Requests SimPoint-style interval sampling with the given parameters
-    /// (see [`crate::sample::run_sampled`]).
+    /// (see [`crate::sample`]).
     pub fn sampled(mut self, sample: SampleSpec) -> Self {
         self.sample = Some(sample);
         self
@@ -168,7 +161,7 @@ pub struct RunResult {
     pub watchdog: Option<Box<WatchdogDiag>>,
     /// Sampling metadata when this result was *extrapolated* from
     /// representative intervals rather than measured in full
-    /// ([`crate::sample::run_sampled`]); `None` for measured runs. Reporting
+    /// ([`crate::sample`]); `None` for measured runs. Reporting
     /// marks such results with `~`.
     pub sample: Option<SampleMeta>,
 }
@@ -500,12 +493,13 @@ struct Tally {
 ///    insert finds it full, and entries leave it only by eviction, so a
 ///    run without evictions never took that branch and never held more
 ///    than `sst_inserts` PCs. Any capacity of at least `sst_inserts`
-///    therefore executes the same cycles ([`pre_runahead::sst`]). A member
+///    therefore executes the same cycles
+///    ([`pre_runahead::StallingSliceTable`]). A member
 ///    outside that certificate is simulated in the second pool call, which
 ///    launches its items in the same order as phase 2.
 ///
 /// An attempt at spec `i` starts with the `PRE_FAULT` cell hook
-/// [`crate::fault::panic_if_cell_faulted`] for index `i`, once per attempt
+/// `fault::panic_if_cell_faulted` for index `i`, once per attempt
 /// and never per slice, SST siblings included. A failed spec is retried up
 /// to `max_retries` times, each retry on the worker that folded it, its
 /// items run there in order (a sibling's retry simulates it). With

@@ -3,7 +3,7 @@
 //!
 //! A sampled [`RunSpec`] is estimated from a handful of detailed-simulation
 //! slices. It runs as a cell of a [`crate::runner::run_batch`] batch
-//! ([`run_one`] and [`run_sampled`] are batches of one), in three phases:
+//! ([`crate::runner::run_one`] is a batch of one), in three phases:
 //!
 //! ```text
 //!  1. plans (one pool job per key)   2. items (one pool for the batch)    3. fold (last slice)
@@ -35,7 +35,7 @@
 // failure here must surface as a typed error, never an unwind.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::runner::{caught, run_one, Cell, Fold, Item, RunResult, RunSpec};
+use crate::runner::{caught, Cell, Fold, Item, RunResult, RunSpec};
 use crate::stores::{key_of, Memo};
 use pre_energy::EnergyModel;
 use pre_model::error::{ConfigError, SimError};
@@ -64,9 +64,9 @@ pub struct SampleSpec {
 
 impl SampleSpec {
     /// Default number of clusters.
-    pub const DEFAULT_CLUSTERS: usize = 8;
+    pub(crate) const DEFAULT_CLUSTERS: usize = 8;
     /// Default interval size in committed micro-ops.
-    pub const DEFAULT_INTERVAL_UOPS: u64 = 10_000;
+    pub(crate) const DEFAULT_INTERVAL_UOPS: u64 = 10_000;
 
     /// Creates a spec with explicit parameters.
     pub fn new(clusters: usize, interval_uops: u64) -> Self {
@@ -83,7 +83,7 @@ impl SampleSpec {
     /// # Errors
     ///
     /// Returns a description of the first malformed part.
-    pub fn parse(text: &str) -> Result<SampleSpec, String> {
+    pub(crate) fn parse(text: &str) -> Result<SampleSpec, String> {
         let mut spec = SampleSpec::default();
         for part in text.split(',') {
             let part = part.trim();
@@ -183,7 +183,7 @@ impl SampleMeta {
     }
 
     /// Fraction of the profiled micro-ops that were simulated in detail.
-    pub fn coverage(&self) -> f64 {
+    pub(crate) fn coverage(&self) -> f64 {
         if self.total_uops == 0 {
             0.0
         } else {
@@ -502,32 +502,11 @@ impl Estimate {
     }
 }
 
-/// Runs `spec` in sampled mode (`spec.sample` must be set) without the
-/// result cache: profiles the functional execution into intervals,
-/// clusters them, simulates one representative per cluster in detail and
-/// extrapolates a full-run [`RunResult`] carrying [`SampleMeta`]. This is
-/// [`run_one`] on the spec with [`RunSpec::use_result_cache`] off, so
-/// neither the estimate nor its slices touch the cache.
-///
-/// # Errors
-///
-/// Returns [`SimError`] when the spec carries no sampling parameters,
-/// requests tracing or zero clusters or interval size, and propagates the
-/// first failure in slice order (validation errors, watchdog aborts as
-/// data, panics as [`SimError::Panic`]).
-pub fn run_sampled(spec: &RunSpec) -> Result<RunResult, SimError> {
-    if spec.sample.is_none() {
-        return Err(SimError::Snapshot {
-            detail: "run_sampled called without sampling parameters".to_string(),
-        });
-    }
-    run_one(&spec.clone().with_result_cache(false))
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::runner::run_one;
     use pre_runahead::Technique;
     use pre_workloads::Workload;
 
@@ -590,7 +569,7 @@ mod tests {
         let spec = RunSpec::new(Workload::ComputeBound, Technique::OutOfOrder)
             .with_budget(20_000)
             .sampled(SampleSpec::new(3, 2_000));
-        let sampled = run_sampled(&spec).expect("sampled run succeeds");
+        let sampled = run_one(&spec).expect("sampled run succeeds");
         let meta = sampled.sample.as_ref().expect("metadata attached");
         assert!(meta.intervals_simulated() >= 1);
         assert!(meta.intervals_total >= meta.intervals_simulated() as u64);
@@ -652,6 +631,6 @@ mod tests {
             .with_budget(4_000)
             .sampled(SampleSpec::default())
             .with_trace(pre_trace::TraceSpec::default());
-        assert!(matches!(run_sampled(&spec), Err(SimError::Trace(_))));
+        assert!(matches!(run_one(&spec), Err(SimError::Trace(_))));
     }
 }

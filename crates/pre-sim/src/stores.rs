@@ -273,7 +273,7 @@ fn parse_header(header: &str, kind: &str) -> Result<(usize, u64), String> {
 ///
 /// Returns a description of the first integrity violation (bad magic, wrong
 /// kind, truncated body, checksum mismatch).
-pub fn decode_cache_file<'a>(kind: &str, text: &'a str) -> Result<&'a str, String> {
+pub(crate) fn decode_cache_file<'a>(kind: &str, text: &'a str) -> Result<&'a str, String> {
     let (header, body) = text
         .split_once('\n')
         .ok_or_else(|| "missing cache header line".to_string())?;
@@ -1019,7 +1019,7 @@ pub fn result_to_text(desc: &str, result: &RunResult) -> String {
 /// # Errors
 ///
 /// Returns a description of the first malformed line.
-pub fn result_from_text(text: &str) -> Result<(String, RunResult), String> {
+pub(crate) fn result_from_text(text: &str) -> Result<(String, RunResult), String> {
     let mut lines = text.lines();
     if lines.next() != Some("pre-result v1") {
         return Err("not a pre-result v1 file".to_string());

@@ -93,7 +93,7 @@ impl SweepDim {
     }
 
     /// Applies `value` to `cfg`.
-    pub fn apply(&self, cfg: &mut SimConfig, value: u64) {
+    pub(crate) fn apply(&self, cfg: &mut SimConfig, value: u64) {
         match self {
             SweepDim::Emq => cfg.runahead.emq_entries = value as usize,
             SweepDim::Sst => cfg.runahead.sst_entries = value as usize,
@@ -253,11 +253,6 @@ pub struct SweepRun {
 }
 
 impl SweepRun {
-    /// `true` when every point produced a result.
-    pub fn is_complete(&self) -> bool {
-        self.failures.is_empty()
-    }
-
     /// All points, or the first real failure in grid order (preferring a
     /// concrete error over a fail-fast [`SimError::Skipped`] marker).
     ///
@@ -296,7 +291,7 @@ pub struct Sweep {
     /// Whether points consult/populate the result cache.
     pub use_result_cache: bool,
     /// When set, every point is *estimated* by SimPoint-style interval
-    /// sampling ([`crate::sample::run_sampled`]) instead of simulated in
+    /// sampling ([`crate::sample`]) instead of simulated in
     /// full; the JSON report records the sampling parameters and marks the
     /// points.
     pub sample: Option<SampleSpec>,
@@ -683,7 +678,7 @@ mod tests {
             total: 2,
             from_sst_siblings: 0,
         };
-        assert!(!run.is_complete());
+        assert!(!run.failures.is_empty());
         assert!(matches!(
             run.into_result(),
             Err(SimError::Panic { detail }) if detail == "real"

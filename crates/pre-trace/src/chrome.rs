@@ -11,13 +11,13 @@
 use pre_model::json::{self, Value};
 
 /// Thread id of the runahead-interval track.
-pub const TID_INTERVALS: u64 = 0;
+pub(crate) const TID_INTERVALS: u64 = 0;
 /// Thread id of the fast-forward track.
-pub const TID_FF: u64 = 1;
+pub(crate) const TID_FF: u64 = 1;
 /// Thread id of the stall-span track.
-pub const TID_STALLS: u64 = 2;
+pub(crate) const TID_STALLS: u64 = 2;
 /// Thread id of the memory-event track.
-pub const TID_MEM: u64 = 3;
+pub(crate) const TID_MEM: u64 = 3;
 
 /// One Chrome trace event.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,7 +108,7 @@ impl ChromeEvent {
 /// stall spans are coalesced from per-cycle (or bulk fast-forwarded)
 /// reports and closed at [`ChromeTrace::finish`].
 #[derive(Debug, Default)]
-pub struct ChromeTrace {
+pub(crate) struct ChromeTrace {
     events: Vec<ChromeEvent>,
     pending_interval: Option<(u64, u32)>,
     emq_run: Option<(u64, u64)>,
@@ -117,7 +117,7 @@ pub struct ChromeTrace {
 
 impl ChromeTrace {
     /// Creates an empty trace with named tracks.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let mut trace = ChromeTrace::default();
         for (tid, name) in [
             (TID_INTERVALS, "runahead intervals"),
@@ -134,13 +134,13 @@ impl ChromeTrace {
     }
 
     /// Opens a runahead-interval span.
-    pub fn interval_begin(&mut self, cycle: u64, stalling_pc: u32) {
+    pub(crate) fn interval_begin(&mut self, cycle: u64, stalling_pc: u32) {
         self.pending_interval = Some((cycle, stalling_pc));
     }
 
     /// Closes the open runahead-interval span (begin may predate this
     /// builder's attachment, so `entered_at` is passed explicitly).
-    pub fn interval_end(
+    pub(crate) fn interval_end(
         &mut self,
         technique: &str,
         entered_at: u64,
@@ -158,7 +158,7 @@ impl ChromeTrace {
 
     /// Records a fast-forward jump that skipped cycles `from+1..=to`, on the
     /// same time base as the stall spans covering those cycles.
-    pub fn fast_forward(&mut self, name: &str, from: u64, to: u64) {
+    pub(crate) fn fast_forward(&mut self, name: &str, from: u64, to: u64) {
         self.events.push(ChromeEvent {
             dur: Some(to - from),
             ..ChromeEvent::new(name, "ff", 'X', from + 1, TID_FF)
@@ -186,14 +186,14 @@ impl ChromeTrace {
     }
 
     /// Reports `count` EMQ-full fetch-stall cycles starting at `first`.
-    pub fn emq_full(&mut self, first: u64, count: u64) {
+    pub(crate) fn emq_full(&mut self, first: u64, count: u64) {
         if let Some(span) = Self::extend_run(&mut self.emq_run, first, count) {
             self.emit_span("emq-full", span);
         }
     }
 
     /// Reports `count` full-window-stall cycles starting at `first`.
-    pub fn window_stall(&mut self, first: u64, count: u64) {
+    pub(crate) fn window_stall(&mut self, first: u64, count: u64) {
         if let Some(span) = Self::extend_run(&mut self.stall_run, first, count) {
             self.emit_span("full-window-stall", span);
         }
@@ -201,7 +201,7 @@ impl ChromeTrace {
 
     /// Records an off-chip miss instant event plus an MSHR-occupancy counter
     /// sample.
-    pub fn mem_event(&mut self, ev: &crate::MemEvent) {
+    pub(crate) fn mem_event(&mut self, ev: &crate::MemEvent) {
         self.events.push(ChromeEvent {
             args: vec![
                 ("pc".into(), format!("{:#x}", u64::from(ev.pc) * 4).into()),
@@ -219,7 +219,7 @@ impl ChromeTrace {
 
     /// Closes open spans (run ended mid-interval or mid-stall) and renders
     /// the `{"traceEvents": [...]}` document.
-    pub fn finish(&mut self, cycle: u64) -> String {
+    pub(crate) fn finish(&mut self, cycle: u64) -> String {
         if let Some((entered_at, pc)) = self.pending_interval.take() {
             self.interval_end(
                 "unfinished",
@@ -242,12 +242,12 @@ impl ChromeTrace {
 }
 
 /// Renders events as a `{"traceEvents": [...]}` document.
-pub fn to_json(events: &[ChromeEvent]) -> String {
+pub(crate) fn to_json(events: &[ChromeEvent]) -> String {
     let events = events.iter().map(ChromeEvent::to_value).collect();
     json::write(&Value::obj([("traceEvents", Value::Arr(events))]))
 }
 
-/// Parses a document produced by [`to_json`] back into events.
+/// Parses a document produced by `to_json` back into events.
 ///
 /// # Errors
 ///

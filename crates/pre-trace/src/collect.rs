@@ -21,12 +21,12 @@ pub struct IntervalLog {
 
 impl IntervalLog {
     /// Creates an empty log.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         IntervalLog::default()
     }
 
     /// Records one event, up to [`MAX_RUNAHEAD_EVENTS`].
-    pub fn record(&mut self, event: RunaheadEvent) {
+    pub(crate) fn record(&mut self, event: RunaheadEvent) {
         if self.events.len() < MAX_RUNAHEAD_EVENTS {
             self.events.push(event);
         } else {

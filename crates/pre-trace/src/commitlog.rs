@@ -22,10 +22,10 @@ use pre_model::isa::OpClass;
 use std::fmt;
 
 /// File magic: "PRECMT" + format version 01.
-pub const MAGIC: [u8; 8] = *b"PRECMT01";
+pub(crate) const MAGIC: [u8; 8] = *b"PRECMT01";
 
 /// Size of one encoded record.
-pub const RECORD_BYTES: usize = 14;
+pub(crate) const RECORD_BYTES: usize = 14;
 
 /// One decoded committed-stream record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,7 +53,7 @@ impl From<&CommittedUop> for CommitRecord {
 
 /// Streaming encoder.
 #[derive(Debug)]
-pub struct CommitLogWriter {
+pub(crate) struct CommitLogWriter {
     buf: Vec<u8>,
 }
 
@@ -65,32 +65,22 @@ impl Default for CommitLogWriter {
 
 impl CommitLogWriter {
     /// Creates a writer with the header already encoded.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         CommitLogWriter {
             buf: MAGIC.to_vec(),
         }
     }
 
     /// Appends one record.
-    pub fn push(&mut self, r: &CommitRecord) {
+    pub(crate) fn push(&mut self, r: &CommitRecord) {
         self.buf.extend_from_slice(&r.pc.to_le_bytes());
         self.buf.push(r.class.index() as u8);
         self.buf.push(r.width);
         self.buf.extend_from_slice(&r.addr.to_le_bytes());
     }
 
-    /// Number of records encoded so far.
-    pub fn len(&self) -> usize {
-        (self.buf.len() - MAGIC.len()) / RECORD_BYTES
-    }
-
-    /// `true` when no records have been encoded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The encoded bytes (header + records).
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 }
@@ -191,9 +181,9 @@ mod tests {
         for r in &records {
             w.push(r);
         }
-        assert_eq!(w.len(), 2);
         let bytes = w.into_bytes();
         let reader = CommitLogReader::new(&bytes).unwrap();
+        assert_eq!(reader.len(), 2);
         let decoded: Vec<CommitRecord> = reader.records().map(|r| r.unwrap()).collect();
         assert_eq!(decoded, records);
     }

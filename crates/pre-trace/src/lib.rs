@@ -31,8 +31,8 @@ pub mod chrome;
 pub mod collect;
 pub mod commitlog;
 pub mod pipeview;
-pub mod ring;
-pub mod spec;
+mod ring;
+mod spec;
 pub mod timeseries;
 
 mod session;
@@ -40,7 +40,7 @@ mod session;
 pub use collect::IntervalCollector;
 pub use ring::CommitRing;
 pub use session::TraceSession;
-pub use spec::{TimeSeriesFormat, TraceSpec};
+pub use spec::{TimeSeriesFormat, TraceSpec, TraceSpecError};
 
 use pre_model::isa::{OpClass, StaticInst};
 use pre_model::stats::RunaheadEvent;
@@ -59,7 +59,7 @@ pub enum FfMode {
 
 impl FfMode {
     /// Short label used in trace output.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             FfMode::Normal => "ff-normal",
             FfMode::Runahead => "ff-runahead",
@@ -79,7 +79,7 @@ pub enum MissLevel {
 
 impl MissLevel {
     /// Short label used in trace output.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             MissLevel::L2Miss => "l2-miss",
             MissLevel::LlcMiss => "llc-miss",
@@ -252,15 +252,4 @@ pub trait Tracer: fmt::Debug + Send {
     /// Recover the concrete tracer after the core hands it back as a trait
     /// object.
     fn into_any(self: Box<Self>) -> Box<dyn Any>;
-}
-
-/// A tracer that ignores every event. Useful as an explicit "tracing
-/// compiled in but disabled" attachment in overhead measurements.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullTracer;
-
-impl Tracer for NullTracer {
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
 }

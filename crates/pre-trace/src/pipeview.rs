@@ -18,7 +18,7 @@
 //! such records as flushed).
 //!
 //! The simulator assigns micro-op ids at dispatch, but pipeview needs fetch
-//! and decode stamps too, so [`PipeviewTrace`] mirrors the frontend queues:
+//! and decode stamps too, so `PipeviewTrace` mirrors the frontend queues:
 //! fetch pushes a record into a fetch FIFO, decode moves the oldest into a
 //! decode FIFO, the PRE filter moves the oldest into an EMQ FIFO (or retires
 //! it as runahead-consumed), and dispatch pops the appropriate FIFO and keys
@@ -76,7 +76,7 @@ enum Output {
 
 /// The pipeview stream builder driven by the tracer hooks.
 #[derive(Debug)]
-pub struct PipeviewTrace {
+pub(crate) struct PipeviewTrace {
     next_sn: u64,
     fetch_q: VecDeque<PipeRecord>,
     decode_q: VecDeque<PipeRecord>,
@@ -88,7 +88,7 @@ pub struct PipeviewTrace {
 impl PipeviewTrace {
     /// Creates a streaming trace, or a ring-buffered one keeping only the
     /// last `ring` retired/squashed micro-ops.
-    pub fn new(ring: Option<usize>) -> Self {
+    pub(crate) fn new(ring: Option<usize>) -> Self {
         PipeviewTrace {
             next_sn: 1,
             fetch_q: VecDeque::new(),
@@ -118,7 +118,7 @@ impl PipeviewTrace {
     }
 
     /// Fetch hook: a new record enters the fetch FIFO.
-    pub fn on_fetch(&mut self, pc: u32, disasm: String, cycle: u64) {
+    pub(crate) fn on_fetch(&mut self, pc: u32, disasm: String, cycle: u64) {
         let record = PipeRecord {
             sn: self.next_sn,
             pc,
@@ -131,7 +131,7 @@ impl PipeviewTrace {
     }
 
     /// Decode hook: the oldest fetched micro-op moves to the decode FIFO.
-    pub fn on_decode(&mut self, cycle: u64) {
+    pub(crate) fn on_decode(&mut self, cycle: u64) {
         if let Some(mut record) = self.fetch_q.pop_front() {
             record.decode = cycle;
             self.decode_q.push_back(record);
@@ -141,7 +141,7 @@ impl PipeviewTrace {
     /// PRE-filter hook: the oldest decoded micro-op was consumed — buffered
     /// in the EMQ when `captured`, otherwise retired as runahead-consumed
     /// (drawn as squashed).
-    pub fn on_filtered(&mut self, cycle: u64, captured: bool) {
+    pub(crate) fn on_filtered(&mut self, cycle: u64, captured: bool) {
         let Some(mut record) = self.decode_q.pop_front() else {
             return;
         };
@@ -155,7 +155,7 @@ impl PipeviewTrace {
 
     /// Dispatch hook: pop the EMQ mirror (PRE+EMQ replay after an interval)
     /// or the decode mirror and key the record by its assigned id.
-    pub fn on_dispatch(&mut self, id: u64, pc: u32, cycle: u64, from_emq: bool) {
+    pub(crate) fn on_dispatch(&mut self, id: u64, pc: u32, cycle: u64, from_emq: bool) {
         let source = if from_emq {
             &mut self.emq_q
         } else {
@@ -172,21 +172,21 @@ impl PipeviewTrace {
 
     /// Issue hook (ignored for ids not in the mirror, e.g. injected runahead
     /// micro-ops).
-    pub fn on_issue(&mut self, id: u64, cycle: u64) {
+    pub(crate) fn on_issue(&mut self, id: u64, cycle: u64) {
         if let Some(record) = self.in_flight.get_mut(&id) {
             record.issue = cycle;
         }
     }
 
     /// Writeback-complete hook.
-    pub fn on_complete(&mut self, id: u64, cycle: u64) {
+    pub(crate) fn on_complete(&mut self, id: u64, cycle: u64) {
         if let Some(record) = self.in_flight.get_mut(&id) {
             record.complete = cycle;
         }
     }
 
     /// Commit hook: the record is finished and emitted.
-    pub fn on_commit(&mut self, id: u64, cycle: u64) {
+    pub(crate) fn on_commit(&mut self, id: u64, cycle: u64) {
         if let Some(mut record) = self.in_flight.remove(&id) {
             record.retire = cycle;
             self.emit(record);
@@ -194,14 +194,14 @@ impl PipeviewTrace {
     }
 
     /// Post-dispatch squash hook: the record is finished with retire tick 0.
-    pub fn on_squash(&mut self, id: u64, _cycle: u64) {
+    pub(crate) fn on_squash(&mut self, id: u64, _cycle: u64) {
         if let Some(record) = self.in_flight.remove(&id) {
             self.emit(record);
         }
     }
 
     /// Frontend flush hook: every mirrored pre-dispatch micro-op is squashed.
-    pub fn on_frontend_flush(&mut self, _cycle: u64) {
+    pub(crate) fn on_frontend_flush(&mut self, _cycle: u64) {
         let drained: Vec<PipeRecord> = self
             .fetch_q
             .drain(..)
@@ -216,7 +216,7 @@ impl PipeviewTrace {
     /// Finishes the stream: micro-ops still in flight (the run ended with a
     /// non-empty pipeline) are emitted with the stamps they reached, in
     /// program order, and the full text is returned.
-    pub fn finish(&mut self) -> String {
+    pub(crate) fn finish(&mut self) -> String {
         let mut leftovers: Vec<PipeRecord> = self
             .in_flight
             .drain()

@@ -14,8 +14,6 @@ pub struct CommitRing {
     slots: Vec<(u64, u32)>,
     /// Next slot to overwrite.
     head: usize,
-    /// Total pushes ever (only the low bits matter for wrap detection).
-    pushed: u64,
 }
 
 impl CommitRing {
@@ -25,7 +23,6 @@ impl CommitRing {
         CommitRing {
             slots: Vec::with_capacity(capacity),
             head: 0,
-            pushed: 0,
         }
     }
 
@@ -38,22 +35,6 @@ impl CommitRing {
             self.slots[self.head] = (cycle, pc);
         }
         self.head = (self.head + 1) % self.slots.capacity();
-        self.pushed += 1;
-    }
-
-    /// Number of entries currently held (min of pushes and capacity).
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// `true` when nothing has been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Total commits ever pushed (including those already evicted).
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
     }
 
     /// The retained commits as `(cycle, pc)` pairs, oldest first.
@@ -76,10 +57,9 @@ mod tests {
     #[test]
     fn keeps_everything_below_capacity() {
         let mut ring = CommitRing::new(4);
-        assert!(ring.is_empty());
+        assert!(ring.entries().is_empty());
         ring.push(10, 0x40);
         ring.push(11, 0x44);
-        assert_eq!(ring.len(), 2);
         assert_eq!(ring.entries(), vec![(10, 0x40), (11, 0x44)]);
     }
 
@@ -89,8 +69,6 @@ mod tests {
         for i in 0..7u64 {
             ring.push(100 + i, 0x40 + 4 * i as u32);
         }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.total_pushed(), 7);
         assert_eq!(
             ring.entries(),
             vec![(104, 0x50), (105, 0x54), (106, 0x58)],

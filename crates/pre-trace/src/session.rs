@@ -22,7 +22,6 @@ use std::path::PathBuf;
 /// that the writes succeeded.
 #[derive(Debug)]
 pub struct TraceSession {
-    cell: String,
     pipeview: Option<(PipeviewTrace, PathBuf)>,
     chrome: Option<(ChromeTrace, PathBuf)>,
     timeseries: Option<(TimeSeries, PathBuf)>,
@@ -43,7 +42,6 @@ impl TraceSession {
         std::fs::create_dir_all(&spec.dir)?;
         let path = |ext: &str| spec.dir.join(format!("{cell}.{ext}"));
         let session = TraceSession {
-            cell: cell.to_string(),
             pipeview: spec
                 .pipeview
                 .then(|| (PipeviewTrace::new(spec.ring), path("pipeview"))),
@@ -76,11 +74,6 @@ impl TraceSession {
             .collect(),
             ..session
         })
-    }
-
-    /// The cell name the session was created for.
-    pub fn cell(&self) -> &str {
-        &self.cell
     }
 
     /// Paths of every enabled output file (valid before and after

@@ -1,8 +1,8 @@
 //! Windowed time-series sampling: IPC, structure occupancies, free physical
 //! registers and memory-level parallelism per configurable k-cycle window.
 //!
-//! The run loop asks [`TimeSeries::due`] once per tick (one compare) and
-//! builds a [`Sample`](crate::Sample) only when a window boundary has been
+//! The run loop asks `TimeSeries::due` once per tick (one compare) and
+//! builds a [`Sample`] only when a window boundary has been
 //! crossed. Fast-forward jumps can cross several boundaries at once; each
 //! crossed window gets its own row with the pipeline state observed at the
 //! jump target (the pipeline is quiescent across the jump, so the held
@@ -20,7 +20,7 @@ free_int_pct,free_fp_pct,mshr_outstanding,l2_miss_delta,l3_miss_delta,runahead";
 
 /// One emitted window row.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Row {
+pub(crate) struct Row {
     /// Window-end cycle.
     pub cycle: u64,
     /// Committed micro-ops per cycle over the window.
@@ -53,7 +53,7 @@ pub struct Row {
 
 /// The time-series sampler.
 #[derive(Debug)]
-pub struct TimeSeries {
+pub(crate) struct TimeSeries {
     window: u64,
     format: TimeSeriesFormat,
     next_boundary: u64,
@@ -66,7 +66,7 @@ pub struct TimeSeries {
 
 impl TimeSeries {
     /// Creates a sampler with the given window (cycles) and output format.
-    pub fn new(window: u64, format: TimeSeriesFormat) -> Self {
+    pub(crate) fn new(window: u64, format: TimeSeriesFormat) -> Self {
         TimeSeries {
             window: window.max(1),
             format,
@@ -80,7 +80,7 @@ impl TimeSeries {
     }
 
     /// `true` when `cycle` has crossed the next window boundary.
-    pub fn due(&self, cycle: u64) -> bool {
+    pub(crate) fn due(&self, cycle: u64) -> bool {
         cycle >= self.next_boundary
     }
 
@@ -88,7 +88,7 @@ impl TimeSeries {
     /// has not crossed a boundary (the run loop only sends one when the run
     /// ends mid-window) emits a single partial-window row at the sample
     /// cycle, so even runs shorter than one window produce a data point.
-    pub fn record(&mut self, s: &Sample) {
+    pub(crate) fn record(&mut self, s: &Sample) {
         let partial = !self.due(s.cycle);
         if partial && s.cycle <= self.last_cycle && !self.rows.is_empty() {
             return;
@@ -131,14 +131,9 @@ impl TimeSeries {
         self.last_l3 = s.l3_misses;
     }
 
-    /// The rows emitted so far.
-    pub fn rows(&self) -> &[Row] {
-        &self.rows
-    }
-
     /// Renders the configured output format: CSV under [`CSV_HEADER`], or
     /// a JSON array of one object per row keyed by the same columns.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let columns = || CSV_HEADER.split(',');
         if self.format == TimeSeriesFormat::Json {
             let rows = self
@@ -218,15 +213,15 @@ mod tests {
         assert!(!ts.due(99));
         assert!(ts.due(100));
         ts.record(&sample(105, 200));
-        assert_eq!(ts.rows().len(), 1);
+        assert_eq!(ts.rows.len(), 1);
         assert!(!ts.due(199));
         // A fast-forward jump across three boundaries emits three rows.
         ts.record(&sample(405, 300));
-        assert_eq!(ts.rows().len(), 4);
-        assert_eq!(ts.rows()[1].cycle, 200);
-        assert_eq!(ts.rows()[3].cycle, 400);
+        assert_eq!(ts.rows.len(), 4);
+        assert_eq!(ts.rows[1].cycle, 200);
+        assert_eq!(ts.rows[3].cycle, 400);
         let ipc = (300.0 - 200.0) / 300.0;
-        assert!((ts.rows()[1].ipc - ipc).abs() < 1e-9);
+        assert!((ts.rows[1].ipc - ipc).abs() < 1e-9);
     }
 
     #[test]
@@ -246,9 +241,9 @@ mod tests {
         ts.record(&sample(35, 9));
         let doc = json::parse(&ts.render()).unwrap();
         let rows = doc.as_array().unwrap();
-        assert_eq!(rows.len(), ts.rows().len());
+        assert_eq!(rows.len(), ts.rows.len());
         let columns: Vec<&str> = CSV_HEADER.split(',').collect();
-        for (json_row, row) in rows.iter().zip(ts.rows()) {
+        for (json_row, row) in rows.iter().zip(&ts.rows) {
             let Value::Obj(members) = json_row else {
                 panic!("row is not an object: {json_row:?}");
             };

@@ -25,7 +25,7 @@ impl KernelBuilder {
     }
 
     /// Emits an arbitrary instruction.
-    pub fn emit(&mut self, inst: StaticInst) -> &mut Self {
+    pub(crate) fn emit(&mut self, inst: StaticInst) -> &mut Self {
         self.program.insts.push(inst);
         self
     }
@@ -46,7 +46,7 @@ impl KernelBuilder {
     }
 
     /// `dest = src1 * src2`.
-    pub fn mul(&mut self, dest: ArchReg, src1: ArchReg, src2: ArchReg) -> &mut Self {
+    pub(crate) fn mul(&mut self, dest: ArchReg, src1: ArchReg, src2: ArchReg) -> &mut Self {
         self.emit(StaticInst::int_mul(dest, src1, src2))
     }
 
@@ -56,7 +56,7 @@ impl KernelBuilder {
     }
 
     /// Floating-point load.
-    pub fn fp_load(&mut self, dest: ArchReg, base: ArchReg, offset: i64) -> &mut Self {
+    pub(crate) fn fp_load(&mut self, dest: ArchReg, base: ArchReg, offset: i64) -> &mut Self {
         self.emit(StaticInst::fp_load(dest, base, offset))
     }
 
@@ -66,34 +66,29 @@ impl KernelBuilder {
     }
 
     /// Floating-point store.
-    pub fn fp_store(&mut self, value: ArchReg, base: ArchReg, offset: i64) -> &mut Self {
+    pub(crate) fn fp_store(&mut self, value: ArchReg, base: ArchReg, offset: i64) -> &mut Self {
         self.emit(StaticInst::fp_store(value, base, offset))
     }
 
     /// Floating-point `dest = src1 op src2`.
-    pub fn fp_alu(&mut self, op: AluOp, dest: ArchReg, src1: ArchReg, src2: ArchReg) -> &mut Self {
+    pub(crate) fn fp_alu(
+        &mut self,
+        op: AluOp,
+        dest: ArchReg,
+        src1: ArchReg,
+        src2: ArchReg,
+    ) -> &mut Self {
         self.emit(StaticInst::fp_alu(op, dest, src1, src2))
     }
 
     /// Floating-point multiply.
-    pub fn fp_mul(&mut self, dest: ArchReg, src1: ArchReg, src2: ArchReg) -> &mut Self {
+    pub(crate) fn fp_mul(&mut self, dest: ArchReg, src1: ArchReg, src2: ArchReg) -> &mut Self {
         self.emit(StaticInst::fp_mul(dest, src1, src2))
     }
 
     /// Conditional branch.
     pub fn branch(&mut self, cond: BranchCond, a: ArchReg, b: ArchReg, target: u32) -> &mut Self {
         self.emit(StaticInst::branch(cond, a, b, target))
-    }
-
-    /// Unconditional jump.
-    pub fn jump(&mut self, target: u32) -> &mut Self {
-        self.emit(StaticInst::jump(target))
-    }
-
-    /// Sets an initial architectural register value.
-    pub fn init_reg(&mut self, reg: ArchReg, value: u64) -> &mut Self {
-        self.program.initial_regs.push((reg, value));
-        self
     }
 
     /// Sets an initial memory word.
@@ -152,11 +147,9 @@ mod tests {
     #[test]
     fn init_state_is_recorded() {
         let mut b = KernelBuilder::new("init");
-        b.init_reg(ArchReg::int(3), 42);
         b.init_mem(0x1000, 7);
         b.li(ArchReg::int(1), 0);
         let p = b.finish();
-        assert_eq!(p.initial_regs, vec![(ArchReg::int(3), 42)]);
         assert_eq!(p.initial_mem, vec![(0x1000, 7)]);
     }
 
@@ -164,7 +157,7 @@ mod tests {
     #[should_panic(expected = "well-formed")]
     fn invalid_kernel_panics_at_finish() {
         let mut b = KernelBuilder::new("bad");
-        b.jump(99);
+        b.branch(BranchCond::Eq, ArchReg::int(0), ArchReg::int(0), 99);
         let _ = b.finish();
     }
 }

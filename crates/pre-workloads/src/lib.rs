@@ -31,9 +31,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod builder;
+mod builder;
 mod kernels;
-pub mod suite;
+mod suite;
 
 pub use builder::KernelBuilder;
-pub use suite::{SliceProfile, Workload, WorkloadParams};
+pub use suite::{ParseWorkloadError, Workload, WorkloadParams};

@@ -38,20 +38,6 @@ impl WorkloadParams {
     }
 }
 
-/// How many distinct stalling slices dominate a workload's LLC misses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SliceProfile {
-    /// A single dominant slice (the case where the runahead buffer shines,
-    /// e.g. libquantum).
-    Single,
-    /// A handful of independent slices.
-    Few,
-    /// Many concurrent slices (pointer-heavy or many-array codes).
-    Many,
-    /// Not memory-bound.
-    ComputeBound,
-}
-
 /// The synthetic stand-ins for the paper's memory-intensive SPEC CPU2006
 /// benchmarks, plus a compute-bound control.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -222,43 +208,10 @@ impl Workload {
         }
     }
 
-    /// The dominant stalling-slice structure.
-    pub fn slice_profile(&self) -> SliceProfile {
-        match self {
-            Workload::LibquantumLike => SliceProfile::Single,
-            Workload::GemsLike | Workload::ZeusmpLike | Workload::Sphinx3Like => SliceProfile::Few,
-            Workload::ComputeBound => SliceProfile::ComputeBound,
-            Workload::Asm(k) => match k {
-                // One serial dependence chain / one dominant load slice.
-                AsmKernel::PointerChase
-                | AsmKernel::BinarySearch
-                | AsmKernel::ChaseLarge
-                | AsmKernel::StructChase => SliceProfile::Single,
-                // A handful of strided streams.
-                AsmKernel::BoxBlur
-                | AsmKernel::PrimeSieve
-                | AsmKernel::Quicksort
-                | AsmKernel::ByteHisto => SliceProfile::Few,
-                // Small matrices stay cache-resident.
-                AsmKernel::Matmul => SliceProfile::ComputeBound,
-            },
-            _ => SliceProfile::Many,
-        }
-    }
-
     /// `true` for the assembled RISC-V kernels, `false` for the synthetic
     /// generators.
     pub fn is_asm(&self) -> bool {
         matches!(self, Workload::Asm(_))
-    }
-
-    /// Stable content hash of the program this workload builds under
-    /// `params` (see [`Program::content_hash`]). Cache and snapshot keys use
-    /// this rather than the workload *name*, so editing a generator or
-    /// kernel source automatically invalidates every cached result derived
-    /// from it.
-    pub fn content_hash(&self, params: &WorkloadParams) -> u64 {
-        self.build(params).content_hash()
     }
 
     /// Builds the workload's program.
@@ -525,19 +478,6 @@ mod tests {
         }
         assert_eq!("mcf".parse::<Workload>().unwrap(), Workload::McfLike);
         assert!("unknown".parse::<Workload>().is_err());
-    }
-
-    #[test]
-    fn slice_profiles_cover_the_interesting_cases() {
-        assert_eq!(
-            Workload::LibquantumLike.slice_profile(),
-            SliceProfile::Single
-        );
-        assert_eq!(Workload::McfLike.slice_profile(), SliceProfile::Many);
-        assert_eq!(
-            Workload::ComputeBound.slice_profile(),
-            SliceProfile::ComputeBound
-        );
     }
 
     #[test]

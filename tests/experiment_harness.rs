@@ -1,7 +1,7 @@
 //! End-to-end tests of the experiment harness (`pre-sim`): the machinery that
 //! regenerates the paper's figures must itself be trustworthy.
 
-use precise_runahead::model::config::SimConfigBuilder;
+use precise_runahead::model::SimConfig;
 use precise_runahead::runahead::Technique;
 use precise_runahead::sim::experiments::{fig2_table, fig3_table, table1};
 use precise_runahead::sim::matrix::EvaluationMatrix;
@@ -11,7 +11,7 @@ use precise_runahead::workloads::{Workload, WorkloadParams};
 #[test]
 fn a_small_evaluation_matrix_produces_all_figures() {
     let workloads = [Workload::LbmLike, Workload::LibquantumLike];
-    let config = SimConfigBuilder::haswell_like().build().unwrap();
+    let config = SimConfig::haswell_like();
     let specs = EvaluationMatrix::specs(
         &workloads,
         &Technique::ALL,
@@ -69,10 +69,9 @@ fn table1_reflects_the_live_configuration() {
 
 #[test]
 fn run_one_honours_configuration_overrides() {
-    let small_sst = SimConfigBuilder::haswell_like()
-        .sst_entries(8)
-        .build()
-        .unwrap();
+    let mut small_sst = SimConfig::haswell_like();
+    small_sst.runahead.sst_entries = 8;
+    small_sst.validate().unwrap();
     let spec = RunSpec::new(Workload::CactusLike, Technique::Pre)
         .with_budget(6_000)
         .with_config(small_sst);

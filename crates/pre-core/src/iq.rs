@@ -119,8 +119,6 @@ pub struct IqEntry {
     /// `true` for micro-ops injected by runahead execution (they have no ROB
     /// entry and are discarded at runahead exit).
     pub is_runahead: bool,
-    /// Cycle at which the micro-op entered the queue.
-    pub dispatched_at: u64,
     /// For stores: the address has been computed eagerly (address generation
     /// does not wait for the store data).
     pub store_addr_ready: bool,
@@ -667,7 +665,6 @@ mod tests {
             dest: None,
             class: OpClass::Nop,
             is_runahead: runahead,
-            dispatched_at: 0,
             store_addr_ready: false,
         }
     }

@@ -53,11 +53,10 @@ pub mod rename;
 pub mod rob;
 mod runahead_store_buffer;
 mod sorted_deque;
-pub mod uop;
+mod uop;
 mod warm;
 
 pub use pipeline::{BuildError, OooCore};
 pub use regfile::PhysRegFile;
 pub use rename::{DestRename, RenameSubsystem};
-pub use uop::DynUop;
 pub use warm::WarmedState;

@@ -32,10 +32,7 @@ use pre_model::program::{fold_store_checksum, ArchSnapshot, Program};
 use pre_model::reg::{ArchReg, PhysReg, RegClass, NUM_ARCH_REGS};
 use pre_model::snapshot::SimSnapshot;
 use pre_model::stats::{SimStats, TerminationKind};
-use pre_runahead::{
-    ChainReplayEngine, EntryPolicy, ExtendedMicroOpQueue, RunaheadBuffer, StallingSliceTable,
-    Technique,
-};
+use pre_runahead::{ChainReplayEngine, EntryPolicy, StallingSliceTable, Technique};
 use pre_trace::{CommitRing, CommittedUop, FfMode, Sample, Tracer};
 use std::error::Error;
 use std::fmt;
@@ -207,8 +204,12 @@ pub struct OooCore {
     pub(crate) use_emq: bool,
     pub(crate) entry_policy: EntryPolicy,
     pub(crate) sst: StallingSliceTable,
-    pub(crate) emq: ExtendedMicroOpQueue<DynUop>,
-    pub(crate) runahead_buffer: RunaheadBuffer,
+    /// The Extended Micro-op Queue (Section 3.3): with PRE+EMQ, every
+    /// micro-op decoded in runahead mode (SST hits and misses alike) is
+    /// buffered here and dispatched straight from it after exit instead of
+    /// being fetched and decoded again. Runahead stalls once it is full, so
+    /// its capacity (768 entries, 4 × ROB, in the paper) bounds the interval.
+    pub(crate) emq: UopQueue<DynUop>,
     pub(crate) chain_engine: Option<ChainReplayEngine>,
     /// Line-granular runahead store buffer (runahead stores never reach
     /// memory; their bytes are forwarded to younger runahead loads).
@@ -382,8 +383,7 @@ impl OooCore {
             use_emq: technique.uses_emq(),
             entry_policy,
             sst: StallingSliceTable::new(cfg.runahead.sst_entries),
-            emq: ExtendedMicroOpQueue::new(cfg.runahead.emq_entries),
-            runahead_buffer: RunaheadBuffer::new(),
+            emq: UopQueue::new(cfg.runahead.emq_entries),
             chain_engine: None,
             runahead_store_buffer: RunaheadStoreBuffer::new(),
             interval: None,
@@ -573,13 +573,10 @@ impl OooCore {
             cycle: now,
             committed_uops: self.stats.committed_uops,
             rob: self.rob.len(),
-            rob_cap: self.rob.capacity(),
             iq: self.iq.len(),
-            iq_cap: self.iq.capacity(),
             lq: self.lsq.lq_len(),
             sq: self.lsq.sq_len(),
             emq: self.emq.len(),
-            emq_cap: self.emq.capacity(),
             free_int_frac: self.rename.free_fraction(RegClass::Int),
             free_fp_frac: self.rename.free_fraction(RegClass::Fp),
             mshr_occupancy: self.mem_hier.l1d_mshr_occupancy(now),
@@ -616,9 +613,8 @@ impl OooCore {
         self.stats.prdq_reclaims = self.rename.prdq().reclaims();
         self.stats.prdq_eager_seeds = self.rename.prdq().eager_seeds();
         self.stats.prdq_eager_reclaims = self.rename.prdq().eager_reclaims();
-        self.stats.emq_writes = self.emq.writes();
-        self.stats.emq_reads = self.emq.reads();
-        self.stats.runahead_buffer_walks = self.runahead_buffer.walks();
+        self.stats.emq_writes = self.emq.pushes();
+        self.stats.emq_reads = self.emq.pops();
     }
 
     // ---------------------------------------------------------------------
@@ -692,16 +688,16 @@ impl OooCore {
             if self.eager_tracked {
                 self.rename.eager_head_committing(&self.rob);
             }
-            let Some(entry) = self.rob.pop_head() else {
+            let Some((entry, cold)) = self.rob.pop_head() else {
                 break;
             };
-            let inst = self.insts[entry.uop.pc as usize];
-            if let (Some(dest), Some(result)) = (inst.dest, entry.result) {
+            let inst = self.insts[entry.pc as usize];
+            if let (Some(dest), Some(result)) = (inst.dest, cold.result) {
                 self.arf[dest.flat_index()] = result;
             }
             if let Some(width) = inst.opcode.store_width() {
-                let addr = entry.mem_addr.expect("committed store has an address");
-                let value = entry.store_value.expect("committed store has a value");
+                let addr = cold.mem_addr.expect("committed store has an address");
+                let value = cold.store_value.expect("committed store has a value");
                 self.func_mem.store_bytes(addr, width.bytes(), value);
                 self.mem_hier.store_range(addr, width.bytes(), now);
                 self.stats.committed_stores += 1;
@@ -719,7 +715,7 @@ impl OooCore {
             }
             if inst.opcode.is_cond_branch() {
                 self.stats.committed_branches += 1;
-                if entry.mispredicted {
+                if cold.mispredicted {
                     self.stats.mispredicted_branches += 1;
                 }
             }
@@ -728,14 +724,14 @@ impl OooCore {
             }
             self.stats.committed_uops += 1;
             self.last_progress_cycle = now;
-            self.commit_ring.push(now, entry.uop.pc);
+            self.commit_ring.push(now, entry.pc);
             if let Some(t) = self.tracer.as_deref_mut() {
                 t.uop_committed(
                     &CommittedUop {
                         id: entry.id,
-                        pc: entry.uop.pc,
+                        pc: entry.pc,
                         class: inst.opcode.class(),
-                        addr: entry.mem_addr,
+                        addr: cold.mem_addr,
                         width: inst.opcode.mem_width().map_or(0, |w| w.bytes() as u8),
                     },
                     now,
@@ -765,10 +761,10 @@ impl OooCore {
     fn pseudo_retire(&mut self, now: u64) {
         let batch = self.rob.executed_head_run(self.cfg.core.commit_width);
         for _ in 0..batch {
-            let Some(entry) = self.rob.pop_head() else {
+            let Some((entry, _)) = self.rob.pop_head() else {
                 break;
             };
-            if self.insts[entry.uop.pc as usize].opcode.is_store() {
+            if self.insts[entry.pc as usize].opcode.is_store() {
                 self.lsq.release_store(entry.id);
             }
             if entry.is_load {
@@ -924,7 +920,7 @@ impl OooCore {
             let front = if self.emq.is_empty() {
                 self.uop_queue.front().copied()
             } else {
-                self.emq.peek().copied()
+                self.emq.front().copied()
             };
             if let Some(uop) = front {
                 if self.dispatch_resources_available(&uop) {

@@ -5,7 +5,7 @@ use super::{FlushKind, Mode, OooCore, RunaheadInterval};
 use crate::iq::IqEntry;
 use pre_model::reg::{ArchReg, RegClass, NUM_ARCH_REGS};
 use pre_model::stats::{RunaheadEvent, RunaheadEventKind};
-use pre_runahead::{ChainReplayEngine, EntryDecision, Technique, WindowUop};
+use pre_runahead::{extract_chain, ChainReplayEngine, EntryDecision, Technique, WindowUop};
 
 impl OooCore {
     // ---------------------------------------------------------------------
@@ -234,14 +234,13 @@ impl OooCore {
                 inst: self.insts[e.pc as usize],
             })
             .collect();
-        let found = self.runahead_buffer.fill_from_window(
-            &window,
-            head_pc,
-            self.cfg.runahead.runahead_buffer_chain_max,
-        );
-        if !found {
+        // Every entry walks the window, whether or not it finds a chain (each
+        // walk is a CAM search over the ROB, charged by the energy model).
+        self.stats.runahead_buffer_walks += 1;
+        let max_len = self.cfg.runahead.runahead_buffer_chain_max;
+        let Some(chain) = extract_chain(&window, head_pc, max_len) else {
             return FlushKind::Traditional;
-        }
+        };
         // Seed the replay with the youngest speculative register values, as
         // the hardware's rename table would supply.
         let mut regs = [0u64; NUM_ARCH_REGS];
@@ -258,12 +257,7 @@ impl OooCore {
             .and_then(|h| self.insts[h.pc as usize].dest)
             .into_iter()
             .collect();
-        self.chain_engine = Some(ChainReplayEngine::new(
-            self.runahead_buffer.chain().to_vec(),
-            &regs,
-            &inv_regs,
-            now,
-        ));
+        self.chain_engine = Some(ChainReplayEngine::new(chain, &regs, &inv_regs, now));
         // The window is discarded, as in traditional runahead; the back-end
         // resources are then used exclusively by the chain replay.
         self.squash_window(now);
@@ -380,10 +374,10 @@ impl OooCore {
                 t.uop_filtered(now, self.use_emq, hit);
             }
             if self.use_emq {
-                self.emq.capture(uop).expect("EMQ fullness checked above");
+                self.emq.push(uop).expect("EMQ fullness checked above");
             }
             if hit {
-                self.runahead_execute_uop(uop, now);
+                self.runahead_execute_uop(uop);
             }
         }
     }
@@ -403,7 +397,7 @@ impl OooCore {
     /// Renames and injects one SST-hitting micro-op into the issue queue as a
     /// runahead micro-op, allocating its PRDQ entry and learning its
     /// producers' PCs.
-    fn runahead_execute_uop(&mut self, uop: crate::uop::DynUop, now: u64) {
+    fn runahead_execute_uop(&mut self, uop: crate::uop::DynUop) {
         let inst = self.insts[uop.pc as usize];
         // Iterative slice learning: the producers of this instruction's
         // sources are part of the slice too.
@@ -429,7 +423,6 @@ impl OooCore {
                 dest,
                 class: inst.opcode.class(),
                 is_runahead: true,
-                dispatched_at: now,
                 store_addr_ready: false,
             },
             |class, reg| rename.prf(class).is_ready(reg),

@@ -3,7 +3,7 @@
 
 use super::{FlushKind, InFlight, Mode, OooCore};
 use crate::iq::IqEntry;
-use crate::rob::RobEntry;
+use crate::rob::RobHotEntry;
 use crate::uop::DynUop;
 use pre_mem::{AccessKind, HitLevel};
 use pre_model::isa::OpClass;
@@ -142,7 +142,7 @@ impl OooCore {
             // the EMQ before the live front-end stream continues.
             let from_emq = self.mode == Mode::Normal && !self.emq.is_empty();
             let peeked = if from_emq {
-                self.emq.peek().copied()
+                self.emq.front().copied()
             } else {
                 self.uop_queue.front().copied()
             };
@@ -155,11 +155,11 @@ impl OooCore {
                 break;
             }
             if from_emq {
-                self.emq.dispatch_next();
+                self.emq.pop();
             } else {
                 self.uop_queue.pop();
             }
-            let id = self.rename_and_dispatch(uop, now);
+            let id = self.rename_and_dispatch(uop);
             if let Some(t) = self.tracer.as_deref_mut() {
                 t.uop_dispatched(id, uop.pc, now, from_emq);
             }
@@ -185,7 +185,7 @@ impl OooCore {
         true
     }
 
-    pub(crate) fn rename_and_dispatch(&mut self, uop: DynUop, now: u64) -> u64 {
+    pub(crate) fn rename_and_dispatch(&mut self, uop: DynUop) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
         let inst = self.insts[uop.pc as usize];
@@ -214,10 +214,10 @@ impl OooCore {
             old_dest = Some((d, rename.old, rename.old_pc));
         }
 
-        let mut rob_entry = RobEntry::new(id, uop, &inst);
+        let mut rob_entry = RobHotEntry::new(id, uop.pc, &inst);
         rob_entry.dest = dest;
         rob_entry.old_dest = old_dest;
-        let rob_slot = self.rob.push(rob_entry);
+        let rob_slot = self.rob.push(rob_entry, uop.predicted_next_pc);
 
         let rename = &self.rename;
         self.iq.insert(
@@ -230,7 +230,6 @@ impl OooCore {
                 dest,
                 class: inst.opcode.class(),
                 is_runahead: false,
-                dispatched_at: now,
                 store_addr_ready: false,
             },
             |class, reg| rename.prf(class).is_ready(reg),
@@ -401,7 +400,6 @@ impl OooCore {
         let mut mem_addr = None;
         let mut mem_level = None;
         let mut store_value = None;
-        let mut actual_next_pc = None;
         let mut mispredicted = false;
 
         if let Some(load_access) = inst.opcode.load_access() {
@@ -483,7 +481,6 @@ impl OooCore {
             }
         } else if inst.opcode.is_control() {
             let outcome = inst.execute(entry.pc, src1, src2, None);
-            actual_next_pc = Some(outcome.next_pc);
             if !entry.is_runahead && !src_inv {
                 if inst.opcode.is_cond_branch() {
                     let predicted_next = self
@@ -539,7 +536,6 @@ impl OooCore {
                     mem_level,
                     store_value,
                     mispredicted,
-                    actual_next_pc,
                 },
             );
         }

@@ -820,8 +820,7 @@ impl RenameSubsystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rob::RobEntry;
-    use crate::uop::DynUop;
+    use crate::rob::RobHotEntry;
     use pre_model::isa::{AluOp, BranchCond, StaticInst};
 
     fn subsystem() -> RenameSubsystem {
@@ -833,10 +832,10 @@ mod tests {
         subsystem: &mut RenameSubsystem,
         arch: ArchReg,
         executed: bool,
-    ) -> RobEntry {
+    ) -> RobHotEntry {
         let inst = StaticInst::int_alu_imm(AluOp::Add, arch, arch, 1);
         let rename = subsystem.rename_dest(arch, id as u32).expect("free reg");
-        let mut entry = RobEntry::new(id, DynUop::sequential(id as u32), &inst);
+        let mut entry = RobHotEntry::new(id, id as u32, &inst);
         entry.dest = Some((arch.class(), rename.new));
         entry.old_dest = Some((arch, rename.old, rename.old_pc));
         entry.issued = true;
@@ -895,8 +894,8 @@ mod tests {
         // Two back-to-back redefinitions: the first allocation's previous
         // mapping (identity reg 5) is dead once both have executed and no
         // consumer waits.
-        rob.push(rob_entry_with_rename(1, &mut r, a, true));
-        rob.push(rob_entry_with_rename(2, &mut r, a, true));
+        rob.push(rob_entry_with_rename(1, &mut r, a, true), 0);
+        rob.push(rob_entry_with_rename(2, &mut r, a, true), 0);
         r.begin_runahead_interval(&rob, &iq);
         let (int_reclaimable, fp_reclaimable) = r.count_eager_reclaimable(&rob, &iq);
         assert_eq!(int_reclaimable, 2);
@@ -921,13 +920,13 @@ mod tests {
         let a = ArchReg::int(6);
         let first = rob_entry_with_rename(1, &mut r, a, true);
         let first_new = first.dest.unwrap().1;
-        rob.push(first);
+        rob.push(first, 0);
         // An unissued conditional branch shadows everything younger.
         let branch = StaticInst::branch(BranchCond::Lt, a, a, 0);
-        let mut branch_entry = RobEntry::new(2, DynUop::sequential(2), &branch);
+        let mut branch_entry = RobHotEntry::new(2, 2, &branch);
         branch_entry.issued = false;
-        rob.push(branch_entry);
-        rob.push(rob_entry_with_rename(3, &mut r, a, true));
+        rob.push(branch_entry, 0);
+        rob.push(rob_entry_with_rename(3, &mut r, a, true), 0);
         // A waiting consumer still reads the first allocation.
         iq.insert(
             crate::iq::IqEntry {
@@ -939,7 +938,6 @@ mod tests {
                 dest: None,
                 class: pre_model::isa::OpClass::IntAlu,
                 is_runahead: false,
-                dispatched_at: 0,
                 store_addr_ready: false,
             },
             |_, _| true,
@@ -963,7 +961,7 @@ mod tests {
         let iq = IssueQueue::new(8);
         let a = ArchReg::int(5);
         for id in 1..=4 {
-            rob.push(rob_entry_with_rename(id, &mut r, a, true));
+            rob.push(rob_entry_with_rename(id, &mut r, a, true), 0);
         }
         assert_eq!(r.count_eager_reclaimable(&rob, &iq), (4, 0));
         // A recovery younger than entry 2 squashes two walked entries.
@@ -971,13 +969,13 @@ mod tests {
         rob.squash_younger_than(2, |e| r.rollback_squashed(e.old_dest, e.dest));
         assert_eq!(r.count_eager_reclaimable(&rob, &iq), (2, 0));
         r.eager_head_committing(&rob);
-        let head = rob.pop_head().expect("a head");
+        let (head, _) = rob.pop_head().expect("a head");
         let (arch, old, _) = head.old_dest.expect("an old mapping");
         r.free_committed(arch.class(), old);
         assert_eq!(r.count_eager_reclaimable(&rob, &iq), (1, 0));
         // The slots the squash freed take new entries, which the next walk
         // visits.
-        rob.push(rob_entry_with_rename(5, &mut r, a, true));
+        rob.push(rob_entry_with_rename(5, &mut r, a, true), 0);
         assert_eq!(r.count_eager_reclaimable(&rob, &iq), (2, 0));
     }
 

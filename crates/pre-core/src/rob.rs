@@ -3,19 +3,19 @@
 //! The buffer is a fixed-capacity ring with the per-entry state split
 //! between a **hot** array ([`RobHotEntry`]: the status bits, age, program
 //! counter and rename mappings that the per-cycle commit, full-window-stall
-//! and eager-reclaim scans touch) and a **cold** array (the 8-byte micro-op
-//! handle and the execution results, needed only when an entry writes back,
-//! commits or is squashed). Neither array holds the static instruction: the
+//! and eager-reclaim scans touch) and a **cold** array ([`RobColdEntry`]:
+//! the predicted next PC and the execution results, needed only when an
+//! entry writes back or commits). Dispatch pushes the two halves and commit
+//! pops them as stored. Neither array holds the static instruction: the
 //! core's PC-indexed instruction table already does, so commit reads
 //! `insts[pc]` and dispatch copies only the two opcode bits the hot scans
-//! need (load, conditional branch) into the hot entry. Entries
-//! never move: a micro-op keeps its physical slot index from dispatch to
-//! removal, so the issue queue and the in-flight completion events carry a
-//! slot handle and write back in O(1) — validated against the stored
-//! micro-op id, which makes handles that outlive their entry (squash,
-//! pseudo-retire during flush-style runahead) fail safely.
+//! need (load, conditional branch) into the hot entry. Entries never move:
+//! a micro-op keeps its physical slot index from dispatch to removal, so
+//! the issue queue and the in-flight completion events carry a slot handle
+//! and write back in O(1) — validated against the stored micro-op id, which
+//! makes handles that outlive their entry (squash, pseudo-retire during
+//! flush-style runahead) fail safely.
 
-use crate::uop::DynUop;
 use pre_mem::HitLevel;
 use pre_model::isa::StaticInst;
 use pre_model::reg::{ArchReg, PhysReg, RegClass};
@@ -23,71 +23,6 @@ use pre_model::reg::{ArchReg, PhysReg, RegClass};
 /// Slot handle carried by issue-queue entries that have no ROB entry
 /// (runahead micro-ops). Never validates against a live slot.
 pub const INVALID_SLOT: u32 = u32::MAX;
-
-/// One ROB entry, fully assembled. This is the dispatch-side input to
-/// [`ReorderBuffer::push`] and the commit/squash-side output; while resident
-/// the fields live split across the hot and cold arrays.
-#[derive(Debug, Clone)]
-pub struct RobEntry {
-    /// Unique, monotonically increasing micro-op identifier (program order).
-    /// Always non-zero; zero marks a free slot internally.
-    pub id: u64,
-    /// The dynamic micro-op.
-    pub uop: DynUop,
-    /// The micro-op is a load (decoded once at dispatch).
-    pub is_load: bool,
-    /// The micro-op is a conditional branch (decoded once at dispatch).
-    pub is_cond_branch: bool,
-    /// Destination mapping allocated at rename, if the micro-op writes a
-    /// register.
-    pub dest: Option<(RegClass, PhysReg)>,
-    /// Previous mapping of the destination architectural register (freed at
-    /// commit, restored on a squash).
-    pub old_dest: Option<(ArchReg, PhysReg, Option<u32>)>,
-    /// The micro-op has been issued to a functional unit.
-    pub issued: bool,
-    /// The micro-op has finished execution.
-    pub executed: bool,
-    /// Cycle at which execution completes (valid once issued).
-    pub completion_cycle: u64,
-    /// For loads: the hierarchy level that supplied the data.
-    pub mem_level: Option<HitLevel>,
-    /// For loads/stores: the effective address.
-    pub mem_addr: Option<u64>,
-    /// For stores: the value to write at commit.
-    pub store_value: Option<u64>,
-    /// The value written to the destination register (for updating the
-    /// architectural register file at commit).
-    pub result: Option<u64>,
-    /// For conditional branches: whether the branch was mispredicted.
-    pub mispredicted: bool,
-    /// For control instructions: the resolved next PC.
-    pub actual_next_pc: u32,
-}
-
-impl RobEntry {
-    /// Creates a freshly dispatched (not yet issued) entry for `uop`, whose
-    /// static instruction is `inst`.
-    pub fn new(id: u64, uop: DynUop, inst: &StaticInst) -> Self {
-        RobEntry {
-            id,
-            uop,
-            is_load: inst.opcode.is_load(),
-            is_cond_branch: inst.opcode.is_cond_branch(),
-            dest: None,
-            old_dest: None,
-            issued: false,
-            executed: false,
-            completion_cycle: 0,
-            mem_level: None,
-            mem_addr: None,
-            store_value: None,
-            result: None,
-            mispredicted: false,
-            actual_next_pc: uop.predicted_next_pc,
-        }
-    }
-}
 
 /// The hot per-entry state: everything the per-cycle scans (commit-head
 /// probe, full-window-stall detection, fast-forward gating, the PRE eager
@@ -117,6 +52,19 @@ pub struct RobHotEntry {
 }
 
 impl RobHotEntry {
+    /// Creates a freshly dispatched (not yet issued) entry for the micro-op
+    /// `id` at `pc`, whose static instruction is `inst`. Dispatch fills in
+    /// `dest` and `old_dest` after renaming.
+    pub fn new(id: u64, pc: u32, inst: &StaticInst) -> Self {
+        RobHotEntry {
+            id,
+            pc,
+            is_load: inst.opcode.is_load(),
+            is_cond_branch: inst.opcode.is_cond_branch(),
+            ..RobHotEntry::free()
+        }
+    }
+
     /// `true` when this entry is a load still waiting on an off-chip access.
     pub(crate) fn is_blocking_long_latency_load(&self, now: u64) -> bool {
         self.is_load
@@ -144,87 +92,30 @@ impl RobHotEntry {
 
 /// The cold payload: touched only at writeback, commit and squash.
 #[derive(Debug, Clone, Copy)]
-struct RobColdEntry {
-    uop: DynUop,
-    mem_addr: Option<u64>,
-    store_value: Option<u64>,
-    result: Option<u64>,
-    mispredicted: bool,
-    actual_next_pc: u32,
+pub struct RobColdEntry {
+    /// The PC the front end followed after this micro-op (branch resolution
+    /// compares it against the computed next PC).
+    pub predicted_next_pc: u32,
+    /// For loads/stores: the effective address.
+    pub mem_addr: Option<u64>,
+    /// For stores: the value to write at commit.
+    pub store_value: Option<u64>,
+    /// The value written to the destination register (for updating the
+    /// architectural register file at commit).
+    pub result: Option<u64>,
+    /// For conditional branches: whether the branch was mispredicted.
+    pub mispredicted: bool,
 }
 
 impl RobColdEntry {
-    fn free() -> Self {
+    fn new(predicted_next_pc: u32) -> Self {
         RobColdEntry {
-            uop: DynUop::sequential(0),
+            predicted_next_pc,
             mem_addr: None,
             store_value: None,
             result: None,
             mispredicted: false,
-            actual_next_pc: 0,
         }
-    }
-}
-
-fn split(entry: RobEntry) -> (RobHotEntry, RobColdEntry) {
-    let RobEntry {
-        id,
-        uop,
-        is_load,
-        is_cond_branch,
-        dest,
-        old_dest,
-        issued,
-        executed,
-        completion_cycle,
-        mem_level,
-        mem_addr,
-        store_value,
-        result,
-        mispredicted,
-        actual_next_pc,
-    } = entry;
-    (
-        RobHotEntry {
-            id,
-            pc: uop.pc,
-            is_load,
-            is_cond_branch,
-            issued,
-            executed,
-            completion_cycle,
-            mem_level,
-            dest,
-            old_dest,
-        },
-        RobColdEntry {
-            uop,
-            mem_addr,
-            store_value,
-            result,
-            mispredicted,
-            actual_next_pc,
-        },
-    )
-}
-
-fn assemble(hot: RobHotEntry, cold: RobColdEntry) -> RobEntry {
-    RobEntry {
-        id: hot.id,
-        uop: cold.uop,
-        is_load: hot.is_load,
-        is_cond_branch: hot.is_cond_branch,
-        dest: hot.dest,
-        old_dest: hot.old_dest,
-        issued: hot.issued,
-        executed: hot.executed,
-        completion_cycle: hot.completion_cycle,
-        mem_level: hot.mem_level,
-        mem_addr: cold.mem_addr,
-        store_value: cold.store_value,
-        result: cold.result,
-        mispredicted: cold.mispredicted,
-        actual_next_pc: cold.actual_next_pc,
     }
 }
 
@@ -244,9 +135,6 @@ pub struct Writeback {
     pub store_value: Option<u64>,
     /// For conditional branches: whether the branch was mispredicted.
     pub mispredicted: bool,
-    /// For control instructions: the resolved next PC (`None` leaves the
-    /// predicted fall-through in place).
-    pub actual_next_pc: Option<u32>,
 }
 
 /// The reorder buffer: a bounded ring of entries in program order (see the
@@ -272,7 +160,7 @@ impl ReorderBuffer {
         assert!(capacity > 0, "ROB capacity must be non-zero");
         ReorderBuffer {
             hot: vec![RobHotEntry::free(); capacity].into_boxed_slice(),
-            cold: vec![RobColdEntry::free(); capacity].into_boxed_slice(),
+            cold: vec![RobColdEntry::new(0); capacity].into_boxed_slice(),
             head: 0,
             len: 0,
             writes: 0,
@@ -310,21 +198,20 @@ impl ReorderBuffer {
         }
     }
 
-    /// Pushes a dispatched entry at the tail and returns its (stable) slot
-    /// handle.
+    /// Pushes a dispatched entry (its hot state and the PC the front end
+    /// predicted after it) at the tail and returns its (stable) slot handle.
     ///
     /// # Panics
     ///
     /// Panics if the ROB is full; the dispatch stage must check
     /// [`ReorderBuffer::is_full`] first.
-    pub fn push(&mut self, entry: RobEntry) -> u32 {
+    pub fn push(&mut self, hot: RobHotEntry, predicted_next_pc: u32) -> u32 {
         assert!(!self.is_full(), "dispatch into a full ROB");
-        debug_assert!(entry.id != 0, "id 0 is reserved for free slots");
+        debug_assert!(hot.id != 0, "id 0 is reserved for free slots");
         self.writes += 1;
         let slot = self.phys(self.len);
-        let (hot, cold) = split(entry);
         self.hot[slot] = hot;
-        self.cold[slot] = cold;
+        self.cold[slot] = RobColdEntry::new(predicted_next_pc);
         self.len += 1;
         slot as u32
     }
@@ -339,13 +226,13 @@ impl ReorderBuffer {
     }
 
     /// Removes and returns the oldest entry (commit / pseudo-retire).
-    pub fn pop_head(&mut self) -> Option<RobEntry> {
+    pub fn pop_head(&mut self) -> Option<(RobHotEntry, RobColdEntry)> {
         if self.len == 0 {
             return None;
         }
         self.reads += 1;
         let slot = self.head;
-        let entry = assemble(self.hot[slot], self.cold[slot]);
+        let entry = (self.hot[slot], self.cold[slot]);
         self.hot[slot].id = 0;
         self.head = self.phys(1);
         self.len -= 1;
@@ -410,9 +297,6 @@ impl ReorderBuffer {
         cold.mem_addr = wb.mem_addr;
         cold.store_value = wb.store_value;
         cold.mispredicted = wb.mispredicted;
-        if let Some(next) = wb.actual_next_pc {
-            cold.actual_next_pc = next;
-        }
         true
     }
 
@@ -420,7 +304,7 @@ impl ReorderBuffer {
     /// (branch resolution compares it against the computed next PC).
     pub(crate) fn predicted_next_pc(&self, slot: u32, id: u64) -> Option<u32> {
         if self.slot_matches(slot, id) {
-            Some(self.cold[slot as usize].uop.predicted_next_pc)
+            Some(self.cold[slot as usize].predicted_next_pc)
         } else {
             None
         }
@@ -513,30 +397,31 @@ mod tests {
     use super::*;
     use pre_model::isa::StaticInst;
 
-    fn entry(id: u64) -> RobEntry {
-        RobEntry::new(id, DynUop::sequential(id as u32), &StaticInst::nop())
+    fn push(rob: &mut ReorderBuffer, id: u64) -> u32 {
+        let pc = id as u32;
+        rob.push(RobHotEntry::new(id, pc, &StaticInst::nop()), pc + 1)
     }
 
     #[test]
     fn fifo_commit_order() {
         let mut rob = ReorderBuffer::new(4);
-        rob.push(entry(1));
-        rob.push(entry(2));
+        push(&mut rob, 1);
+        push(&mut rob, 2);
         assert_eq!(rob.len(), 2);
-        assert_eq!(rob.pop_head().unwrap().id, 1);
-        assert_eq!(rob.pop_head().unwrap().id, 2);
+        assert_eq!(rob.pop_head().unwrap().0.id, 1);
+        assert_eq!(rob.pop_head().unwrap().0.id, 2);
         assert!(rob.is_empty());
     }
 
     #[test]
     fn ring_wraps_and_slots_stay_stable() {
         let mut rob = ReorderBuffer::new(3);
-        let s1 = rob.push(entry(1));
-        let s2 = rob.push(entry(2));
-        assert_eq!(rob.pop_head().unwrap().id, 1);
+        let s1 = push(&mut rob, 1);
+        let s2 = push(&mut rob, 2);
+        assert_eq!(rob.pop_head().unwrap().0.id, 1);
         // Push past the physical end: the ring wraps into slot 0.
-        let s3 = rob.push(entry(3));
-        let s4 = rob.push(entry(4));
+        let s3 = push(&mut rob, 3);
+        let s4 = push(&mut rob, 4);
         assert_eq!(s4, s1, "freed slot is reused after a wrap");
         assert!(!rob.slot_matches(s1, 1), "stale handle must not match");
         assert!(rob.slot_matches(s2, 2));
@@ -549,9 +434,9 @@ mod tests {
     #[test]
     fn full_detection() {
         let mut rob = ReorderBuffer::new(2);
-        rob.push(entry(1));
+        push(&mut rob, 1);
         assert!(!rob.is_full());
-        rob.push(entry(2));
+        push(&mut rob, 2);
         assert!(rob.is_full());
     }
 
@@ -559,15 +444,15 @@ mod tests {
     #[should_panic(expected = "full ROB")]
     fn push_into_full_rob_panics() {
         let mut rob = ReorderBuffer::new(1);
-        rob.push(entry(1));
-        rob.push(entry(2));
+        push(&mut rob, 1);
+        push(&mut rob, 2);
     }
 
     #[test]
     fn squash_younger_returns_youngest_first() {
         let mut rob = ReorderBuffer::new(8);
         for id in 1..=5 {
-            rob.push(entry(id));
+            push(&mut rob, id);
         }
         let mut ids = Vec::new();
         assert_eq!(rob.squash_younger_than(3, |e| ids.push(e.id)), 2);
@@ -579,7 +464,7 @@ mod tests {
     fn clear_empties_and_counts() {
         let mut rob = ReorderBuffer::new(8);
         for id in 1..=3 {
-            let slot = rob.push(entry(id));
+            let slot = push(&mut rob, id);
             assert!(rob.slot_matches(slot, id));
         }
         assert_eq!(rob.clear(), 3);
@@ -593,7 +478,7 @@ mod tests {
     #[test]
     fn writeback_is_slot_validated() {
         let mut rob = ReorderBuffer::new(4);
-        let slot = rob.push(entry(9));
+        let slot = push(&mut rob, 9);
         let wb = Writeback {
             completion_cycle: 42,
             result: Some(7),
@@ -601,14 +486,13 @@ mod tests {
             mem_level: None,
             store_value: None,
             mispredicted: false,
-            actual_next_pc: None,
         };
         assert!(rob.writeback(slot, 9, wb));
         let head = rob.head().unwrap();
         assert!(head.issued);
         assert_eq!(head.completion_cycle, 42);
-        let popped = rob.pop_head().unwrap();
-        assert_eq!(popped.result, Some(7));
+        let (_, cold) = rob.pop_head().unwrap();
+        assert_eq!(cold.result, Some(7));
         // The handle is dead after the pop.
         assert!(!rob.writeback(slot, 9, wb));
     }
@@ -617,7 +501,7 @@ mod tests {
     fn executed_head_run_counts_ready_prefix_and_wraps() {
         let mut rob = ReorderBuffer::new(4);
         assert_eq!(rob.executed_head_run(4), 0, "empty ROB");
-        let slots: Vec<u32> = (1..=4).map(|id| rob.push(entry(id))).collect();
+        let slots: Vec<u32> = (1..=4).map(|id| push(&mut rob, id)).collect();
         assert_eq!(rob.executed_head_run(4), 0, "nothing executed yet");
         rob.set_executed(slots[0]);
         rob.set_executed(slots[1]);
@@ -628,10 +512,10 @@ mod tests {
         assert_eq!(rob.executed_head_run(1), 1, "capped at max");
         // Drain the ready prefix, refill past the ring boundary, and make the
         // whole (wrapped) window ready: the run must follow the wrap.
-        assert_eq!(rob.pop_head().unwrap().id, 1);
-        assert_eq!(rob.pop_head().unwrap().id, 2);
-        let s5 = rob.push(entry(5));
-        let s6 = rob.push(entry(6));
+        assert_eq!(rob.pop_head().unwrap().0.id, 1);
+        assert_eq!(rob.pop_head().unwrap().0.id, 2);
+        let s5 = push(&mut rob, 5);
+        let s6 = push(&mut rob, 6);
         rob.set_executed(slots[2]);
         rob.set_executed(s5);
         rob.set_executed(s6);
@@ -641,11 +525,11 @@ mod tests {
     #[test]
     fn force_execute_sets_zero_result() {
         let mut rob = ReorderBuffer::new(2);
-        let slot = rob.push(entry(5));
+        let slot = push(&mut rob, 5);
         rob.force_execute(slot);
-        let popped = rob.pop_head().unwrap();
-        assert_eq!(popped.result, Some(0));
-        assert!(popped.executed);
+        let (hot, cold) = rob.pop_head().unwrap();
+        assert_eq!(cold.result, Some(0));
+        assert!(hot.executed);
     }
 
     #[test]
@@ -656,11 +540,11 @@ mod tests {
             pre_model::reg::ArchReg::int(2),
             0,
         );
-        let mut e = RobEntry::new(1, DynUop::sequential(1), &load);
+        let mut e = RobHotEntry::new(1, 1, &load);
         e.issued = true;
         e.completion_cycle = 500;
         e.mem_level = Some(HitLevel::L2);
-        rob.push(e);
+        rob.push(e, 2);
         let head = *rob.head().unwrap();
         assert!(!head.is_blocking_long_latency_load(100));
         let mut head = head;

@@ -4,8 +4,10 @@
 //! A micro-op carries only its program counter and the PC the front end
 //! followed after it. The static instruction lives once in the core's
 //! PC-indexed instruction table (`insts[pc]`), and every stage that needs
-//! the opcode or operands reads it from there: the front end, the EMQ and
-//! the ROB then copy 8 bytes per micro-op instead of a full decoded record.
+//! the opcode or operands reads it from there: the front end and the EMQ
+//! then copy 8 bytes per micro-op instead of a full decoded record, and the
+//! ROB keeps the `pc` in its hot entry and the predicted next PC in its cold
+//! one.
 
 /// A dynamic micro-op travelling down the front end: an 8-byte PC handle
 /// into the core's instruction table.
@@ -18,26 +20,9 @@ pub struct DynUop {
     pub predicted_next_pc: u32,
 }
 
-impl DynUop {
-    /// Creates a non-control micro-op whose predicted successor is `pc + 1`.
-    pub fn sequential(pc: u32) -> Self {
-        DynUop {
-            pc,
-            predicted_next_pc: pc + 1,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sequential_uop_predicts_fallthrough() {
-        let uop = DynUop::sequential(7);
-        assert_eq!(uop.pc, 7);
-        assert_eq!(uop.predicted_next_pc, 8);
-    }
 
     #[test]
     fn uop_is_an_eight_byte_handle() {

@@ -10,8 +10,7 @@
 
 use pre_core::freelist::FreeList;
 use pre_core::rat::RegisterAliasTable;
-use pre_core::rob::{ReorderBuffer, RobEntry};
-use pre_core::uop::DynUop;
+use pre_core::rob::{ReorderBuffer, RobHotEntry};
 use pre_model::isa::StaticInst;
 use pre_model::reg::{ArchReg, NUM_INT_ARCH_REGS};
 use pre_model::rng::SmallRng;
@@ -153,11 +152,8 @@ fn rob_squash_preserves_order() {
         let cut = rng.gen_range_u64(0..80);
         let mut rob = ReorderBuffer::new(64);
         for id in 1..=count as u64 {
-            rob.push(RobEntry::new(
-                id,
-                DynUop::sequential(id as u32),
-                &StaticInst::nop(),
-            ));
+            let pc = id as u32;
+            rob.push(RobHotEntry::new(id, pc, &StaticInst::nop()), pc + 1);
         }
         let mut squashed = Vec::new();
         let removed = rob.squash_younger_than(cut, |e| squashed.push(e.id));

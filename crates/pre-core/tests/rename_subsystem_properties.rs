@@ -11,8 +11,7 @@
 
 use pre_core::iq::{IqEntry, IssueQueue, SrcList};
 use pre_core::rename::RenameSubsystem;
-use pre_core::rob::{ReorderBuffer, RobEntry, Writeback};
-use pre_core::uop::DynUop;
+use pre_core::rob::{ReorderBuffer, RobHotEntry, Writeback};
 use pre_model::isa::{AluOp, BranchCond, OpClass, StaticInst};
 use pre_model::reg::{ArchReg, PhysReg, RegClass, NUM_ARCH_REGS, NUM_INT_ARCH_REGS};
 use pre_model::rng::SmallRng;
@@ -117,9 +116,9 @@ fn build_window(
         if rng.gen_below(6) == 0 {
             // An unresolved conditional branch: shadows younger entries.
             let inst = StaticInst::branch(BranchCond::Lt, ArchReg::int(1), ArchReg::int(2), 0);
-            let mut entry = RobEntry::new(id, DynUop::sequential(id as u32), &inst);
+            let mut entry = RobHotEntry::new(id, id as u32, &inst);
             entry.issued = false;
-            slots.push((id, rob.push(entry)));
+            slots.push((id, rob.push(entry, id as u32 + 1)));
             continue;
         }
         let arch = ArchReg::int(rng.gen_range_usize(0..NUM_INT_ARCH_REGS) as u8);
@@ -129,7 +128,7 @@ fn build_window(
         let Some(rename) = r.rename_dest(arch, id as u32) else {
             break;
         };
-        let mut entry = RobEntry::new(id, DynUop::sequential(id as u32), &inst);
+        let mut entry = RobHotEntry::new(id, id as u32, &inst);
         entry.dest = Some((RegClass::Int, rename.new));
         entry.old_dest = Some((arch, rename.old, rename.old_pc));
         let issued = rng.gen_below(3) != 0;
@@ -138,7 +137,7 @@ fn build_window(
             entry.executed = true;
             r.prf_mut(RegClass::Int).set_ready(rename.new, true);
         }
-        let rob_slot = rob.push(entry);
+        let rob_slot = rob.push(entry, id as u32 + 1);
         slots.push((id, rob_slot));
         if !issued && !iq.is_full() {
             iq.insert(
@@ -151,7 +150,6 @@ fn build_window(
                     dest: Some((RegClass::Int, rename.new)),
                     class: OpClass::IntAlu,
                     is_runahead: false,
-                    dispatched_at: 0,
                     store_addr_ready: false,
                 },
                 |_, _| true,
@@ -173,7 +171,6 @@ fn issue_in_rob(rob: &mut ReorderBuffer, slot: u32, id: u64) {
             mem_level: None,
             store_value: None,
             mispredicted: false,
-            actual_next_pc: None,
         },
     );
 }
@@ -488,7 +485,7 @@ impl Machine {
             StaticInst::int_alu(AluOp::Add, a, a, b)
         };
         let srcs = self.r.lookup_sources(&inst);
-        let mut entry = RobEntry::new(id, DynUop::sequential(id as u32), &inst);
+        let mut entry = RobHotEntry::new(id, id as u32, &inst);
         if let Some(d) = inst.dest {
             let Some(rename) = self.r.rename_dest(d, id as u32) else {
                 return;
@@ -497,7 +494,7 @@ impl Machine {
             entry.old_dest = Some((d, rename.old, rename.old_pc));
         }
         let dest = entry.dest;
-        let rob_slot = self.rob.push(entry);
+        let rob_slot = self.rob.push(entry, id as u32 + 1);
         let r = &self.r;
         self.iq.insert(
             IqEntry {
@@ -509,7 +506,6 @@ impl Machine {
                 dest,
                 class: inst.opcode.class(),
                 is_runahead: false,
-                dispatched_at: 0,
                 store_addr_ready: false,
             },
             |class, reg| r.prf(class).is_ready(reg),
@@ -593,7 +589,7 @@ impl Machine {
             return;
         }
         self.r.eager_head_committing(&self.rob);
-        let entry = self.rob.pop_head().expect("head checked");
+        let (entry, _) = self.rob.pop_head().expect("head checked");
         if let Some((arch, old, _)) = entry.old_dest {
             self.r.free_committed(arch.class(), old);
         }
@@ -676,7 +672,6 @@ impl Machine {
                 dest,
                 class: OpClass::IntAlu,
                 is_runahead: true,
-                dispatched_at: 0,
                 store_addr_ready: false,
             },
             |class, reg| r.prf(class).is_ready(reg),
@@ -749,13 +744,13 @@ fn reallocated_eager_free_is_not_reseeded_after_the_exit() {
     for id in 1..=2u64 {
         let inst = StaticInst::int_alu_imm(AluOp::Add, a, a, 1);
         let rename = r.rename_dest(a, id as u32).expect("free register");
-        let mut entry = RobEntry::new(id, DynUop::sequential(id as u32), &inst);
+        let mut entry = RobHotEntry::new(id, id as u32, &inst);
         entry.dest = Some((RegClass::Int, rename.new));
         entry.old_dest = Some((a, rename.old, rename.old_pc));
         entry.issued = true;
         entry.executed = true;
         r.prf_mut(RegClass::Int).set_ready(rename.new, true);
-        rob.push(entry);
+        rob.push(entry, id as u32 + 1);
     }
     let olds: Vec<PhysReg> = rob.iter().map(|e| e.old_dest.unwrap().1).collect();
 

@@ -67,10 +67,6 @@ pub struct CacheStats {
     pub accesses: u64,
     /// Misses (line absent at access time).
     pub misses: u64,
-    /// Fills installed.
-    pub fills: u64,
-    /// Dirty evictions (write-backs generated).
-    pub writebacks: u64,
     /// Demand accesses that were the first use of a prefetched line.
     pub useful_prefetches: u64,
 }
@@ -227,7 +223,6 @@ impl Cache {
         dirty: bool,
     ) -> Option<Eviction> {
         self.lru_clock += 1;
-        self.stats.fills += 1;
         let set = self.set_index(addr);
         let tag = self.tag(addr);
         // Refill of an already-present line just refreshes metadata.
@@ -251,9 +246,6 @@ impl Cache {
             .expect("cache set has at least one way");
         let victim = self.set(set)[victim_idx];
         let eviction = if victim.valid {
-            if victim.dirty {
-                self.stats.writebacks += 1;
-            }
             Some(Eviction {
                 line_addr: victim.tag * self.num_sets as u64 * self.cfg.line_bytes as u64
                     + set as u64 * self.cfg.line_bytes as u64,
@@ -356,7 +348,6 @@ mod tests {
             .expect("eviction");
         assert!(ev.dirty);
         assert_eq!(ev.line_addr, 0x000);
-        assert_eq!(c.stats().writebacks, 1);
     }
 
     #[test]

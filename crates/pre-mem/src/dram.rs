@@ -22,9 +22,6 @@ pub struct DramStats {
     pub row_misses: u64,
     /// Accesses that required precharge + activate (row conflict).
     pub row_conflicts: u64,
-    /// Total queueing delay (cycles spent waiting for bank/bus) accumulated
-    /// across requests.
-    pub queue_cycles: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -128,7 +125,6 @@ impl Dram {
         // data return but does not occupy the bank or the data bus.
         let done = burst_start + burst_core + self.to_core(self.cfg.t_controller);
 
-        self.stats.queue_cycles += (start - now) + (burst_start - access_done);
         self.bus_busy_until = burst_start + burst_core;
         // The bank is free to accept the next column command once the access
         // completes; the data burst only occupies the shared bus.
@@ -205,7 +201,6 @@ mod tests {
         let a = d.access(0, 0, false);
         let b = d.access(64, 0, false);
         assert!(b > a, "same-bank back-to-back requests must serialize");
-        assert!(d.stats().queue_cycles > 0);
     }
 
     #[test]

@@ -31,7 +31,7 @@
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 
 /// Environment variable overriding the worker count (`0` or unset = one
 /// worker per available core).
@@ -137,9 +137,10 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// capturing a panic in any single item as a [`JobError`] instead of tearing
 /// down the pool.
 ///
-/// Results come back in input order, one `Result` per item. A worker whose
-/// current item panics catches the unwind, records `Err(JobError)` for that
-/// slot, and moves on to the next item — so one poisoned cell cannot take the
+/// Results come back in input order, one `Result` per item. This is
+/// [`par_map`] over `(index, item)` pairs with the unwind caught inside each
+/// call: a worker whose current item panics records `Err(JobError)` for that
+/// slot and moves on to the next item — so one poisoned cell cannot take the
 /// rest of the grid down with it, and every non-panicking item still produces
 /// its `Ok` value.
 ///
@@ -153,61 +154,19 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let run_one = |idx: usize, item: &T| -> Result<R, JobError> {
+    let indexed: Vec<(usize, &T)> = items.iter().enumerate().collect();
+    par_map(&indexed, |&(index, item)| {
         catch_unwind(AssertUnwindSafe(|| f(item))).map_err(|payload| JobError {
-            index: idx,
+            index,
             payload: panic_message(payload.as_ref()),
         })
-    };
-
-    let workers = num_threads(items.len());
-    if workers <= 1 || items.len() <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(idx, item)| run_one(idx, item))
-            .collect();
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<R, JobError>>>> =
-        items.iter().map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            handles.push(scope.spawn(|| loop {
-                let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(idx) else { break };
-                let result = run_one(idx, item);
-                // A panic inside `f` was already caught above; the slot lock
-                // is only ever held for this assignment, so recover rather
-                // than cascade a poisoned-mutex panic through the pool.
-                *slots[idx].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
-            }));
-        }
-        for handle in handles {
-            if let Err(panic) = handle.join() {
-                // Workers only unwind on bugs outside `f` (e.g. allocation
-                // failure); that is not an isolatable per-item fault.
-                std::panic::resume_unwind(panic);
-            }
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .expect("worker pool completed without filling every slot")
-        })
-        .collect()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::PoisonError;
 
     #[test]
     fn preserves_order_and_values() {

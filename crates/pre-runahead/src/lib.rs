@@ -15,10 +15,7 @@
 //!   list as soon as the allocating instruction has executed and reached the
 //!   queue head, without waiting for a commit that will never happen
 //!   (Section 3.4).
-//! * [`emq::ExtendedMicroOpQueue`] — the EMQ, an optional buffer holding all
-//!   micro-ops decoded in runahead mode so they can be dispatched after exit
-//!   without re-fetching them (Section 3.3).
-//! * [`RunaheadBuffer`] and [`ChainReplayEngine`] — the prior-work *runahead
+//! * [`extract_chain`] and [`ChainReplayEngine`] — the prior-work *runahead
 //!   buffer* (Hashemi et al., MICRO 2015): backward data-flow chain
 //!   extraction from the ROB and the chain-replay engine that loops the
 //!   extracted slice during runahead mode.
@@ -35,16 +32,14 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod emq;
 mod policy;
 mod prdq;
 mod runahead_buffer;
 mod sst;
 mod technique;
 
-pub use emq::ExtendedMicroOpQueue;
 pub use policy::{EntryDecision, EntryPolicy};
 pub use prdq::{PrdqEntry, PreciseRegisterDeallocationQueue};
-pub use runahead_buffer::{ChainReplayEngine, RunaheadBuffer, WindowUop};
+pub use runahead_buffer::{extract_chain, ChainReplayEngine, WindowUop};
 pub use sst::StallingSliceTable;
 pub use technique::{ParseTechniqueError, Technique};

@@ -48,7 +48,7 @@ pub struct WindowUop {
 /// The returned chain is in program order and ends with the stalling load
 /// itself; it is truncated to `max_len` micro-ops (32 in the original
 /// proposal).
-pub(crate) fn extract_chain(
+pub fn extract_chain(
     window: &[WindowUop],
     stalling_pc: u32,
     max_len: usize,
@@ -101,53 +101,6 @@ pub(crate) fn extract_chain(
 
     chain_rev.reverse();
     Some(chain_rev)
-}
-
-/// The runahead buffer itself: the extracted chain plus bookkeeping.
-#[derive(Debug, Clone, Default)]
-pub struct RunaheadBuffer {
-    chain: Vec<StaticInst>,
-    /// Number of backward data-flow walks performed (each is an expensive
-    /// CAM search over the ROB, charged by the energy model).
-    walks: u64,
-}
-
-impl RunaheadBuffer {
-    /// Creates an empty runahead buffer.
-    pub fn new() -> Self {
-        RunaheadBuffer::default()
-    }
-
-    /// Performs the backward data-flow walk and loads the buffer. Returns
-    /// `true` when a chain was found.
-    pub fn fill_from_window(
-        &mut self,
-        window: &[WindowUop],
-        stalling_pc: u32,
-        max_len: usize,
-    ) -> bool {
-        self.walks += 1;
-        match extract_chain(window, stalling_pc, max_len) {
-            Some(chain) => {
-                self.chain = chain;
-                true
-            }
-            None => {
-                self.chain.clear();
-                false
-            }
-        }
-    }
-
-    /// The buffered chain (empty if the last walk failed).
-    pub fn chain(&self) -> &[StaticInst] {
-        &self.chain
-    }
-
-    /// Number of data-flow walks performed.
-    pub fn walks(&self) -> u64 {
-        self.walks
-    }
 }
 
 /// Loads whose data is further away than this many cycles are treated as
@@ -417,15 +370,6 @@ mod tests {
         let window = strided_window();
         let chain = extract_chain(&window, 12, 2).unwrap();
         assert_eq!(chain.len(), 2);
-    }
-
-    #[test]
-    fn buffer_tracks_walk_statistics() {
-        let mut buf = RunaheadBuffer::new();
-        assert!(buf.fill_from_window(&strided_window(), 12, 32));
-        assert!(!buf.fill_from_window(&strided_window()[..4], 12, 32));
-        assert_eq!(buf.walks(), 2);
-        assert!(buf.chain().is_empty());
     }
 
     #[test]

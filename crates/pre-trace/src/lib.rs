@@ -131,22 +131,16 @@ pub struct Sample {
     pub cycle: u64,
     /// Cumulative committed micro-ops.
     pub committed_uops: u64,
-    /// Reorder-buffer occupancy / capacity.
+    /// Reorder-buffer occupancy.
     pub rob: usize,
-    /// ROB capacity.
-    pub rob_cap: usize,
     /// Issue-queue occupancy.
     pub iq: usize,
-    /// Issue-queue capacity.
-    pub iq_cap: usize,
     /// Load-queue occupancy.
     pub lq: usize,
     /// Store-queue occupancy.
     pub sq: usize,
     /// Extended micro-op queue occupancy.
     pub emq: usize,
-    /// EMQ capacity.
-    pub emq_cap: usize,
     /// Fraction of the integer physical register file that is free.
     pub free_int_frac: f64,
     /// Fraction of the floating-point physical register file that is free.

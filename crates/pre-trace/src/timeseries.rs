@@ -191,13 +191,10 @@ mod tests {
             cycle,
             committed_uops: committed,
             rob: 10,
-            rob_cap: 192,
             iq: 5,
-            iq_cap: 60,
             lq: 2,
             sq: 1,
             emq: 0,
-            emq_cap: 128,
             free_int_frac: 0.5,
             free_fp_frac: 1.0,
             mshr_occupancy: 3,

@@ -124,6 +124,28 @@ fn pre_uses_sst_and_prdq_while_prior_techniques_do_not() {
 }
 
 #[test]
+fn every_runahead_buffer_entry_walks_the_window() {
+    // The walk runs on every entry, whether it finds a chain to replay or
+    // not. Without one the interval falls back to traditional runahead, as
+    // on asm-quicksort, whose window never holds a second instance of the
+    // stalling load.
+    let ra_buffer = |name: &str, uops| {
+        let workload: Workload = name.parse().expect("known workload");
+        run(workload, Technique::RunaheadBuffer, uops)
+    };
+    let strided = ra_buffer("lbm-like", 20_000);
+    let chase = ra_buffer("asm-chase-large", 4_000);
+    let no_chain = ra_buffer("asm-quicksort", 4_000);
+    assert!(strided.runahead_buffer_replays > 0, "a chain is replayed");
+    assert!(chase.runahead_buffer_replays > 0, "a chain is replayed");
+    assert_eq!(no_chain.runahead_buffer_replays, 0, "no chain is found");
+    for stats in [&strided, &chase, &no_chain] {
+        assert!(stats.runahead_entries > 0, "RA-buffer enters runahead");
+        assert_eq!(stats.runahead_buffer_walks, stats.runahead_entries);
+    }
+}
+
+#[test]
 fn emq_captures_and_redispatches_runahead_uops() {
     let pre_emq = run(Workload::LbmLike, Technique::PreEmq, 20_000);
     assert!(

@@ -5,7 +5,7 @@ use super::{FlushKind, Mode, OooCore, RunaheadInterval};
 use crate::iq::IqEntry;
 use pre_model::reg::{ArchReg, RegClass, NUM_ARCH_REGS};
 use pre_model::stats::{RunaheadEvent, RunaheadEventKind};
-use pre_runahead::{extract_chain, ChainReplayEngine, EntryDecision, Technique, WindowUop};
+use pre_runahead::{extract_chain, ChainReplayEngine, EntryDecision, Technique};
 
 impl OooCore {
     // ---------------------------------------------------------------------
@@ -226,19 +226,16 @@ impl OooCore {
     /// start the chain replay. Falls back to traditional runahead when no
     /// chain can be found (no second instance of the load in the window).
     fn begin_buffer_runahead(&mut self, now: u64, head_id: u64, head_pc: u32) -> FlushKind {
-        let window: Vec<WindowUop> = self
-            .rob
-            .iter()
-            .map(|e| WindowUop {
-                pc: e.pc,
-                inst: self.insts[e.pc as usize],
-            })
-            .collect();
         // Every entry walks the window, whether or not it finds a chain (each
         // walk is a CAM search over the ROB, charged by the energy model).
         self.stats.runahead_buffer_walks += 1;
         let max_len = self.cfg.runahead.runahead_buffer_chain_max;
-        let Some(chain) = extract_chain(&window, head_pc, max_len) else {
+        let window = self
+            .rob
+            .iter()
+            .rev()
+            .map(|e| (e.pc, &self.insts[e.pc as usize]));
+        let Some(chain) = extract_chain(window, head_pc, max_len) else {
             return FlushKind::Traditional;
         };
         // Seed the replay with the youngest speculative register values, as

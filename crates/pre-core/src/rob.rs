@@ -333,7 +333,7 @@ impl ReorderBuffer {
     }
 
     /// Iterates over the hot state from oldest to youngest.
-    pub fn iter(&self) -> impl Iterator<Item = &RobHotEntry> + '_ {
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &RobHotEntry> + '_ {
         (0..self.len).map(move |i| &self.hot[self.phys(i)])
     }
 

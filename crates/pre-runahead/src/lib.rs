@@ -40,6 +40,6 @@ mod technique;
 
 pub use policy::{EntryDecision, EntryPolicy};
 pub use prdq::{PrdqEntry, PreciseRegisterDeallocationQueue};
-pub use runahead_buffer::{extract_chain, ChainReplayEngine, WindowUop};
+pub use runahead_buffer::{extract_chain, ChainReplayEngine};
 pub use sst::StallingSliceTable;
 pub use technique::{ParseTechniqueError, Technique};

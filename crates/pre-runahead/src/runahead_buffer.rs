@@ -11,8 +11,8 @@
 //!
 //! Two pieces are implemented here:
 //!
-//! * [`extract_chain`] — the backward data-flow walk over a program-order
-//!   snapshot of the ROB.
+//! * [`extract_chain`] — the backward data-flow walk over the ROB, youngest
+//!   entry first, in place.
 //! * [`ChainReplayEngine`] — the loop that renames/executes the buffered
 //!   chain with data-flow timing, issuing prefetches into the memory
 //!   hierarchy. The engine maintains its own small register context seeded
@@ -25,60 +25,45 @@ use pre_model::isa::{extract_forwarded_bytes, range_contains, OpClass, StaticIns
 use pre_model::reg::{ArchReg, NUM_ARCH_REGS};
 use std::collections::VecDeque;
 
-/// A program-order view of one ROB entry, as needed by the chain walk.
-#[derive(Debug, Clone, Copy)]
-pub struct WindowUop {
-    /// The instruction's PC.
-    pub pc: u32,
-    /// The static instruction.
-    pub inst: StaticInst,
-}
-
 /// Extracts the dependence chain leading to the *youngest* in-window instance
 /// of the stalling load (PC `stalling_pc`).
 ///
-/// `window` is the ROB contents in program order, oldest first (the stalling
-/// load at the head is expected at index 0). The walk starts from the
-/// youngest other instance of the same PC — replaying the chain from that
-/// instance generates the addresses of *future* instances. Returns `None`
-/// when the window contains no second instance (the caller falls back to
-/// traditional runahead for this interval, as the original proposal does when
-/// no chain can be built).
+/// `window` yields the ROB's `(pc, instruction)` pairs youngest first (the
+/// stalling load at the head comes last), and is walked once, backward.
+/// The walk starts from the youngest instance of the stalling PC —
+/// replaying the chain from that instance generates the addresses of
+/// *future* instances. Returns `None` when the window contains no second
+/// instance (the caller falls back to traditional runahead for this
+/// interval, as the original proposal does when no chain can be built).
 ///
 /// The returned chain is in program order and ends with the stalling load
 /// itself; it is truncated to `max_len` micro-ops (32 in the original
 /// proposal).
-pub fn extract_chain(
-    window: &[WindowUop],
+pub fn extract_chain<'a>(
+    window: impl IntoIterator<Item = (u32, &'a StaticInst)>,
     stalling_pc: u32,
     max_len: usize,
 ) -> Option<Vec<StaticInst>> {
-    // The walk needs *another* dynamic instance of the stalling load: at
-    // least two entries with the stalling PC must be in the window. Start
-    // from the youngest one.
-    let instances = window.iter().filter(|u| u.pc == stalling_pc).count();
-    if instances < 2 {
-        return None;
-    }
-    let start_idx = window
-        .iter()
-        .enumerate()
-        .rev()
-        .find(|(_, u)| u.pc == stalling_pc)
-        .map(|(i, _)| i)?;
-
+    let mut older = window.into_iter();
+    let (_, start) = older.find(|&(pc, _)| pc == stalling_pc)?;
     let mut needed = [false; NUM_ARCH_REGS];
-    for src in window[start_idx].inst.sources() {
+    for src in start.sources() {
         needed[src.flat_index()] = true;
     }
-    let mut chain_rev: Vec<StaticInst> = vec![window[start_idx].inst];
+    let mut chain_rev: Vec<StaticInst> = vec![*start];
     let mut chain_pcs: Vec<u32> = vec![stalling_pc];
+    // The walk needs *another* dynamic instance of the stalling load.
+    let mut second_instance = false;
 
-    for uop in window[..start_idx].iter().rev() {
+    for (pc, inst) in older {
+        second_instance |= pc == stalling_pc;
         if chain_rev.len() >= max_len {
-            break;
+            if second_instance {
+                break;
+            }
+            continue;
         }
-        let dest = match uop.inst.dest {
+        let dest = match inst.dest {
             Some(d) => d,
             None => continue,
         };
@@ -90,17 +75,19 @@ pub fn extract_chain(
         // instruction enters the chain — the buffer stores a loop body, not
         // an unrolled trace (Hashemi et al. deduplicate by PC).
         needed[dest.flat_index()] = false;
-        for src in uop.inst.sources() {
+        for src in inst.sources() {
             needed[src.flat_index()] = true;
         }
-        if !chain_pcs.contains(&uop.pc) {
-            chain_pcs.push(uop.pc);
-            chain_rev.push(uop.inst);
+        if !chain_pcs.contains(&pc) {
+            chain_pcs.push(pc);
+            chain_rev.push(*inst);
         }
     }
 
-    chain_rev.reverse();
-    Some(chain_rev)
+    second_instance.then(|| {
+        chain_rev.reverse();
+        chain_rev
+    })
 }
 
 /// Loads whose data is further away than this many cycles are treated as
@@ -324,8 +311,8 @@ mod tests {
 
     /// Build a window that looks like a strided-load loop:
     ///   i = i + 8 ; addr = base + i ; x = load [addr] ; (acc += x)
-    /// repeated, with the stalling load at the head.
-    fn strided_window() -> Vec<WindowUop> {
+    /// repeated, with the stalling load at the head. Oldest first.
+    fn strided_window() -> Vec<(u32, StaticInst)> {
         let i = ArchReg::int(1);
         let base = ArchReg::int(2);
         let addr = ArchReg::int(3);
@@ -337,19 +324,22 @@ mod tests {
             (12, StaticInst::load(x, addr, 0)),
             (13, StaticInst::int_alu(AluOp::Add, acc, acc, x)),
         ];
-        let mut window = Vec::new();
-        for _ in 0..4 {
-            for (pc, inst) in body {
-                window.push(WindowUop { pc, inst });
-            }
-        }
-        window
+        (0..4).flat_map(|_| body).collect()
+    }
+
+    /// [`extract_chain`] over `window` (oldest first), walked as the core
+    /// walks its ROB: youngest first.
+    fn chain_of(window: &[(u32, StaticInst)], max_len: usize) -> Option<Vec<StaticInst>> {
+        extract_chain(
+            window.iter().rev().map(|(pc, inst)| (*pc, inst)),
+            12,
+            max_len,
+        )
     }
 
     #[test]
     fn extract_chain_finds_address_slice() {
-        let window = strided_window();
-        let chain = extract_chain(&window, 12, 32).expect("chain exists");
+        let chain = chain_of(&strided_window(), 32).expect("chain exists");
         // The chain ends with the load and contains the address computation
         // and the induction update, but not the accumulator add.
         assert!(chain.last().unwrap().opcode.is_load());
@@ -362,20 +352,25 @@ mod tests {
     #[test]
     fn extract_chain_requires_second_instance() {
         let window = &strided_window()[..4]; // single loop body only
-        assert!(extract_chain(window, 12, 32).is_none());
+        assert!(chain_of(window, 32).is_none());
+        // The second instance counts even when the chain is already full.
+        assert_eq!(
+            chain_of(&strided_window()[..8], 1).map(|c| c.len()),
+            Some(1)
+        );
+        assert!(chain_of(&strided_window()[1..], 1).is_some());
+        assert!(chain_of(&strided_window()[3..8], 1).is_none());
     }
 
     #[test]
     fn extract_chain_respects_max_len() {
-        let window = strided_window();
-        let chain = extract_chain(&window, 12, 2).unwrap();
+        let chain = chain_of(&strided_window(), 2).unwrap();
         assert_eq!(chain.len(), 2);
     }
 
     #[test]
     fn replay_generates_distinct_prefetch_addresses() {
-        let window = strided_window();
-        let chain = extract_chain(&window, 12, 32).unwrap();
+        let chain = chain_of(&strided_window(), 32).unwrap();
         let mut regs = vec![0u64; NUM_ARCH_REGS];
         regs[ArchReg::int(1).flat_index()] = 0; // i
         regs[ArchReg::int(2).flat_index()] = 0x10_0000; // base

@@ -2,6 +2,7 @@
 //! a batch of independent specs with [`run_batch`].
 
 use crate::sample::{SampleMeta, SampleSpec};
+use crate::stores::WarmedHold;
 use pre_core::OooCore;
 use pre_energy::{EnergyBreakdown, EnergyModel};
 use pre_model::config::SimConfig;
@@ -121,6 +122,14 @@ impl RunSpec {
         self
     }
 
+    /// How many final micro-ops of the warm-up the warm-up snapshot's warm
+    /// trace covers: [`RunSpec::warm_window`] capped at the warm-up, or the
+    /// whole warm-up.
+    pub(crate) fn warm_trace_uops(&self) -> u64 {
+        self.warm_window
+            .map_or(self.warmup_uops, |w| w.min(self.warmup_uops))
+    }
+
     /// The canonical file-name stem for this run's cell, e.g.
     /// `lbm-like_pre-emq`.
     pub fn cell_name(&self) -> String {
@@ -213,6 +222,7 @@ impl RunResult {
 /// invalid, or if trace output cannot be written.
 pub fn run_one(spec: &RunSpec) -> Result<RunResult, SimError> {
     if spec.sample.is_none() {
+        let _hold = WarmedHold::new(spec);
         return run_plain(spec);
     }
     let (outcome, _) = schedule(std::slice::from_ref(spec), false, 0, false, |_, _| {})
@@ -296,9 +306,7 @@ fn build_core(spec: &RunSpec, program: &pre_model::Program) -> Result<OooCore, S
     if spec.warmup_uops == 0 {
         return OooCore::new(&spec.config, program, spec.technique).map_err(SimError::from);
     }
-    let window = spec
-        .warm_window
-        .map_or(spec.warmup_uops, |w| w.min(spec.warmup_uops));
+    let window = spec.warm_trace_uops();
     let snap = crate::stores::snapshot_for(
         program,
         spec.warmup_uops,
@@ -388,6 +396,17 @@ impl Cell {
     }
 }
 
+impl Item {
+    /// A hold on the warmed state this item's first attempt may fork from;
+    /// `None` when it cannot fork (a cold start, a sibling or an answer).
+    fn hold(&self) -> Option<WarmedHold> {
+        match self {
+            Item::Run(spec) => WarmedHold::new(spec),
+            Item::Sibling(..) | Item::Answer(_) => None,
+        }
+    }
+}
+
 /// Every spec of a batch as a [`Cell`], in spec order.
 fn expand(specs: &[RunSpec]) -> Vec<Cell> {
     specs
@@ -398,12 +417,20 @@ fn expand(specs: &[RunSpec]) -> Vec<Cell> {
 }
 
 /// One attempt at `spec` on the calling thread: expanded afresh, its items
-/// run in order.
+/// run in order, each holding its warmed state until it finishes.
 fn run_serially(spec: &RunSpec) -> Result<RunResult, SimError> {
     let cell = expand(std::slice::from_ref(spec))
         .pop()
         .expect("one cell per spec");
-    cell.fold(spec, cell.items.iter().map(run_item))
+    let holds: Vec<Option<WarmedHold>> = cell.items.iter().map(Item::hold).collect();
+    cell.fold(
+        spec,
+        cell.items.iter().zip(holds).map(|(item, hold)| {
+            let outcome = run_item(item);
+            drop(hold);
+            outcome
+        }),
+    )
 }
 
 /// Runs `f`, turning a panic into [`SimError::Panic`].
@@ -498,6 +525,13 @@ struct Tally {
 ///    outside that certificate is simulated in the second pool call, which
 ///    launches its items in the same order as phase 2.
 ///
+/// Warmed states live only as long as the batch's forks from them. Before
+/// phase 2, every item that may fork takes a hold on its warmed-state key,
+/// SST siblings' items included, and drops it when it finishes, however it
+/// ends. The last hold on a key removes its state from the store, so each
+/// key is built once per batch and none is left when the batch returns. A
+/// retry holds its keys again and rebuilds a state that was freed.
+///
 /// An attempt at spec `i` starts with the `PRE_FAULT` cell hook
 /// `fault::panic_if_cell_faulted` for index `i`, once per attempt
 /// and never per slice, SST siblings included. A failed spec is retried up
@@ -540,6 +574,14 @@ pub(crate) fn schedule(
     let abort = AtomicBool::new(false);
     let attempts = max_retries.saturating_add(1);
     let fault = |c: usize| if cell_faults { cell_fault(c) } else { None };
+    // Each item holds the warmed state it forks from until it finishes, so
+    // a key is built once per batch and freed by its last fork. The SST
+    // siblings' holds are taken here too: a member that simulates forks
+    // from its leader's key after the first pool call.
+    let holds: Vec<Vec<Mutex<Option<WarmedHold>>>> = cells
+        .iter()
+        .map(|cell| cell.items.iter().map(|i| Mutex::new(i.hold())).collect())
+        .collect();
 
     // One pool call over the items of the cells `which`, launched longest
     // predicted first, returning each cell's `(index, (outcome, attempts))`.
@@ -568,6 +610,7 @@ pub(crate) fn schedule(
             if phase == RUNNING && tally.fault.get().is_none() {
                 *lock(&tally.outcomes[i]) = Some(run_item(&cell.items[i]));
             }
+            drop(lock(&holds[c][i]).take());
             if tally.pending.fetch_sub(1, SeqCst) != 1 {
                 return None;
             }
@@ -644,11 +687,15 @@ pub(crate) fn schedule(
 /// per-cell key, so a cell's items stay contiguous and in item order (a
 /// sampled cell's slices in slice order), and cells of equal cost keep
 /// spec order: the techniques of one program, adjacent in a matrix, stay
-/// together. That locality matters: a variant that sorted sampled slices
-/// by technique across programs raised the peak resident set of a 2-worker
-/// sampled mixed matrix at 2 M micro-ops per cell from 184–208 to 235–261
-/// MiB in five paired runs, with no wall-clock gain; keeping each
-/// program's items together stayed at 190–201 MiB.
+/// together. That locality bounds the resident set. A warmed state is
+/// freed when the batch's last fork from it finishes, so a program's
+/// representatives' states live from its first cell's slices to its last
+/// cell's, and about one program's states per worker are alive at a time.
+/// On a 2-worker sampled mixed matrix at 2 M micro-ops per cell, that peaks
+/// at 134–149 MiB (six runs). Before warmed states were freed, every one
+/// stayed alive to the end, and the peak was 184–216 MiB. Back then, a
+/// variant that sorted sampled slices by technique across programs raised
+/// it further, to 235–261 MiB, with no wall-clock gain.
 ///
 /// One worker keeps spec order: order cannot shorten a serial pass, and
 /// `PRE_THREADS=1` stays the serial reference for fail-fast skip sets and

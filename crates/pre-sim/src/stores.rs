@@ -13,6 +13,16 @@
 //! 3. **Warmed-state store** — configuration-*dependent* warmed caches and
 //!    predictor ([`WarmedState`]), keyed additionally by the memory-hierarchy
 //!    and frontend configuration. A ROB/IQ/EMQ/SST sweep shares one entry.
+//!    An entry lives only as long as the batch that forks from it: each
+//!    work item holds its key (`WarmedHold`) from before the batch's
+//!    first pool call until it finishes, however it ends, and the last
+//!    hold dropped removes the entry. `run_one` holds its key for its
+//!    run. At the Table 1 geometry an entry is about 0.75 MB (21 504
+//!    cache lines plus the predictor), and a sampled mixed matrix at 2 M
+//!    micro-ops per cell forks from 122 of them. Keeping every one until
+//!    [`clear_stores`] put perfbench `sampled-long`'s peak resident set at
+//!    a 211.9 MiB median on 2 workers; freeing each after its last fork
+//!    puts it at 138.7 MiB (six paired runs).
 //! 4. **Result cache** — finished [`RunResult`]s keyed by the full run
 //!    specification (config + technique + program + budget + warm-up),
 //!    in-memory always, and appended to a results log under a directory
@@ -73,7 +83,7 @@ use pre_model::stats::SimStats;
 use pre_runahead::Technique;
 use pre_workloads::{Workload, WorkloadParams};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write as _};
@@ -144,6 +154,18 @@ impl<V: Clone> Memo<V> {
             Some(slot) => slot.get_or_init(build).clone(),
             None => build(),
         }
+    }
+
+    /// Drops the entry of `key`. A request that already holds its slot
+    /// keeps it, and a build in flight still completes for its waiters; the
+    /// next request for `key` builds afresh.
+    pub(crate) fn remove(&self, key: u64) {
+        self.map().remove(&key);
+    }
+
+    /// How many keys have an entry.
+    fn len(&self) -> usize {
+        self.map().len()
     }
 
     /// Drops every entry.
@@ -832,7 +854,9 @@ fn warmed_key(cfg: &SimConfig, program: &Program, warmup_uops: u64, window: u64)
 /// The warmed caches + predictor for `cfg`'s memory hierarchy and frontend,
 /// derived from `snap`'s trace on first request and shared afterwards.
 /// `window` is the snapshot's warm-trace window (the warm-up budget itself
-/// for full snapshots).
+/// for full snapshots). Inside a batch the entry is freed when the batch's
+/// last fork from it finishes (see the module documentation); asked for
+/// outside one, it stays until [`clear_stores`].
 pub fn warmed_for(
     cfg: &SimConfig,
     program: &Program,
@@ -842,8 +866,79 @@ pub fn warmed_for(
 ) -> Arc<WarmedState> {
     let (key, desc) = warmed_key(cfg, program, warmup_uops, window);
     WARMED.get_or_insert_with(key, &desc, || {
+        WARMED_BUILDS.fetch_add(1, Ordering::Relaxed);
         Arc::new(WarmedState::build(cfg, &snap.trace))
     })
+}
+
+/// How many live [`WarmedHold`]s each warmed-state key has.
+static WARMED_HOLDS: Mutex<BTreeMap<u64, usize>> = Mutex::new(BTreeMap::new());
+
+/// How many warmed states [`warmed_for`] has built.
+static WARMED_BUILDS: AtomicU64 = AtomicU64::new(0);
+
+/// A hold on the warmed state one run forks from. Every work item of a
+/// batch takes one before the batch's first pool call and drops it when it
+/// finishes, however it ended. While a key has holds its entry stays in the
+/// store, so the batch builds it once; the drop of the last hold removes
+/// it. Cores forked from it own their copies, so they run on unaffected,
+/// and a later request (a retry, another batch) builds it again,
+/// bit-identically.
+#[derive(Debug)]
+pub(crate) struct WarmedHold(u64);
+
+impl WarmedHold {
+    /// A hold on the warmed state `spec` forks from; `None` for a cold
+    /// start.
+    pub(crate) fn new(spec: &RunSpec) -> Option<WarmedHold> {
+        if spec.warmup_uops == 0 {
+            return None;
+        }
+        let program = program_for(spec.workload, &spec.params);
+        let (key, _) = warmed_key(
+            &spec.config,
+            &program,
+            spec.warmup_uops,
+            spec.warm_trace_uops(),
+        );
+        *warmed_holds().entry(key).or_insert(0) += 1;
+        Some(WarmedHold(key))
+    }
+}
+
+impl Drop for WarmedHold {
+    fn drop(&mut self) {
+        // The store entry goes under the holds lock, so a hold taken
+        // meanwhile either keeps it or finds it gone.
+        let mut holds = warmed_holds();
+        let Some(count) = holds.get_mut(&self.0) else {
+            return;
+        };
+        *count -= 1;
+        if *count == 0 {
+            holds.remove(&self.0);
+            WARMED.remove(self.0);
+        }
+    }
+}
+
+/// Locks [`WARMED_HOLDS`], recovering from poisoning (counts are updated
+/// whole).
+fn warmed_holds() -> MutexGuard<'static, BTreeMap<u64, usize>> {
+    WARMED_HOLDS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// How many warmed states the store holds. A batch frees each one when its
+/// last fork from it finishes, so this is 0 after a batch unless some
+/// caller asked [`warmed_for`] outside one.
+pub fn warmed_live() -> usize {
+    WARMED.len()
+}
+
+/// How many warmed states [`warmed_for`] has built since the process
+/// started.
+pub fn warmed_builds() -> u64 {
+    WARMED_BUILDS.load(Ordering::Relaxed)
 }
 
 // ---------------------------------------------------------------------------

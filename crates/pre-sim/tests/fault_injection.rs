@@ -9,7 +9,7 @@ use pre_model::error::SimError;
 use pre_runahead::Technique;
 use pre_sim::matrix::EvaluationMatrix;
 use pre_sim::runner::{run_batch, run_one, RunSpec};
-use pre_sim::stores::{clear_stores, snapshot_for};
+use pre_sim::stores::{clear_stores, snapshot_for, warmed_live};
 use pre_sim::sweep::Sweep;
 use pre_sim::SampleSpec;
 use pre_workloads::{Workload, WorkloadParams};
@@ -478,6 +478,8 @@ fn sampled_batches_count_attempts_per_cell_not_per_slice() {
             assert_eq!(*attempts, 1, "cell {i}");
         }
     }
+    // Faulted, retried and finished slices all release their warmed state.
+    assert_eq!(warmed_live(), 0, "a warmed state outlived the batch");
 
     // Fail-fast on one worker: cell 1 fails for good before any item of
     // cell 2 starts, so cell 2 is skipped without an attempt.
@@ -494,4 +496,6 @@ fn sampled_batches_count_attempts_per_cell_not_per_slice() {
         "{:?}",
         outcomes[2]
     );
+    // So do skipped ones.
+    assert_eq!(warmed_live(), 0, "a warmed state outlived the batch");
 }
